@@ -218,7 +218,7 @@ def check_dimension(ov: _Overrides) -> dict:
     for h in H_TRIPLE:
         cfg = RunConfig(experiment="dim", hurst=(h,), replicas=replicas,
                         seed=701, options={"grid-log2": str(log2n)})
-        _, summary = _dim_cell((h, config_to_dict(cfg)))
+        _, summary, _ = _dim_cell((h, config_to_dict(cfg)))
         target = ov.get(f"dim.target-h{h:g}", h)
         good = abs(summary["slope"] - target) <= tol
         slopes[f"h={h:g}"] = {"slope": summary["slope"],

@@ -9,35 +9,90 @@ k is a nodal point of the concave majorant exactly when left(k) >= right(k);
 summing the positive parts of left - right over interior k telescopes to
 right(0) - left(N).
 
-Node extraction runs on a compiled monotone-chain kernel when the extension
-module built from ``_envelope_core.pyx`` is available; a pure-Python backend
-with identical arithmetic is selected otherwise (or when the environment
-variable BURGERSLAB_PURE_PYTHON is set).
+Node extraction is Andrew's monotone chain behind a vectorised prefilter.
+Each filter pass drops, all at once, every surviving interior point that the
+chain's own pop test would pop against its two surviving neighbours; such a
+point is not a node.  The passes stop when nothing is dropped or after
+``_FILTER_PASSES`` passes, and the chain then runs over the survivors at
+their true indices.  Both stages use the chain's float expressions and its
+1e-12 relative collinearity tolerance, and the nodes equal those of the
+plain chain over the whole sequence, which the tests keep as the oracle.
+The one exception is a pop test that falls at the edge of that tolerance:
+there the plain chain's answer depends on which points sit below on its
+stack, and the two envelopes can differ by about 1e-12 of the sequence's
+scale.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-if os.environ.get("BURGERSLAB_PURE_PYTHON"):
-    from . import _envelope_py as _core
-    _BACKEND = "python"
-else:
-    try:
-        from . import _envelope_core as _core  # type: ignore[attr-defined]
-        _BACKEND = "compiled"
-    except ImportError:
-        from . import _envelope_py as _core
-        _BACKEND = "python"
+# A pass sweeps all survivors but drops fewer points each time: on a
+# 2^16-point fBm potential 16 passes leave about 3000 points, and further
+# passes gain little over finishing those in the chain.
+_FILTER_PASSES = 16
 
 
 def envelope_backend() -> str:
-    """Which hull kernel is active: 'compiled' or 'python'."""
-    return _BACKEND
+    """Name of the hull kernel, recorded as provenance."""
+    return "numpy"
+
+
+def _hull_nodes(y: np.ndarray, lower: bool) -> np.ndarray:
+    """Node indices of the greatest convex minorant (lower=True) or least
+    concave majorant (lower=False) of the points (k, y[k])."""
+    xs = np.arange(y.size)
+    ys = y
+    for _ in range(_FILTER_PASSES):
+        if xs.size < 3:
+            break
+        # the chain's pop test for each interior point (x1, y1) between its
+        # surviving neighbours (x0, y0) and (xk, yk), as in ``_chain``
+        x0, x1, xk = xs[:-2], xs[1:-1], xs[2:]
+        y0, y1, yk = ys[:-2], ys[1:-1], ys[2:]
+        t1 = (x1 - x0) * (yk - y0)
+        t2 = (xk - x0) * (y1 - y0)
+        cross = t1 - t2
+        tol = 1e-12 * np.maximum(np.abs(t1), np.abs(t2))
+        drop = cross <= tol if lower else cross >= -tol
+        if not drop.any():
+            break
+        keep = np.ones(xs.size, dtype=bool)
+        keep[1:-1] = ~drop
+        xs = xs[keep]
+        ys = ys[keep]
+    return _chain(xs.tolist(), ys.tolist(), lower)
+
+
+def _chain(xs: list, ys: list, lower: bool) -> np.ndarray:
+    """Monotone chain over points with strictly increasing integer xs.
+
+    The top of the stack is popped unless it lies strictly outside (below
+    for the minorant, above for the majorant) the chord from the point
+    under it to the new point, by more than 1e-12 of the cross product's
+    own magnitude.
+    """
+    sx = [xs[0]]
+    sy = [ys[0]]
+    for xk, yk in zip(xs[1:], ys[1:]):
+        while len(sx) >= 2:
+            x0 = sx[-2]
+            y0 = sy[-2]
+            t1 = (sx[-1] - x0) * (yk - y0)
+            t2 = (xk - x0) * (sy[-1] - y0)
+            cross = t1 - t2
+            tol = 1e-12 * max(abs(t1), abs(t2))
+            if (cross <= tol) if lower else (cross >= -tol):
+                sx.pop()
+                sy.pop()
+            else:
+                break
+        sx.append(xk)
+        sy.append(yk)
+    return np.array(sx, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -69,7 +124,7 @@ def _build(values: np.ndarray, lower: bool) -> ConvexEnvelope:
         raise ValueError("need a 1-d sequence of length >= 2")
     if not np.all(np.isfinite(values)):
         raise ValueError("sequence contains non-finite values")
-    nodes = np.asarray(_core.hull_nodes(values, lower))
+    nodes = _hull_nodes(values, lower)
     node_values = values[nodes]
     slopes = np.diff(node_values) / np.diff(nodes)
     return ConvexEnvelope(side="minorant" if lower else "majorant",

@@ -216,6 +216,8 @@ def run_solve(cfg: RunConfig, outdir: Path) -> dict:
 
 
 def _dim_cell(args):
+    """All replicas of one Hurst index: per-replica records, the summary and
+    replica 0's non-degenerate fit (the plot-ready table), or None."""
     h, cfg_doc = args
     cfg = config_from_dict(cfg_doc)
     log2n = cfg.opt("grid-log2", 16)
@@ -225,6 +227,7 @@ def _dim_cell(args):
     grid = SampleGrid.anchored(2.0 / n, n // 2, n // 2)
     window = (-1.0 + edge, 1.0 - edge)
     records = []
+    first_fit = None
     for rep in range(cfg.replicas):
         u0 = sample_fbm_fast(h, grid, RandomnessSpec(cfg.seed, rep))
         coords = solve(u0, cfg.opt("time", 1.0)).contact_coordinates
@@ -235,6 +238,8 @@ def _dim_cell(args):
                             "points": int(pts.size)})
             continue
         fit = dimension_estimate(pts, scales, window=window)
+        if rep == 0 and not fit.degenerate:
+            first_fit = fit
         records.append({"h": h, "replica": rep,
                         "slope": None if fit.degenerate else fit.slope,
                         "points": int(pts.size),
@@ -247,19 +252,18 @@ def _dim_cell(args):
                if slopes.size > 1 else 0.0,
                "valid_replicas": int(slopes.size),
                "replicas": cfg.replicas, "grid_log2": log2n}
-    return records, summary
+    return records, summary, first_fit
 
 
 def run_dim(cfg: RunConfig, outdir: Path) -> dict:
     doc = config_to_dict(cfg)
     results = _pool_map(_dim_cell, [(h, doc) for h in cfg.hurst])
-    records = [r for cell, _ in results for r in cell]
-    summaries = [s for _, s in results]
+    records = [r for cell, _, _ in results for r in cell]
+    summaries = [s for _, s, _ in results]
     _write_jsonl(outdir / "records.jsonl", records)
     _write_json(outdir / "summary.json",
                 {f"h={s['h']:g}": s for s in summaries})
-    for h in cfg.hurst:
-        fit = _dim_replica_fit(cfg, h, replica=0)
+    for h, (_, _, fit) in zip(cfg.hurst, results):
         if fit is not None:
             fit.to_csv(outdir / f"fit_h{h:g}_scale_count.csv")
             fit.to_json(outdir / f"fit_h{h:g}.json")
@@ -274,22 +278,6 @@ def run_dim(cfg: RunConfig, outdir: Path) -> dict:
                        "got": got, "target": target, "tol": tol})
     flagged = any(s["valid_replicas"] < s["replicas"] for s in summaries)
     return {"summaries": summaries, "checks": checks, "flagged": flagged}
-
-
-def _dim_replica_fit(cfg: RunConfig, h: float, replica: int):
-    """Per-scale counts of one replica, exported as the plot-ready table."""
-    log2n = cfg.opt("grid-log2", 16)
-    n = 2 ** log2n
-    grid = SampleGrid.anchored(2.0 / n, n // 2, n // 2)
-    window = (-0.95, 0.95)
-    u0 = sample_fbm_fast(h, grid, RandomnessSpec(cfg.seed, replica))
-    coords = solve(u0, cfg.opt("time", 1.0)).contact_coordinates
-    pts = coords[(coords >= window[0]) & (coords <= window[1])]
-    if pts.size < 4:
-        return None
-    scales = [2.0 ** -j for j in range(4, 11)]
-    fit = dimension_estimate(pts, scales, window=window)
-    return None if fit.degenerate else fit
 
 
 _KNOWN_EXPONENTS = {"fbm_max": lambda h: 1.0 - h,

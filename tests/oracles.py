@@ -1,5 +1,7 @@
-"""Independent quadrature oracles shared across test modules."""
+"""Independent oracles shared across test modules: quadrature covariances
+and the plain monotone-chain hull."""
 
+import numpy as np
 from scipy.integrate import quad
 
 from burgerslab.fbm import fbm_covariance
@@ -28,3 +30,41 @@ def quad_cross_covariance(h, x, t):
                     min(0.0, t), max(0.0, t), epsabs=1e-13, epsrel=1e-12,
                     limit=200)
     return (1 if t >= 0 else -1) * val
+
+
+def chain_hull_nodes(y, lower):
+    """Andrew's monotone chain over every point (k, y[k]), one at a time.
+
+    The package's hull kernel prefilters points before its own chain; its
+    nodes must equal these exactly: same pop test, same tolerance, same
+    float expressions.
+    """
+    values = [float(v) for v in y]
+    n = len(values)
+    if n < 2:
+        raise ValueError("need at least 2 points")
+    stack = [0]
+    push = stack.append
+    pop = stack.pop
+    for k in range(1, n):
+        yk = values[k]
+        while len(stack) >= 2:
+            i0 = stack[-2]
+            i1 = stack[-1]
+            y0 = values[i0]
+            t1 = (i1 - i0) * (yk - y0)
+            t2 = (k - i0) * (values[i1] - y0)
+            cross = t1 - t2
+            tol = 1e-12 * max(abs(t1), abs(t2))
+            if lower:
+                if cross <= tol:
+                    pop()
+                else:
+                    break
+            else:
+                if cross >= -tol:
+                    pop()
+                else:
+                    break
+        push(k)
+    return np.array(stack, dtype=np.int64)

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from burgerslab import _envelope_py
+from burgerslab import envelopes
+from burgerslab.burgers import build_potential
 from burgerslab.envelopes import (
     all_slope_pairs,
     all_slope_pairs_batch,
-    envelope_backend,
     functional_F,
     functional_F_endpoint,
     left_slope,
@@ -22,6 +22,9 @@ from burgerslab.envelopes import (
     upper_envelope,
     windowed_slope_pair,
 )
+from burgerslab.fbm import sample_fbm_fast
+from burgerslab.grids import RandomnessSpec, SampleGrid
+from oracles import chain_hull_nodes
 
 
 def oracle_nodes(y, lower):
@@ -103,15 +106,6 @@ class TestEnvelopeNodes:
         assert np.all(hi.evaluate() >= y - 1e-12 * scale)
         assert np.array_equal(hi.evaluate(hi.node_indices), y[hi.node_indices])
 
-    def test_backends_agree(self):
-        rng = np.random.default_rng(4)
-        y = np.cumsum(rng.standard_normal(4096))
-        for lower in (True, False):
-            a = _envelope_py.hull_nodes(y, lower)
-            env = lower_envelope(y) if lower else upper_envelope(y)
-            assert np.array_equal(a, env.node_indices)
-        print(f"  active backend: {envelope_backend()}")
-
     def test_csv_export(self, tmp_path):
         env = upper_envelope([0.0, 1.0, 0.0])
         f = tmp_path / "env.csv"
@@ -120,6 +114,108 @@ class TestEnvelopeNodes:
         assert lines[0] == "node_index,node_value,slope_after"
         assert lines[1] == "0,0.0,1.0"
         assert lines[-1] == "2,0.0,"
+
+
+# Sequences full of exact and rounding-level ties: every pop test on them is
+# either far from the 1e-12 tolerance or deep inside it.
+quantised = st.lists(st.integers(-8, 8).map(lambda v: v / 4.0),
+                     min_size=3, max_size=300)
+integer_walks = st.lists(st.integers(-1, 1), min_size=3, max_size=300).map(
+    lambda steps: np.cumsum(steps).astype(float))
+
+
+@st.composite
+def linear_runs_with_bumps(draw):
+    """An exactly representable line with sparse +-1 bumps."""
+    bumps = draw(st.lists(st.sampled_from([0] * 18 + [1, -1]),
+                          min_size=3, max_size=300))
+    slope = draw(st.integers(-16, 16)) / 8.0
+    offset = draw(st.integers(-5, 5))
+    return slope * np.arange(len(bumps)) + offset + np.array(bumps)
+
+
+@st.composite
+def rounded_parabolas(draw):
+    """c (k - k0)^2 rounded to 0-3 decimals, either sign."""
+    n = draw(st.integers(3, 300))
+    c = draw(st.integers(1, 9)) / 7.0
+    k0 = draw(st.integers(0, n - 1))
+    y = np.round(c * (np.arange(n) - k0) ** 2, draw(st.integers(0, 3)))
+    return draw(st.sampled_from([1.0, -1.0])) * y
+
+
+def _fbm_potential(h, log2n, seed=1):
+    n = 2 ** log2n
+    grid = SampleGrid.anchored(2.0 / n, n // 2, n // 2)
+    u0 = sample_fbm_fast(h, grid, RandomnessSpec(seed, 0))
+    return build_potential(u0).values
+
+
+class TestHullKernelMatchesChain:
+    """The prefiltered kernel returns the plain monotone chain's nodes."""
+
+    @staticmethod
+    def assert_same_nodes(y):
+        y = np.asarray(y, dtype=float)
+        for lower in (True, False):
+            env = lower_envelope(y) if lower else upper_envelope(y)
+            assert np.array_equal(env.node_indices, chain_hull_nodes(y, lower))
+
+    @pytest.fixture
+    def chain_calls(self, monkeypatch):
+        """(points in, nodes out) of every call to the kernel's chain stage."""
+        calls = []
+        chain = envelopes._chain
+
+        def spy(xs, ys, lower):
+            nodes = chain(xs, ys, lower)
+            calls.append((len(xs), nodes.size))
+            return nodes
+
+        monkeypatch.setattr(envelopes, "_chain", spy)
+        return calls
+
+    @pytest.mark.parametrize("log2n", [12, 16])
+    @pytest.mark.parametrize("h", [0.3, 0.5, 0.7])
+    def test_fbm_potentials(self, h, log2n, chain_calls):
+        self.assert_same_nodes(_fbm_potential(h, log2n))
+        if log2n == 16:
+            # the filter passes stop at their cap with points left to pop
+            assert all(points > nodes for points, nodes in chain_calls)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(quantised, integer_walks, linear_runs_with_bumps(),
+                     rounded_parabolas()))
+    def test_tie_heavy_sequences(self, y):
+        self.assert_same_nodes(y)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_strictly_convex_and_concave(self, sign, chain_calls):
+        # the first pass drops every interior point on one side and none on
+        # the other, so both sides leave the passes early
+        y = sign * (np.arange(101) - 37.5) ** 2
+        self.assert_same_nodes(y)
+        assert sorted(chain_calls) == [(2, 2), (101, 101)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(-3, 3), st.floats(-100, 100),
+           st.lists(st.sampled_from([0.0, 1e-13, -1e-13, 1e-12, -1e-12,
+                                     3e-12, -3e-12]), min_size=3,
+                    max_size=200))
+    def test_near_tolerance_envelopes_agree(self, a, b, bumps):
+        # A line with bumps at the scale of the collinearity tolerance.  Here
+        # a pop decision can flip with the point left below on the chain's
+        # stack, and the prefilter changes which points those are, so the
+        # node sets may differ; the envelopes agree to the tolerance scale.
+        x = np.arange(len(bumps))
+        y = a * x + b
+        y = y + np.array(bumps) * max(np.abs(y).max(), 1.0)
+        scale = max(np.abs(y).max(), 1.0)
+        for lower in (True, False):
+            env = lower_envelope(y) if lower else upper_envelope(y)
+            ref = chain_hull_nodes(y, lower)
+            gap = np.abs(env.evaluate() - np.interp(x, ref, y[ref])).max()
+            assert gap <= 1e-11 * scale
 
 
 class TestSlopePairs:
