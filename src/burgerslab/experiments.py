@@ -10,6 +10,7 @@ order).
 
 from __future__ import annotations
 
+import importlib.metadata
 import json
 import os
 import time
@@ -21,9 +22,10 @@ import numpy as np
 
 from . import __version__
 from .burgers import solve
+from .envelopes import envelope_backend
 from .fbm import sample_fbm_exact, sample_fbm_fast
 from .fractal import dimension_estimate
-from .grids import RandomnessSpec, SampleGrid
+from .grids import RNG_SCHEME, RandomnessSpec, SampleGrid
 from .persistence import (
     BarrierEvent,
     estimate_persistence,
@@ -40,6 +42,10 @@ from .rkhs import (
 )
 
 EXPERIMENTS = ("sample", "solve", "dim", "persist", "chain", "rkhs-verify")
+
+# chain draws its max-mean constant at seed + 1, and every stream is keyed by
+# (seed, replica) words below 2^32
+SEED_MAX = 2 ** 32 - 2
 
 
 class ConfigError(ValueError):
@@ -71,6 +77,8 @@ class RunConfig:
             raise ConfigError(f"spacing must be > 0, got {self.spacing}")
         if self.replicas < 1:
             raise ConfigError(f"replicas must be >= 1, got {self.replicas}")
+        if not 0 <= self.seed <= SEED_MAX:
+            raise ConfigError(f"seed must lie in [0, {SEED_MAX}], got {self.seed}")
         if any(t <= 0 for t in self.horizons):
             raise ConfigError(f"horizons must be > 0, got {self.horizons}")
         if self.experiment == "persist" and len(self.horizons) < 1:
@@ -397,12 +405,13 @@ def run_experiment(cfg: RunConfig) -> tuple[int, dict]:
     at the CLI boundary).
     """
     cfg = cfg.validate()
+    workers = worker_count()
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.time()
     summary = _RUNNERS[cfg.experiment](cfg, outdir)
     wall = time.time() - started
-    write_manifest(cfg, outdir, wall)
+    write_manifest(cfg, outdir, wall, workers)
     status = 0
     if summary.get("flagged"):
         status = 2
@@ -411,10 +420,17 @@ def run_experiment(cfg: RunConfig) -> tuple[int, dict]:
     return status, summary
 
 
-def write_manifest(cfg: RunConfig, outdir: Path, wall_time_s: float) -> None:
+def write_manifest(cfg: RunConfig, outdir: Path, wall_time_s: float,
+                   workers: int) -> None:
+    """Config, provenance and wall time; the only output that may differ
+    between re-runs of one config."""
+    provenance = {"rng": RNG_SCHEME, "numpy": np.__version__,
+                  # read from the package metadata: importing scipy is slow
+                  "scipy": importlib.metadata.version("scipy"),
+                  "hull": envelope_backend(), "workers": workers}
     _write_json(outdir / "manifest.json",
                 {"config": config_to_dict(cfg), "tool_version": __version__,
-                 "wall_time_s": wall_time_s})
+                 "provenance": provenance, "wall_time_s": wall_time_s})
 
 
 def rerun_from_manifest(manifest_path, out: str | None = None) -> tuple[int, dict]:

@@ -22,7 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grids import GridPath, RandomnessSpec, SampleGrid, check_hurst
+from .grids import (GridPath, RandomnessSpec, SampleGrid, check_hurst,
+                    replica_normals)
 
 __all__ = [
     "fbm_covariance",
@@ -170,13 +171,17 @@ def _fgn_rows(h: float, spacing: float, n_increments: int,
               noise: np.ndarray) -> np.ndarray:
     """Map standard-normal rows of length 2M to increment rows of length n."""
     m, amp = _embedding_amplitudes(h, spacing, n_increments)
-    v = np.empty(noise.shape[:-1] + (2 * m,), dtype=complex)
-    v[..., 0] = noise[..., 0]
-    v[..., m] = noise[..., 1]
-    half = (noise[..., 2:m + 1] + 1j * noise[..., m + 1:2 * m]) / np.sqrt(2.0)
-    v[..., 1:m] = half
-    v[..., m + 1:] = np.conj(half[..., ::-1])
-    return np.fft.fft(amp * v, axis=-1).real[..., :n_increments]
+    # the length-2M spectrum is Hermitian, so only its first M+1
+    # coefficients are built and hfft returns the (real) FFT of the whole.
+    # Parts are written in place; times 1/sqrt(2) is what complex division
+    # by sqrt(2) computes, so the coefficients are those of the full form.
+    v = np.zeros(noise.shape[:-1] + (m + 1,), dtype=complex)
+    v.real[..., 0] = noise[..., 0]
+    v.real[..., m] = noise[..., 1]
+    np.multiply(noise[..., 2:m + 1], 1.0 / np.sqrt(2.0), out=v.real[..., 1:m])
+    np.multiply(noise[..., m + 1:2 * m], 1.0 / np.sqrt(2.0), out=v.imag[..., 1:m])
+    v *= amp[:m + 1]
+    return np.fft.hfft(v, n=2 * m)[..., :n_increments]
 
 
 def _noise_length(h: float, spacing: float, n_increments: int) -> int:
@@ -206,16 +211,13 @@ def sample_fbm_fast_batch(h: float, grid: SampleGrid, seed: int,
     """Rows of fast-sampler paths, one per replica index.
 
     Row i equals ``sample_fbm_fast(h, grid, RandomnessSpec(seed, replicas[i]))``
-    bit for bit: each row's noise comes from that replica's own generator, so
+    bit for bit: each row's noise comes from that replica's own stream, so
     batching and chunking cannot change results.
     """
     h = check_hurst(h)
     anchor = grid.anchor_index
     n_inc = grid.count - 1
-    ln = _noise_length(h, grid.spacing, n_inc)
-    noise = np.empty((len(replicas), ln))
-    for i, rep in enumerate(replicas):
-        noise[i] = RandomnessSpec(seed, rep).generator().standard_normal(ln)
+    noise = replica_normals(seed, replicas, _noise_length(h, grid.spacing, n_inc))
     fgn = _fgn_rows(h, grid.spacing, n_inc, noise)
     levels = np.concatenate([np.zeros((len(replicas), 1)), np.cumsum(fgn, axis=1)],
                             axis=1)

@@ -126,6 +126,11 @@ class GridPath:
                   zip(self.coordinates, self.values))
 
 
+# How RandomnessSpec and replica_normals turn (seed, replica) into draws;
+# recorded in every run's manifest.
+RNG_SCHEME = "numpy PCG64, SeedSequence((seed, replica)), one stream per replica"
+
+
 @dataclass(frozen=True)
 class RandomnessSpec:
     """Counter-style randomness contract: (seed, replica) fully determines
@@ -143,6 +148,88 @@ class RandomnessSpec:
 
     def with_replica(self, replica: int) -> "RandomnessSpec":
         return RandomnessSpec(self.seed, replica)
+
+
+# numpy's SeedSequence hash constants (pool of 4 uint32 words) and PCG64's
+# 128-bit LCG multiplier, as in numpy/random/bit_generator.pyx and pcg64.h.
+_MASK32 = 2 ** 32 - 1
+_MASK128 = 2 ** 128 - 1
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_constants(init: int, mult: int, count: int):
+    """(xor, multiply) pairs of successive hashmix calls: the running hash
+    constant does not depend on the data, so it is precomputed."""
+    pairs = []
+    for _ in range(count):
+        nxt = (init * mult) & _MASK32
+        pairs.append((np.uint32(init), np.uint32(nxt)))
+        init = nxt
+    return tuple(pairs)
+
+
+# 16 hashmix calls while mixing the entropy, 8 while generating PCG64's
+# four uint64 words
+_POOL_HASHES = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_STATE_HASHES = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _hashmix(value: np.ndarray, consts) -> np.ndarray:
+    value = (value ^ consts[0]) * consts[1]
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return value ^ (value >> np.uint32(16))
+
+
+def _pcg64_seed_words(seed: int, replicas: np.ndarray) -> np.ndarray:
+    """``SeedSequence((seed, r)).generate_state(8, uint32)`` for every r at
+    once, in wrapping uint32 arithmetic; one row of 8 words per replica."""
+    zero = np.zeros(replicas.shape, dtype=np.uint32)
+    hashes = iter(_POOL_HASHES)
+    pool = [_hashmix(word, next(hashes))
+            for word in (zero + np.uint32(seed), replicas, zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(hashes)))
+    return np.stack([_hashmix(pool[i % 4], consts)
+                     for i, consts in enumerate(_STATE_HASHES)], axis=-1)
+
+
+def replica_normals(seed: int, replicas, length: int) -> np.ndarray:
+    """Standard normals, one row of ``length`` per replica, equal bit for
+    bit to ``RandomnessSpec(seed, r).generator().standard_normal(length)``.
+
+    The seed hashing runs for the whole replica range at once and each row
+    is drawn by one reused PCG64 whose state is set to that replica's
+    seeded state, so no generator is built per replica.  Seed and replicas
+    must lie in [0, 2^32), where each contributes one entropy word.
+    """
+    reps = np.asarray(replicas, dtype=np.int64)
+    if not 0 <= seed <= _MASK32 or (
+            reps.size and (reps.min() < 0 or reps.max() > _MASK32)):
+        raise ValueError(f"seed and replicas must lie in [0, 2^32), got seed "
+                         f"{seed} and replicas {replicas}")
+    words = _pcg64_seed_words(int(seed), reps.astype(np.uint32)).astype(np.uint64)
+    # little-endian pairs of uint32 words form generate_state(4, uint64)
+    words = (words[:, 0::2] | (words[:, 1::2] << np.uint64(32))).tolist()
+    bit_gen = np.random.PCG64(0)
+    gen = np.random.Generator(bit_gen)
+    state = bit_gen.state
+    out = np.empty((len(words), length))
+    for row, (s_hi, s_lo, i_hi, i_lo) in zip(out, words):
+        # pcg64_set_seed: inc = 2*initseq + 1; state = (inc + initstate)*MULT + inc
+        inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128
+        state["state"]["inc"] = inc
+        state["state"]["state"] = (
+            (inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        bit_gen.state = state
+        gen.standard_normal(out=row)
+    return out
 
 
 def write_csv(path, header, rows) -> None:

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import beta as beta_dist
 
 from .envelopes import all_slope_pairs_batch
 from .fitting import ScalingFit, fit_scaling
@@ -298,10 +297,13 @@ class ChainReport:
 
 
 def _binom_upper(count: int, total: int, alpha: float = _ALPHA_4SIGMA) -> float:
-    """One-sided Clopper-Pearson upper confidence bound."""
+    """One-sided Clopper-Pearson upper confidence bound: the 1 - alpha
+    quantile of Beta(count + 1, total - count)."""
     if count >= total:
         return 1.0
-    return float(beta_dist.ppf(1.0 - alpha, count + 1, total - count))
+    # imported here: scipy.special costs ~0.3 s, and only chain needs it
+    from scipy.special import betaincinv
+    return float(betaincinv(count + 1, total - count, 1.0 - alpha))
 
 
 def verify_chain(h: float, n: int, replicas: int, seed: int,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fbm import fbm_covariance, ifbm_covariance
-from .grids import RandomnessSpec, SampleGrid, check_hurst, write_csv
+from .grids import SampleGrid, check_hurst, replica_normals, write_csv
 from .persistence import McEstimate, RELIABILITY_FLOOR
 
 __all__ = [
@@ -102,11 +102,7 @@ class KernelSpace:
         """Exact Gaussian draws with this covariance, one row per replica,
         deterministic per (seed, replica)."""
         factor = self.eigvecs * np.sqrt(np.clip(self.eigvals, 0.0, None))
-        n = self.grid.count
-        z = np.empty((len(replicas), n))
-        for i, rep in enumerate(replicas):
-            z[i] = RandomnessSpec(seed, rep).generator().standard_normal(n)
-        return z @ factor.T
+        return replica_normals(seed, replicas, self.grid.count) @ factor.T
 
 
 def build_space(grid: SampleGrid, h: float) -> KernelSpace:

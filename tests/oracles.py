@@ -1,10 +1,10 @@
-"""Independent oracles shared across test modules: quadrature covariances
-and the plain monotone-chain hull."""
+"""Independent oracles shared across test modules: quadrature covariances,
+the full complex-FFT circulant map and the plain monotone-chain hull."""
 
 import numpy as np
 from scipy.integrate import quad
 
-from burgerslab.fbm import fbm_covariance
+from burgerslab.fbm import _embedding_amplitudes, fbm_covariance
 
 
 def quad_ifbm_covariance(h, s, t):
@@ -30,6 +30,19 @@ def quad_cross_covariance(h, x, t):
                     min(0.0, t), max(0.0, t), epsabs=1e-13, epsrel=1e-12,
                     limit=200)
     return (1 if t >= 0 else -1) * val
+
+
+def complex_fft_fgn_rows(h, spacing, n_increments, noise):
+    """Increment rows from the whole length-2M Hermitian spectrum and a full
+    complex FFT; the package builds only the first M+1 coefficients."""
+    m, amp = _embedding_amplitudes(h, spacing, n_increments)
+    v = np.empty(noise.shape[:-1] + (2 * m,), dtype=complex)
+    v[..., 0] = noise[..., 0]
+    v[..., m] = noise[..., 1]
+    half = (noise[..., 2:m + 1] + 1j * noise[..., m + 1:2 * m]) / np.sqrt(2.0)
+    v[..., 1:m] = half
+    v[..., m + 1:] = np.conj(half[..., ::-1])
+    return np.fft.fft(amp * v, axis=-1).real[..., :n_increments]
 
 
 def chain_hull_nodes(y, lower):

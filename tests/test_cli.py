@@ -1,10 +1,15 @@
 """Front-door behavior: exit statuses, manifests, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-
+import numpy as np
 import pytest
 
+import burgerslab
 from burgerslab.cli import main
 from burgerslab.acceptance import run_checks
 from burgerslab.experiments import (
@@ -42,6 +47,17 @@ class TestExitCodes:
                        "--seed", "4", "--out", str(tmp_path / "p"),
                        "--check"])
         assert status == 3  # tiny ladder misses the known exponent
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 32)])
+    def test_out_of_range_seed_leaves_no_directory(self, tmp_path, capsys,
+                                                   seed):
+        out = tmp_path / "p"
+        status = main(["persist", "--hurst", "0.5", "--horizon", "4,8",
+                       "--replicas", "100", "--seed", seed, "--out", str(out)])
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "seed" in err
+        assert not out.exists()
 
 
 class TestDeterminism:
@@ -144,6 +160,32 @@ class TestArtifacts:
         doc = json.loads(read_bytes(out / "shift.json"))
         assert {"p_trended", "p_plain", "norm", "lhs", "rhs",
                 "pass"} <= set(doc["h=0.5"])
+
+
+class TestProvenance:
+    def test_manifest_records_rng_versions_and_workers(self, tmp_path,
+                                                       monkeypatch):
+        monkeypatch.setenv("BURGERSLAB_WORKERS", "1")
+        out = tmp_path / "s"
+        assert main(["sample", "--replicas", "1", "--opt", "points=4",
+                     "--out", str(out)]) == 0
+        prov = json.loads(read_bytes(out / "manifest.json"))["provenance"]
+        assert prov["rng"].startswith("numpy PCG64, SeedSequence((seed, replica))")
+        assert prov["numpy"] == np.__version__
+        assert prov["scipy"].count(".") >= 1
+        assert prov["hull"] == "numpy"
+        assert prov["workers"] == 1
+
+    def test_cli_import_skips_scipy_stats_and_special(self):
+        src = str(Path(burgerslab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = ("import sys, burgerslab.cli; "
+                "print(sorted(m for m in ('scipy.stats', 'scipy.special') "
+                "if m in sys.modules))")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestCheckCommand:

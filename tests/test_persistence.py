@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp, norm
+from scipy.stats import beta, ks_2samp, norm
 
 from burgerslab.envelopes import windowed_slope_pair
 from burgerslab.fbm import integrate_values, sample_fbm_fast_batch
@@ -14,6 +14,8 @@ from burgerslab.persistence import (
     BROWNIAN_MAX_MEAN,
     BarrierEvent,
     McEstimate,
+    _ALPHA_4SIGMA,
+    _binom_upper,
     bm_max_below_prob,
     estimate_fbm_max_mean,
     estimate_persistence,
@@ -213,6 +215,15 @@ class TestVerifyChain:
         import json
         doc = json.loads((tmp_path / "chain.json").read_text())
         assert "eq17" in doc["relations"]
+
+    def test_binom_upper_equals_beta_quantile(self):
+        for total in (100, 400, 2000, 50_000, 10 ** 6):
+            counts = np.unique(np.geomspace(1, total - 1, 40).astype(int))
+            for count in [0, *counts.tolist()]:
+                want = float(beta.ppf(1.0 - _ALPHA_4SIGMA, count + 1,
+                                      total - count))
+                assert _binom_upper(count, total) == want, (count, total)
+        assert _binom_upper(7, 7) == 1.0
 
 
 class TestSlopeSymmetryInExpectation:

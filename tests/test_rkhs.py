@@ -7,7 +7,7 @@ import pytest
 
 from oracles import quad_ifbm_covariance
 
-from burgerslab.grids import SampleGrid
+from burgerslab.grids import RandomnessSpec, SampleGrid
 from burgerslab.rkhs import (
     TrendFunction,
     TrendRangeError,
@@ -66,6 +66,13 @@ class TestBuildSpace:
         se = np.sqrt((np.outer(d ** 2, d ** 2) + sp.cov ** 2) / 4000)
         mask = se > 0
         assert np.all(np.abs(emp - sp.cov)[mask] <= 4 * se[mask])
+
+    def test_sample_batch_rows_use_replica_generators(self):
+        sp = build_space(symmetric_grid(0.5, 3), 0.4)
+        factor = sp.eigvecs * np.sqrt(np.clip(sp.eigvals, 0.0, None))
+        z = np.stack([RandomnessSpec(8, r).generator().standard_normal(7)
+                      for r in range(90, 96)])
+        assert np.array_equal(sp.sample_batch(8, range(90, 96)), z @ factor.T)
 
 
 class TestNorm:

@@ -14,7 +14,15 @@ from burgerslab.fbm import (
     sample_fbm_fast,
     sample_fbm_fast_batch,
 )
-from burgerslab.grids import GridPath, RandomnessSpec, SampleGrid, read_path_csv
+from burgerslab.grids import (
+    GridPath,
+    RandomnessSpec,
+    SampleGrid,
+    read_path_csv,
+    replica_normals,
+)
+
+from oracles import complex_fft_fgn_rows
 
 
 def ks_critical_value(n1, n2, alpha=0.01):
@@ -210,6 +218,45 @@ class TestFastSampler:
         with pytest.raises(EmbeddingError, match="doubl"):
             sample_fbm_fast(0.97, grid, RandomnessSpec(0))
         fbm._embedding_amplitudes.cache_clear()
+
+
+class TestReplicaNormals:
+    """The vectorised seeding must reproduce each replica's own generator."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 31 + 5, 2 ** 32 - 1])
+    @pytest.mark.parametrize("replicas", [range(4), range(7, 12),
+                                          range(65_533, 65_539),
+                                          range(2 ** 32 - 3, 2 ** 32)])
+    def test_equals_per_replica_generators(self, seed, replicas):
+        oracle = np.stack([RandomnessSpec(seed, r).generator().standard_normal(19)
+                           for r in replicas])
+        assert np.array_equal(replica_normals(seed, replicas, 19), oracle)
+
+    def test_non_range_replicas_and_empty(self):
+        reps = [5, 0, 70_000, 5]
+        oracle = np.stack([RandomnessSpec(3, r).generator().standard_normal(8)
+                           for r in reps])
+        assert np.array_equal(replica_normals(3, reps, 8), oracle)
+        assert replica_normals(3, range(0), 8).shape == (0, 8)
+
+    @pytest.mark.parametrize("seed, replicas", [
+        (-1, range(2)), (2 ** 32, range(2)), (1, range(-1, 2)),
+        (1, range(2 ** 32 - 1, 2 ** 32 + 1))])
+    def test_out_of_range_raises(self, seed, replicas):
+        with pytest.raises(ValueError, match="2\\^32"):
+            replica_normals(seed, replicas, 4)
+
+
+class TestHalfSpectrumFft:
+    @pytest.mark.parametrize("h", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("n_inc", [1, 31, 32, 700])
+    def test_matches_complex_fft(self, h, n_inc):
+        ln = fbm._noise_length(h, 0.5, n_inc)
+        noise = np.random.default_rng(n_inc).standard_normal((64, ln))
+        got = fbm._fgn_rows(h, 0.5, n_inc, noise)
+        want = complex_fft_fgn_rows(h, 0.5, n_inc, noise)
+        assert got.shape == want.shape == (64, n_inc)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestIntegratePath:
