@@ -24,6 +24,7 @@ from .envelopes import all_slope_pairs_batch
 from .experiments import (
     RunConfig,
     config_to_dict,
+    parse_option,
     rerun_from_manifest,
     run_experiment,
     _dim_cell,
@@ -36,6 +37,8 @@ from .persistence import (
     BarrierEvent,
     estimate_persistence,
     exponent_fit,
+    mean_se,
+    replica_stats,
     verify_chain,
 )
 from .rkhs import (
@@ -64,16 +67,7 @@ class _Overrides:
         self.values = dict(values or {})
 
     def get(self, key: str, default):
-        raw = self.values.get(key)
-        if raw is None:
-            return default
-        if isinstance(default, bool):
-            return str(raw).lower() in ("1", "true", "yes")
-        if isinstance(default, int):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
-        return raw
+        return parse_option(self.values, key, default)
 
 
 def _ks_critical(n1: int, n2: int, alpha: float = 0.01) -> float:
@@ -148,19 +142,15 @@ def check_expectation_identity(ov: _Overrides) -> dict:
     replicas = ov.get("identity.replicas", 10_000)
     n = ov.get("identity.n", 64)
     grid = SampleGrid.one_sided(1.0, n)
-    sums, sumsq = [], []
-    for lo in range(0, replicas, 1024):
-        reps = range(lo, min(lo + 1024, replicas))
+
+    def gaps(reps):
         w = sample_fbm_fast_batch(0.5, grid, 401, reps)
-        ii = integrate_values(w, 1.0, 0)
-        gm, gp = all_slope_pairs_batch(ii)
+        gm, gp = all_slope_pairs_batch(integrate_values(w, 1.0, 0))
         f = np.clip(gm[:, 1:-1] - gp[:, 1:-1], 0.0, None).sum(axis=1)
-        d = f - 2.0 * gp[:, 0]
-        sums.append(float(d.sum()))
-        sumsq.append(float(np.square(d).sum()))
-    mean = math.fsum(sums) / replicas
-    var = max(math.fsum(sumsq) / replicas - mean ** 2, 0.0)
-    se = math.sqrt(var / replicas)
+        return (f - 2.0 * gp[:, 0],)
+
+    (gap,) = replica_stats(gaps, replicas)
+    mean, se = mean_se(gap)
     return {"pass": abs(mean) <= 4 * se, "mean_gap": mean, "se": se,
             "gap_sigma": abs(mean) / se if se > 0 else 0.0}
 

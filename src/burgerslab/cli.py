@@ -8,7 +8,6 @@ estimates), 3 failed acceptance/--check assertions.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .experiments import (
@@ -19,6 +18,7 @@ from .experiments import (
     rerun_from_manifest,
     run_experiment,
 )
+from .grids import write_json
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -113,9 +113,7 @@ def _run_check(args) -> int:
     if args.out:
         report = {res.name: {"pass": res.passed, "runtime_s": res.runtime_s,
                              "details": res.details} for res in results}
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True, default=str)
-            fh.write("\n")
+        write_json(args.out, report)
     return 0 if all(res.passed for res in results) else 3
 
 

@@ -25,7 +25,7 @@ from .burgers import solve
 from .envelopes import envelope_backend
 from .fbm import sample_fbm_exact, sample_fbm_fast
 from .fractal import dimension_estimate
-from .grids import RNG_SCHEME, RandomnessSpec, SampleGrid
+from .grids import RNG_SCHEME, RandomnessSpec, SampleGrid, write_json
 from .persistence import (
     BarrierEvent,
     estimate_persistence,
@@ -50,6 +50,25 @@ SEED_MAX = 2 ** 32 - 2
 
 class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending field."""
+
+
+def parse_option(options: dict, key: str, default):
+    """Typed lookup of a string-valued option: the value parses as the type
+    of ``default``, which is returned when the key is absent."""
+    raw = options.get(key)
+    if raw is None:
+        return default
+    try:
+        if isinstance(default, bool):
+            return str(raw).lower() in ("1", "true", "yes")
+        if isinstance(default, int):
+            return int(raw)
+        if isinstance(default, float):
+            return float(raw)
+    except ValueError:
+        raise ConfigError(f"option {key} must parse as "
+                          f"{type(default).__name__}, got {raw!r}")
+    return str(raw)
 
 
 @dataclass(frozen=True)
@@ -87,20 +106,7 @@ class RunConfig:
 
     def opt(self, key: str, default):
         """Typed option lookup; option values arrive as strings."""
-        raw = self.options.get(key)
-        if raw is None:
-            return default
-        try:
-            if isinstance(default, bool):
-                return str(raw).lower() in ("1", "true", "yes")
-            if isinstance(default, int):
-                return int(raw)
-            if isinstance(default, float):
-                return float(raw)
-        except ValueError:
-            raise ConfigError(f"option {key} must parse as "
-                              f"{type(default).__name__}, got {raw!r}")
-        return str(raw)
+        return parse_option(self.options, key, default)
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
@@ -269,12 +275,12 @@ def run_dim(cfg: RunConfig, outdir: Path) -> dict:
     records = [r for cell, _, _ in results for r in cell]
     summaries = [s for _, s, _ in results]
     _write_jsonl(outdir / "records.jsonl", records)
-    _write_json(outdir / "summary.json",
-                {f"h={s['h']:g}": s for s in summaries})
+    write_json(outdir / "summary.json",
+               {f"h={s['h']:g}": s for s in summaries})
     for h, (_, _, fit) in zip(cfg.hurst, results):
         if fit is not None:
             fit.to_csv(outdir / f"fit_h{h:g}_scale_count.csv")
-            fit.to_json(outdir / f"fit_h{h:g}.json")
+            write_json(outdir / f"fit_h{h:g}.json", fit.summary())
     tol = cfg.opt("slope-tol", 0.1)
     checks = []
     for s in summaries:
@@ -330,7 +336,7 @@ def run_persist(cfg: RunConfig, outdir: Path) -> dict:
                                "pass": bool(abs(fit.slope - known) <= tol),
                                "got": fit.slope, "target": known, "tol": tol})
     if fits:
-        _write_json(outdir / "fits.json", fits)
+        write_json(outdir / "fits.json", fits)
     return {"cells": len(cells), "checks": checks, "flagged": flagged}
 
 
@@ -344,7 +350,7 @@ def _chain_cell(args):
 def run_chain(cfg: RunConfig, outdir: Path) -> dict:
     docs = _pool_map(_chain_cell, [(h, config_to_dict(cfg)) for h in cfg.hurst])
     merged = {f"h={h:g}": doc for h, doc in zip(cfg.hurst, docs)}
-    _write_json(outdir / "chain.json", merged)
+    write_json(outdir / "chain.json", merged)
     checks = [{"name": f"chain h={h:g}", "pass": doc["pass"]}
               for h, doc in zip(cfg.hurst, docs)]
     return {"chain": merged, "checks": checks}
@@ -388,7 +394,7 @@ def run_rkhs_verify(cfg: RunConfig, outdir: Path) -> dict:
         flagged = flagged or rep.inconclusive
         checks.append({"name": f"shift bound {trend_name} {key}",
                        "pass": bool(rep.passed)})
-    _write_json(outdir / "shift.json", reports)
+    write_json(outdir / "shift.json", reports)
     return {"reports": reports, "checks": checks, "flagged": flagged}
 
 
@@ -428,9 +434,9 @@ def write_manifest(cfg: RunConfig, outdir: Path, wall_time_s: float,
                   # read from the package metadata: importing scipy is slow
                   "scipy": importlib.metadata.version("scipy"),
                   "hull": envelope_backend(), "workers": workers}
-    _write_json(outdir / "manifest.json",
-                {"config": config_to_dict(cfg), "tool_version": __version__,
-                 "provenance": provenance, "wall_time_s": wall_time_s})
+    write_json(outdir / "manifest.json",
+               {"config": config_to_dict(cfg), "tool_version": __version__,
+                "provenance": provenance, "wall_time_s": wall_time_s})
 
 
 def rerun_from_manifest(manifest_path, out: str | None = None) -> tuple[int, dict]:
@@ -446,9 +452,3 @@ def _write_jsonl(path, rows) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
-
-
-def _write_json(path, doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -189,20 +189,16 @@ def _noise_length(h: float, spacing: float, n_increments: int) -> int:
     return 2 * m
 
 def sample_fbm_fast(h: float, grid: SampleGrid, rand: RandomnessSpec) -> GridPath:
-    """Draw w on a (possibly large) anchored grid in O(n log n).
+    """Draw w on a (possibly large) anchored grid in O(n log n): the batch
+    sampler's row for this one replica.
 
     Same law as ``sample_fbm_exact`` — a single stationary increment sequence
     spans the whole interval and the cumulative sum is re-anchored at
     coordinate 0 — but the draws differ path-by-path even for equal seeds.
     """
     h = check_hurst(h)
-    anchor = grid.anchor_index
-    n_inc = grid.count - 1
-    noise = rand.generator().standard_normal(_noise_length(h, grid.spacing, n_inc))
-    fgn = _fgn_rows(h, grid.spacing, n_inc, noise)
-    levels = np.concatenate([[0.0], np.cumsum(fgn)])
-    values = levels - levels[anchor]
-    values[anchor] = 0.0
+    values = sample_fbm_fast_batch(h, grid, rand.seed,
+                                   range(rand.replica, rand.replica + 1))[0]
     return GridPath(grid, values, "fbm", hurst=h)
 
 
@@ -210,9 +206,9 @@ def sample_fbm_fast_batch(h: float, grid: SampleGrid, seed: int,
                           replicas: range) -> np.ndarray:
     """Rows of fast-sampler paths, one per replica index.
 
-    Row i equals ``sample_fbm_fast(h, grid, RandomnessSpec(seed, replicas[i]))``
-    bit for bit: each row's noise comes from that replica's own stream, so
-    batching and chunking cannot change results.
+    Row i's noise is that of ``RandomnessSpec(seed, replicas[i]).generator()``
+    and each row is transformed on its own, so batching and chunking cannot
+    change results.
     """
     h = check_hurst(h)
     anchor = grid.anchor_index

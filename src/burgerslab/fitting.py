@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -51,11 +50,6 @@ class ScalingFit:
         if self.excluded:
             out["excluded"] = list(self.excluded)
         return out
-
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.summary(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, np.ndarray]:

@@ -7,6 +7,7 @@ processes can be anchored there.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 import numpy as np
 
@@ -238,6 +239,13 @@ def write_csv(path, header, rows) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_format_cell(c) for c in row) + "\n")
+
+
+def write_json(path, doc) -> None:
+    """Indented, key-sorted JSON with a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _format_cell(c) -> str:

@@ -11,7 +11,6 @@ identical paths.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -26,6 +25,8 @@ __all__ = [
     "BarrierEvent",
     "McEstimate",
     "ChainReport",
+    "replica_stats",
+    "mean_se",
     "estimate_persistence",
     "exponent_fit",
     "refinement_study",
@@ -46,7 +47,9 @@ RELIABILITY_FLOOR = 10.0
 # one-sided normal tail at 4 sigma; used for binomial upper confidence bounds
 _ALPHA_4SIGMA = 3.167124183311998e-05
 
-CHUNK_ROWS = 2048
+# replicas per block of the Monte-Carlo reducer; bounds working memory only
+# (all_slope_pairs_batch holds O(N^2) floats per row)
+MC_BLOCK = 512
 
 #: E max of Brownian motion on (0,1) — reflection principle oracle
 BROWNIAN_MAX_MEAN = math.sqrt(2.0 / math.pi)
@@ -140,6 +143,14 @@ class McEstimate:
         if self.kind == "probability" and not 0.0 <= self.value <= 1.0:
             raise ValueError(f"probability {self.value} outside [0, 1]")
 
+    @classmethod
+    def proportion(cls, count: int, replicas: int, **meta) -> "McEstimate":
+        """Probability estimated by ``count`` hits in ``replicas`` independent
+        draws, with its binomial standard error."""
+        p = int(count) / replicas
+        return cls(value=p, std_error=math.sqrt(p * (1.0 - p) / replicas),
+                   replicas=replicas, **meta)
+
     def record(self) -> dict:
         out = {"p" if self.kind == "probability" else "mean": self.value,
                "se": self.std_error, "replicas": self.replicas,
@@ -151,29 +162,43 @@ class McEstimate:
         return out
 
 
+def replica_stats(stats, replicas: int) -> tuple[np.ndarray, ...]:
+    """Per-replica statistics of replicas 0..replicas-1.
+
+    ``stats(range)`` returns a tuple of arrays with one row per replica of
+    the range; the reducer calls it on consecutive blocks of ``MC_BLOCK``
+    replicas and concatenates each array over the blocks.  Each row must be
+    a function of its replica alone (every draw is keyed by (seed,
+    replica)); then the block size bounds memory and cannot change results.
+    """
+    if replicas < 1:
+        raise ValueError(f"need at least 1 replica, got {replicas}")
+    blocks = [stats(range(start, min(start + MC_BLOCK, replicas)))
+              for start in range(0, replicas, MC_BLOCK)]
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+
+def mean_se(values: np.ndarray):
+    """Mean and standard error of per-replica values along axis 0 (column-
+    wise for 2-D values), from exactly rounded sums (``math.fsum``)."""
+    rows = len(values)
+    cols = np.reshape(values, (rows, -1)).T
+    mean = np.array([math.fsum(c) for c in cols.tolist()]) / rows
+    meansq = np.array([math.fsum(c) for c in np.square(cols).tolist()]) / rows
+    se = np.sqrt(np.maximum(meansq - mean ** 2, 0.0) / rows)
+    if np.ndim(values) == 1:
+        return float(mean[0]), float(se[0])
+    return mean, se
+
+
 def estimate_persistence(event: BarrierEvent, h: float, spacing: float,
                          replicas: int, seed: int) -> McEstimate:
     """Indicator mean of the barrier event over independent paths."""
-    h = check_hurst(h)
     if spacing > 1.0:
         raise ValueError(f"spacing must be <= 1, got {spacing}")
     if replicas < 100:
         raise ValueError(f"need at least 100 replicas, got {replicas}")
-    grid = event.grid(spacing)
-    cols, thr, needs_integral = event.thresholds(grid)
-    hits = 0
-    for lo in range(0, replicas, CHUNK_ROWS):
-        reps = range(lo, min(lo + CHUNK_ROWS, replicas))
-        vals = sample_fbm_fast_batch(h, grid, seed, reps)
-        if needs_integral:
-            vals = integrate_values(vals, grid.spacing, grid.anchor_index)
-        hits += int(np.count_nonzero(
-            np.all(vals[:, cols] <= thr[None, :], axis=1)))
-    p = hits / replicas
-    se = math.sqrt(p * (1.0 - p) / replicas)
-    return McEstimate(value=p, std_error=se, replicas=replicas, seed=seed,
-                      spacing=spacing, horizon=event.horizon,
-                      label=f"{event.process}@{event.level:g}")
+    return refinement_study(event, h, [spacing], replicas, seed)[0]
 
 
 def exponent_fit(estimates) -> ScalingFit:
@@ -219,28 +244,24 @@ def refinement_study(event: BarrierEvent, h: float, spacings, replicas: int,
     grid = event.grid(finest)
     subgrids = [event.grid(s) for s in spacings]
     checks = [event.thresholds(sub) for sub in subgrids]
-    hits = [0] * len(spacings)
-    for lo in range(0, replicas, CHUNK_ROWS):
-        reps = range(lo, min(lo + CHUNK_ROWS, replicas))
+
+    def stays_below(reps):
         vals = sample_fbm_fast_batch(h, grid, seed, reps)
-        for i, (sub, step, (cols, thr, needs_integral)) in enumerate(
-                zip(subgrids, steps, checks)):
+        below = []
+        for sub, step, (cols, thr, needs_integral) in zip(subgrids, steps,
+                                                           checks):
             # each spacing sees the same motion path restricted to its own
             # grid, and runs its own trapezoid when the event needs I
             src = vals[:, ::step]
             if needs_integral:
                 src = integrate_values(src, sub.spacing, sub.anchor_index)
-            hits[i] += int(np.count_nonzero(
-                np.all(src[:, cols] <= thr[None, :], axis=1)))
-    out = []
-    for s, hcount in zip(spacings, hits):
-        p = hcount / replicas
-        out.append(McEstimate(value=p,
-                              std_error=math.sqrt(p * (1 - p) / replicas),
-                              replicas=replicas, seed=seed, spacing=s,
-                              horizon=event.horizon,
-                              label=f"{event.process}@{event.level:g}"))
-    return out
+            below.append(np.all(src[:, cols] <= thr, axis=1))
+        return tuple(below)
+
+    label = f"{event.process}@{event.level:g}"
+    return [McEstimate.proportion(np.count_nonzero(below), replicas, seed=seed,
+                                  spacing=s, horizon=event.horizon, label=label)
+            for s, below in zip(spacings, replica_stats(stays_below, replicas))]
 
 
 def estimate_fbm_max_mean(h: float, spacing: float, replicas: int,
@@ -249,19 +270,12 @@ def estimate_fbm_max_mean(h: float, spacing: float, replicas: int,
     h = check_hurst(h)
     n = _exact_steps(1.0, spacing, "unit interval")
     grid = SampleGrid.one_sided(spacing, n)
-    total = []
-    totalsq = []
-    for lo in range(0, replicas, CHUNK_ROWS):
-        reps = range(lo, min(lo + CHUNK_ROWS, replicas))
-        vals = sample_fbm_fast_batch(h, grid, seed, reps)
-        mx = vals[:, 1:].max(axis=1)
-        total.append(float(mx.sum()))
-        totalsq.append(float(np.square(mx).sum()))
-    mean = math.fsum(total) / replicas
-    var = math.fsum(totalsq) / replicas - mean ** 2
-    return McEstimate(value=mean, std_error=math.sqrt(var / replicas),
-                      replicas=replicas, seed=seed, spacing=spacing,
-                      label="fbm_max_mean", kind="mean")
+    (peak,) = replica_stats(
+        lambda reps: (sample_fbm_fast_batch(h, grid, seed, reps)[:, 1:]
+                      .max(axis=1),), replicas)
+    mean, se = mean_se(peak)
+    return McEstimate(value=mean, std_error=se, replicas=replicas, seed=seed,
+                      spacing=spacing, label="fbm_max_mean", kind="mean")
 
 
 # ---------------------------------------------------------------------------
@@ -284,16 +298,10 @@ class ChainReport:
     def passed(self) -> bool:
         return all(rel["pass"] for rel in self.relations.values())
 
-    def to_json(self, path=None):
-        doc = {"h": self.h, "n": self.n, "replicas": self.replicas,
-               "seed": self.seed, "m1": self.m1.record(),
-               "relations": self.relations, "pass": self.passed}
-        if path is None:
-            return doc
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return doc
+    def to_json(self) -> dict:
+        return {"h": self.h, "n": self.n, "replicas": self.replicas,
+                "seed": self.seed, "m1": self.m1.record(),
+                "relations": self.relations, "pass": self.passed}
 
 
 def _binom_upper(count: int, total: int, alpha: float = _ALPHA_4SIGMA) -> float:
@@ -306,8 +314,7 @@ def _binom_upper(count: int, total: int, alpha: float = _ALPHA_4SIGMA) -> float:
     return float(betaincinv(count + 1, total - count, 1.0 - alpha))
 
 
-def verify_chain(h: float, n: int, replicas: int, seed: int,
-                 m1_spacing: float = 2.0 ** -10, chunk: int = 512) -> ChainReport:
+def verify_chain(h: float, n: int, replicas: int, seed: int) -> ChainReport:
     """Estimate both sides of every relation in the chain and test them at
     4 combined standard errors with common random numbers.
 
@@ -323,79 +330,40 @@ def verify_chain(h: float, n: int, replicas: int, seed: int,
     anchor = n
     p = np.arange(1, n + 1)
 
-    n_interior = n - 1
-    sum_f = []
-    sum_fsq = []
-    sum_d10 = []
-    sum_d10sq = []
-    sum_max = []
-    term_sum = np.zeros(n_interior)
-    diff_sum = np.zeros(n_interior)
-    diff_sumsq = np.zeros(n_interior)
-    sum_xi = []
-    sum_xisq = []
-    count_xi_ge4 = 0
-    count_corner = 0      # windowed slopes beyond +-2 at the origin
-    count_trended = 0     # path below -2|x| on 1 <= |x| <= N
-    mismatch_corner_trended = 0
-    worst_telescope = 0.0
-
-    for lo in range(0, replicas, chunk):
-        reps = range(lo, min(lo + chunk, replicas))
+    def slope_stats(reps):
         w = sample_fbm_fast_batch(h, grid, seed, reps)
         ii = integrate_values(w, 1.0, anchor)
-
-        seq = ii[:, anchor:anchor + n + 1]          # I(0..N)
-        gm, gp = all_slope_pairs_batch(seq)
+        gm, gp = all_slope_pairs_batch(ii[:, anchor:anchor + n + 1])  # I(0..N)
         terms = np.clip(gm[:, 1:-1] - gp[:, 1:-1], 0.0, None)
         f_rows = terms.sum(axis=1)
         endpoint = gp[:, 0] - gm[:, -1]
         rel = np.abs(f_rows - endpoint) / np.maximum.reduce(
             [np.abs(f_rows), np.abs(endpoint), np.full_like(f_rows, 1e-30)])
-        worst_telescope = max(worst_telescope, float(rel.max()))
-
         maxterm = gp[:, 0]                          # max over p of I(p)/p
-        d10 = f_rows - 2.0 * maxterm
-
         left_cols = ii[:, anchor - p]               # I(-1), ..., I(-N)
         right_cols = ii[:, anchor + p]              # I(1), ..., I(N)
         g0m = (-left_cols / p).min(axis=1)          # windowed left slope at 0
         g0p = (right_cols / p).max(axis=1)          # windowed right slope at 0
         xi = np.clip(g0m - g0p, 0.0, None)
-
-        corner = (g0m >= 2.0) & (g0p <= -2.0)
-        trended = (np.all(left_cols <= -2.0 * p, axis=1)
+        corner = (g0m >= 2.0) & (g0p <= -2.0)       # slopes beyond +-2 at 0
+        trended = (np.all(left_cols <= -2.0 * p, axis=1)   # path below -2|x|
                    & np.all(right_cols <= -2.0 * p, axis=1))
-        mismatch_corner_trended += int(np.count_nonzero(corner != trended))
-        count_corner += int(np.count_nonzero(corner))
-        count_trended += int(np.count_nonzero(trended))
-        count_xi_ge4 += int(np.count_nonzero(xi >= 4.0))
+        return f_rows, maxterm, rel, terms, xi, corner, trended
 
-        diffs = terms - xi[:, None]
-        term_sum += terms.sum(axis=0)
-        diff_sum += diffs.sum(axis=0)
-        diff_sumsq += np.square(diffs).sum(axis=0)
-        sum_f.append(float(f_rows.sum()))
-        sum_fsq.append(float(np.square(f_rows).sum()))
-        sum_d10.append(float(d10.sum()))
-        sum_d10sq.append(float(np.square(d10).sum()))
-        sum_max.append(float(maxterm.sum()))
-        sum_xi.append(float(xi.sum()))
-        sum_xisq.append(float(np.square(xi).sum()))
-
+    f_rows, maxterm, rel, terms, xi, corner, trended = replica_stats(
+        slope_stats, replicas)
     r = replicas
+    worst_telescope = float(rel.max())
+    mean_f, se_f = mean_se(f_rows)
+    mean_d10, se_d10 = mean_se(f_rows - 2.0 * maxterm)
+    mean_max, _ = mean_se(maxterm)
+    mean_xi, se_xi = mean_se(xi)
+    count_xi_ge4 = int(np.count_nonzero(xi >= 4.0))
+    count_corner = int(np.count_nonzero(corner))
+    count_trended = int(np.count_nonzero(trended))
+    mismatch_corner_trended = int(np.count_nonzero(corner != trended))
 
-    def mean_se(sums, sumsqs):
-        mean = math.fsum(sums) / r
-        var = max(math.fsum(sumsqs) / r - mean ** 2, 0.0)
-        return mean, math.sqrt(var / r)
-
-    mean_f, se_f = mean_se(sum_f, sum_fsq)
-    mean_d10, se_d10 = mean_se(sum_d10, sum_d10sq)
-    mean_xi, se_xi = mean_se(sum_xi, sum_xisq)
-    mean_max = math.fsum(sum_max) / r
-
-    m1 = estimate_fbm_max_mean(h, m1_spacing, replicas, seed + 1)
+    m1 = estimate_fbm_max_mean(h, 2.0 ** -10, replicas, seed + 1)
     scale = float(n) ** h
     bound11 = 2.0 * m1.value * scale
     se_bound11 = 2.0 * m1.std_error * scale
@@ -418,10 +386,8 @@ def verify_chain(h: float, n: int, replicas: int, seed: int,
         "margin_sigma": (bound11 - mean_f) / se11 if se11 > 0 else math.inf,
         "pass": bool(mean_f <= bound11 + 4.0 * se11),
     }
-    term_mean = term_sum / r
-    diff_mean = diff_sum / r
-    diff_var = np.maximum(diff_sumsq / r - diff_mean ** 2, 0.0)
-    diff_se = np.sqrt(diff_var / r)
+    term_mean, _ = mean_se(terms)
+    diff_mean, diff_se = mean_se(terms - xi[:, None])
     with np.errstate(divide="ignore", invalid="ignore"):
         margins = np.where(diff_se > 0, diff_mean / diff_se, np.inf)
     worst_k = int(np.argmin(margins)) + 1
@@ -430,10 +396,9 @@ def verify_chain(h: float, n: int, replicas: int, seed: int,
         "worst_k": worst_k, "worst_margin_sigma": float(margins.min()),
         "pass": bool(np.all(diff_mean >= -4.0 * diff_se)),
     }
-    p_xi4 = count_xi_ge4 / r
-    rhs15 = (n - 2.0) * 4.0 * p_xi4
-    se15 = math.hypot(se_bound11,
-                      (n - 2.0) * 4.0 * math.sqrt(p_xi4 * (1 - p_xi4) / r))
+    xi4 = McEstimate.proportion(count_xi_ge4, r, seed=seed, spacing=1.0)
+    rhs15 = (n - 2.0) * 4.0 * xi4.value
+    se15 = math.hypot(se_bound11, (n - 2.0) * 4.0 * xi4.std_error)
     relations["eq15"] = {
         "lhs": bound11, "rhs": rhs15, "se": se15,
         "pass": bool(bound11 >= rhs15 - 4.0 * se15),

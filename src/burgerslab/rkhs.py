@@ -19,7 +19,6 @@ Markov case H = 1/2.)
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -27,7 +26,7 @@ import numpy as np
 
 from .fbm import fbm_covariance, ifbm_covariance
 from .grids import SampleGrid, check_hurst, replica_normals, write_csv
-from .persistence import McEstimate, RELIABILITY_FLOOR
+from .persistence import McEstimate, RELIABILITY_FLOOR, replica_stats
 
 __all__ = [
     "KernelSpace",
@@ -47,8 +46,6 @@ DENSE_SPACE_MAX_POINTS = 512
 SHIFT_MC_MAX_POINTS = 64
 RIDGE_FACTOR = 1e-12
 NORM_RESIDUAL_TOL = 1e-6
-
-_CHUNK = 50_000
 
 
 class TrendRangeError(ValueError):
@@ -258,18 +255,12 @@ class ShiftReport:
     passed: bool
     inconclusive: bool
 
-    def to_json(self, path=None):
-        doc = {"p_trended": self.p_trended.value, "p_plain": self.p_plain.value,
-               "se_trended": self.p_trended.std_error,
-               "se_plain": self.p_plain.std_error,
-               "norm": self.norm, "lhs": self.lhs, "rhs": self.rhs,
-               "pass": self.passed, "inconclusive": self.inconclusive}
-        if path is None:
-            return doc
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return doc
+    def to_json(self) -> dict:
+        return {"p_trended": self.p_trended.value, "p_plain": self.p_plain.value,
+                "se_trended": self.p_trended.std_error,
+                "se_plain": self.p_plain.std_error,
+                "norm": self.norm, "lhs": self.lhs, "rhs": self.rhs,
+                "pass": self.passed, "inconclusive": self.inconclusive}
 
 
 def verify_shift_inequality(space: KernelSpace, trend: TrendFunction,
@@ -283,21 +274,18 @@ def verify_shift_inequality(space: KernelSpace, trend: TrendFunction,
                          "stay resolvable by plain MC)")
     norm = rkhs_norm(space, trend)
     phi = trend.values
-    hits0 = 0
-    hits1 = 0
-    for lo in range(0, replicas, _CHUNK):
-        reps = range(lo, min(lo + _CHUNK, replicas))
+
+    def stays_below(reps):
         draws = space.sample_batch(seed, reps)
-        hits0 += int(np.count_nonzero(np.all(draws <= level, axis=1)))
-        hits1 += int(np.count_nonzero(np.all(draws + phi[None, :] <= level,
-                                             axis=1)))
-    p0 = hits0 / replicas
-    p1 = hits1 / replicas
-    mk = lambda p, what: McEstimate(
-        value=p, std_error=math.sqrt(p * (1 - p) / replicas),
-        replicas=replicas, seed=seed, spacing=space.grid.spacing,
-        label=what)
-    est0, est1 = mk(p0, "plain"), mk(p1, f"trend:{trend.label}")
+        return (np.all(draws <= level, axis=1),
+                np.all(draws + phi[None, :] <= level, axis=1))
+
+    plain, trended = replica_stats(stays_below, replicas)
+    mk = lambda below, what: McEstimate.proportion(
+        np.count_nonzero(below), replicas, seed=seed,
+        spacing=space.grid.spacing, label=what)
+    est0, est1 = mk(plain, "plain"), mk(trended, f"trend:{trend.label}")
+    p0, p1 = est0.value, est1.value
     floor = RELIABILITY_FLOOR / replicas
     if p0 < floor or p1 < floor:
         return ShiftReport(p_trended=est1, p_plain=est0, norm=norm,

@@ -1,10 +1,12 @@
 """Independent oracles shared across test modules: quadrature covariances,
-the full complex-FFT circulant map and the plain monotone-chain hull."""
+the full complex-FFT circulant map, the one-path fast sampler and the plain
+monotone-chain hull."""
 
 import numpy as np
 from scipy.integrate import quad
 
-from burgerslab.fbm import _embedding_amplitudes, fbm_covariance
+from burgerslab.fbm import (_embedding_amplitudes, _fgn_rows, _noise_length,
+                            fbm_covariance)
 
 
 def quad_ifbm_covariance(h, s, t):
@@ -43,6 +45,18 @@ def complex_fft_fgn_rows(h, spacing, n_increments, noise):
     v[..., 1:m] = half
     v[..., m + 1:] = np.conj(half[..., ::-1])
     return np.fft.fft(amp * v, axis=-1).real[..., :n_increments]
+
+
+def generator_fbm_fast(h, grid, rand):
+    """One fast-sampler path from its replica's own generator, one
+    dimensional throughout; the package draws every path as a batch row."""
+    n_inc = grid.count - 1
+    noise = rand.generator().standard_normal(_noise_length(h, grid.spacing, n_inc))
+    levels = np.concatenate([[0.0], np.cumsum(_fgn_rows(h, grid.spacing, n_inc,
+                                                        noise))])
+    values = levels - levels[grid.anchor_index]
+    values[grid.anchor_index] = 0.0
+    return values
 
 
 def chain_hull_nodes(y, lower):

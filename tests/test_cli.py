@@ -45,8 +45,8 @@ class TestExitCodes:
         status = main(["persist", "--hurst", "0.5",
                        "--horizon", "8,16,32,64", "--replicas", "300",
                        "--seed", "4", "--out", str(tmp_path / "p"),
-                       "--check"])
-        assert status == 3  # tiny ladder misses the known exponent
+                       "--opt", "slope-tol=0", "--check"])
+        assert status == 3  # no fitted slope equals the exponent exactly
 
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 32)])
     def test_out_of_range_seed_leaves_no_directory(self, tmp_path, capsys,
@@ -205,6 +205,13 @@ class TestCheckCommand:
         broken = run_checks(["dimension"],
                             {**base, "dim.target-h0.5": "0.9"})[0]
         assert not broken.passed
+
+    def test_bad_override_names_key(self, capsys):
+        status = main(["check", "--only", "telescoping",
+                       "--set", "telescoping.length=abc"])
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "telescoping.length" in err
 
     def test_check_report_written(self, tmp_path):
         report = tmp_path / "report.json"

@@ -5,6 +5,7 @@ import pytest
 
 from burgerslab.fractal import box_count, default_scale_ladder, dimension_estimate
 from burgerslab.fitting import fit_scaling
+from burgerslab.grids import write_json
 
 
 def middle_thirds_points(depth: int) -> np.ndarray:
@@ -93,7 +94,7 @@ class TestFitExport:
         lines = (tmp_path / "fit.csv").read_text().splitlines()
         assert lines[0] == "scale,count"
         assert len(lines) == 8
-        fit.to_json(tmp_path / "fit.json")
+        write_json(tmp_path / "fit.json", fit.summary())
         import json
         doc = json.loads((tmp_path / "fit.json").read_text())
         assert {"slope", "intercept", "max_residual"} <= set(doc)

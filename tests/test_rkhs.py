@@ -1,5 +1,6 @@
 """Kernel space, localizer trends and the trend-shift inequality."""
 
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from oracles import quad_ifbm_covariance
 
-from burgerslab.grids import RandomnessSpec, SampleGrid
+from burgerslab.grids import RandomnessSpec, SampleGrid, write_json
 from burgerslab.rkhs import (
     TrendFunction,
     TrendRangeError,
@@ -219,5 +220,6 @@ class TestShiftInequality:
         sp = build_space(symmetric_grid(0.25, 8), 0.5)
         rep = verify_shift_inequality(
             sp, covariance_column_trend(sp, 1.0, 0.1), 1.0, 20_000, 5)
-        doc = rep.to_json(tmp_path / "shift.json")
+        write_json(tmp_path / "shift.json", rep.to_json())
+        doc = json.loads((tmp_path / "shift.json").read_text())
         assert {"p_trended", "p_plain", "norm", "lhs", "rhs", "pass"} <= set(doc)

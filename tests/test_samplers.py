@@ -22,7 +22,7 @@ from burgerslab.grids import (
     replica_normals,
 )
 
-from oracles import complex_fft_fgn_rows
+from oracles import complex_fft_fgn_rows, generator_fbm_fast
 
 
 def ks_critical_value(n1, n2, alpha=0.01):
@@ -84,16 +84,25 @@ class TestExactSampler:
 
 
 class TestFastSampler:
-    def test_determinism_and_batch_consistency(self):
-        grid = SampleGrid.anchored(1.0, 8, 24)
-        h = 0.37
-        single = [sample_fbm_fast(h, grid, RandomnessSpec(9, r)).values
-                  for r in range(5)]
-        batch = sample_fbm_fast_batch(h, grid, 9, range(5))
-        for r in range(5):
-            assert np.array_equal(single[r], batch[r]), f"replica {r} differs"
-        again = sample_fbm_fast_batch(h, grid, 9, range(5))
+    @staticmethod
+    def assert_rows_equal_generator_paths(h, grid, replicas):
+        batch = sample_fbm_fast_batch(h, grid, 9, replicas)
+        for row, r in zip(batch, replicas):
+            want = generator_fbm_fast(h, grid, RandomnessSpec(9, r))
+            assert np.array_equal(row, want), f"replica {r} differs"
+            single = sample_fbm_fast(h, grid, RandomnessSpec(9, r)).values
+            assert np.array_equal(single, want), f"replica {r} differs"
+        again = sample_fbm_fast_batch(h, grid, 9, replicas)
         assert np.array_equal(batch, again)
+
+    def test_determinism_and_batch_consistency(self):
+        self.assert_rows_equal_generator_paths(
+            0.37, SampleGrid.anchored(1.0, 8, 24), range(5))
+
+    @pytest.mark.parametrize("h", [0.3, 0.7])
+    def test_dim_grid_rows_equal_generator_paths(self, h):
+        self.assert_rows_equal_generator_paths(
+            h, SampleGrid.anchored(2.0 ** -15, 2 ** 15, 2 ** 15), [0, 1, 19])
 
     @pytest.mark.parametrize("h", [0.3, 0.7])
     def test_max_functional_matches_exact_sampler(self, h):
