@@ -20,16 +20,15 @@ import numpy as np
 from scipy.stats import ks_2samp
 
 from .burgers import clusters_match, solve, sticky_shock_clusters
-from .envelopes import all_slope_pairs_batch
+from .envelopes import slope_functional_batch
 from .experiments import (
     RunConfig,
-    config_to_dict,
     parse_option,
     rerun_from_manifest,
     run_experiment,
     _dim_cell,
 )
-from .fbm import fbm_covariance, integrate_values, sample_fbm_exact, \
+from .fbm import fbm_covariance, integrate_values, sample_fbm_exact_batch, \
     sample_fbm_fast, sample_fbm_fast_batch
 from .grids import RandomnessSpec, SampleGrid
 from .persistence import (
@@ -83,9 +82,7 @@ def check_sampler_covariance(ov: _Overrides) -> dict:
     coords = grid.coordinates
     worst = 0.0
     for h in H_TRIPLE:
-        vals = np.stack([
-            sample_fbm_exact(h, grid, RandomnessSpec(101, r)).values
-            for r in range(replicas)])
+        vals = sample_fbm_exact_batch(h, grid, 101, range(replicas))
         target = fbm_covariance(h, coords[:, None], coords[None, :])
         emp = vals.T @ vals / replicas
         se = np.sqrt((np.outer(np.diag(target), np.diag(target))
@@ -108,9 +105,8 @@ def check_sampler_equivalence(ov: _Overrides) -> dict:
     crit = _ks_critical(replicas, replicas)
     stats = {}
     for h in H_TRIPLE:
-        mx_exact = np.array([
-            sample_fbm_exact(h, grid, RandomnessSpec(201, r)).values.max()
-            for r in range(replicas)])
+        mx_exact = sample_fbm_exact_batch(h, grid, 201,
+                                          range(replicas)).max(axis=1)
         mx_fast = sample_fbm_fast_batch(h, grid, 202, range(replicas)).max(axis=1)
         stats[f"h={h:g}"] = float(ks_2samp(mx_exact, mx_fast).statistic)
     return {"pass": all(s < crit for s in stats.values()),
@@ -123,15 +119,14 @@ def check_telescoping(ov: _Overrides) -> dict:
     sequences = ov.get("telescoping.sequences", 1000)
     length = ov.get("telescoping.length", 256)
     grid = SampleGrid.one_sided(1.0, length - 1)
+
+    def rel_errs(reps):
+        w = sample_fbm_fast_batch(h, grid, 301, reps)
+        return (slope_functional_batch(integrate_values(w, 1.0, 0)).rel_err,)
+
     worst = 0.0
     for h in H_TRIPLE:
-        w = sample_fbm_fast_batch(h, grid, 301, range(sequences))
-        ii = integrate_values(w, 1.0, 0)
-        gm, gp = all_slope_pairs_batch(ii)
-        f = np.clip(gm[:, 1:-1] - gp[:, 1:-1], 0.0, None).sum(axis=1)
-        endpoint = gp[:, 0] - gm[:, -1]
-        rel = np.abs(f - endpoint) / np.maximum.reduce(
-            [np.abs(f), np.abs(endpoint), np.full_like(f, 1e-30)])
+        (rel,) = replica_stats(rel_errs, sequences)
         worst = max(worst, float(rel.max()))
     return {"pass": worst <= 1e-9, "worst_rel_err": worst}
 
@@ -145,9 +140,8 @@ def check_expectation_identity(ov: _Overrides) -> dict:
 
     def gaps(reps):
         w = sample_fbm_fast_batch(0.5, grid, 401, reps)
-        gm, gp = all_slope_pairs_batch(integrate_values(w, 1.0, 0))
-        f = np.clip(gm[:, 1:-1] - gp[:, 1:-1], 0.0, None).sum(axis=1)
-        return (f - 2.0 * gp[:, 0],)
+        sf = slope_functional_batch(integrate_values(w, 1.0, 0))
+        return (sf.f - 2.0 * sf.right0,)
 
     (gap,) = replica_stats(gaps, replicas)
     mean, se = mean_se(gap)
@@ -208,7 +202,7 @@ def check_dimension(ov: _Overrides) -> dict:
     for h in H_TRIPLE:
         cfg = RunConfig(experiment="dim", hurst=(h,), replicas=replicas,
                         seed=701, options={"grid-log2": str(log2n)})
-        _, summary, _ = _dim_cell((h, config_to_dict(cfg)))
+        _, summary, _ = _dim_cell((h, cfg))
         target = ov.get(f"dim.target-h{h:g}", h)
         good = abs(summary["slope"] - target) <= tol
         slopes[f"h={h:g}"] = {"slope": summary["slope"],

@@ -14,6 +14,7 @@ from .experiments import (
     ConfigError,
     EXPERIMENTS,
     RunConfig,
+    config_from_dict,
     load_config_file,
     rerun_from_manifest,
     run_experiment,
@@ -23,10 +24,12 @@ from .grids import write_json
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--hurst", help="comma-separated Hurst indices")
-    parser.add_argument("--horizon", help="comma-separated horizon ladder")
-    parser.add_argument("--spacing", type=float)
-    parser.add_argument("--replicas", type=int)
-    parser.add_argument("--seed", type=int)
+    parser.add_argument("--horizon", dest="horizons",
+                        help="comma-separated horizon ladder")
+    # values stay strings: config_from_dict types them and names a bad one
+    parser.add_argument("--spacing")
+    parser.add_argument("--replicas")
+    parser.add_argument("--seed")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--config", help="key = value config file "
                                          "(flags win over file values)")
@@ -78,11 +81,7 @@ def _config_from_args(args) -> RunConfig:
     if args.config:
         doc.update(load_config_file(args.config))
     doc["experiment"] = args.command
-    if args.hurst is not None:
-        doc["hurst"] = tuple(float(v) for v in args.hurst.split(","))
-    if args.horizon is not None:
-        doc["horizons"] = tuple(float(v) for v in args.horizon.split(","))
-    for key in ("spacing", "replicas", "seed", "out"):
+    for key in ("hurst", "horizons", "spacing", "replicas", "seed", "out"):
         value = getattr(args, key)
         if value is not None:
             doc[key] = value
@@ -90,7 +89,6 @@ def _config_from_args(args) -> RunConfig:
         doc["check"] = args.check
     doc["options"] = {**doc.get("options", {}),
                       **_parse_kv(args.opt, "--opt")}
-    from .experiments import config_from_dict
     return config_from_dict(doc)
 
 

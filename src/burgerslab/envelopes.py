@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -218,20 +219,42 @@ def all_slope_pairs(values) -> tuple[np.ndarray, np.ndarray]:
 def all_slope_pairs_batch(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Left/right slopes at every index for a batch of sequences (R, N+1).
 
-    O(N^2) memory per row; callers chunk the replica axis.
+    One pass per lag p folds the quotients (I(k+p) - I(k)) / p into the
+    running min at k+p and max at k, so memory is O(N) per row.
     """
     rows = np.asarray(rows, dtype=float)
     r, n = rows.shape
-    idx = np.arange(n)
-    steps = (idx[None, :] - idx[:, None]).astype(float)  # j - i
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quot = (rows[:, None, :] - rows[:, :, None]) / steps  # [r, i, j]
-    upper = steps > 0
-    gm = np.where(upper[None, :, :], quot, np.inf).min(axis=1)   # min over i<k
-    gp = np.where(upper[None, :, :], quot, -np.inf).max(axis=2)  # max over j>k
+    gm = np.full((r, n), np.inf)
+    gp = np.full((r, n), -np.inf)
+    for p in range(1, n):
+        q = (rows[:, p:] - rows[:, :-p]) / float(p)
+        np.minimum(gm[:, p:], q, out=gm[:, p:])
+        np.maximum(gp[:, :-p], q, out=gp[:, :-p])
     gm[:, 0] = np.nan
     gp[:, -1] = np.nan
     return gm, gp
+
+
+class SlopeFunctional(NamedTuple):
+    """Per-row slope functional of a batch of sequences I(0..N)."""
+
+    terms: np.ndarray     # [R, N-1] positive parts of left(k) - right(k)
+    f: np.ndarray         # their sum
+    right0: np.ndarray    # right(0), the max over p of (I(p) - I(0)) / p
+    endpoint: np.ndarray  # telescoped form right(0) - left(N)
+    rel_err: np.ndarray   # |f - endpoint| / max(|f|, |endpoint|, 1e-30)
+
+
+def slope_functional_batch(rows: np.ndarray) -> SlopeFunctional:
+    """The slope functional, its endpoint form and their relative
+    telescoping error for every row of a batch (R, N+1), N >= 2."""
+    gm, gp = all_slope_pairs_batch(rows)
+    terms = np.clip(gm[:, 1:-1] - gp[:, 1:-1], 0.0, None)
+    f = terms.sum(axis=1)
+    endpoint = gp[:, 0] - gm[:, -1]
+    rel_err = np.abs(f - endpoint) / np.maximum.reduce(
+        [np.abs(f), np.abs(endpoint), np.full_like(f, 1e-30)])
+    return SlopeFunctional(terms, f, gp[:, 0], endpoint, rel_err)
 
 
 def functional_F(values) -> float:
@@ -239,8 +262,7 @@ def functional_F(values) -> float:
     values = np.asarray(values, dtype=float)
     if values.size < 3:
         raise ValueError("need length >= 3")
-    gm, gp = all_slope_pairs(values)
-    return math.fsum(np.clip(gm[1:-1] - gp[1:-1], 0.0, None))
+    return math.fsum(slope_functional_batch(values[None, :]).terms[0])
 
 def functional_F_endpoint(values) -> float:
     """Telescoped form right(0) - left(N) of the same functional."""

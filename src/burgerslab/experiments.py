@@ -15,7 +15,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,23 +52,32 @@ class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending field."""
 
 
-def parse_option(options: dict, key: str, default):
-    """Typed lookup of a string-valued option: the value parses as the type
-    of ``default``, which is returned when the key is absent."""
-    raw = options.get(key)
+def _parse_value(raw, default, name: str):
+    """``raw`` parsed as the type of ``default``; None gives ``default``.
+    A tuple default means floats, comma-separated when ``raw`` is a string."""
     if raw is None:
         return default
     try:
+        if isinstance(default, tuple):
+            return tuple(float(v) for v in
+                         (raw.split(",") if isinstance(raw, str) else raw))
         if isinstance(default, bool):
             return str(raw).lower() in ("1", "true", "yes")
         if isinstance(default, int):
             return int(raw)
         if isinstance(default, float):
             return float(raw)
-    except ValueError:
-        raise ConfigError(f"option {key} must parse as "
-                          f"{type(default).__name__}, got {raw!r}")
+    except (TypeError, ValueError):
+        kind = ("a comma-separated list of numbers"
+                if isinstance(default, tuple) else type(default).__name__)
+        raise ConfigError(f"{name} must parse as {kind}, got {raw!r}") from None
     return str(raw)
+
+
+def parse_option(options: dict, key: str, default):
+    """Typed lookup of a string-valued option: the value parses as the type
+    of ``default``, which is returned when the key is absent."""
+    return _parse_value(options.get(key), default, f"option {key}")
 
 
 @dataclass(frozen=True)
@@ -117,25 +126,20 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 
 def config_from_dict(doc: dict) -> RunConfig:
-    return RunConfig(experiment=doc["experiment"],
-                     hurst=tuple(doc.get("hurst", (0.5,))),
-                     horizons=tuple(doc.get("horizons", ())),
-                     spacing=float(doc.get("spacing", 1.0)),
-                     replicas=int(doc.get("replicas", 100)),
-                     seed=int(doc.get("seed", 0)),
-                     out=str(doc.get("out", "run-out")),
-                     check=bool(doc.get("check", False)),
-                     options=dict(doc.get("options", {}))).validate()
+    """Typed, validated config from raw values (the strings of flags and
+    config files, or a manifest's typed values); each field parses as the
+    type of its default."""
+    typed = {f.name: _parse_value(doc.get(f.name), f.default, f.name)
+             for f in fields(RunConfig) if f.name not in ("experiment", "options")}
+    return RunConfig(experiment=doc.get("experiment"),
+                     options=dict(doc.get("options", {})), **typed).validate()
 
 
 def load_config_file(path) -> dict:
-    """Plain key = value text; comma-separated lists; '#' comments.
-
-    Unknown keys become experiment options.
+    """Plain key = value text; '#' comments.  Values stay strings, typed by
+    ``config_from_dict``; unknown keys become experiment options.
     """
-    known_lists = {"hurst", "horizons"}
-    known_scalars = {"experiment", "spacing", "replicas", "seed", "out",
-                     "check"}
+    known = {f.name for f in fields(RunConfig)} - {"options"}
     doc: dict = {"options": {}}
     with open(path, "r", encoding="utf-8") as fh:
         for ln, line in enumerate(fh, start=1):
@@ -146,14 +150,8 @@ def load_config_file(path) -> dict:
                 raise ConfigError(f"{path}:{ln}: expected 'key = value'")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key in known_lists:
-                doc[key] = tuple(float(v) for v in value.split(","))
-            elif key == "experiment" or key == "out":
+            if key in known:
                 doc[key] = value
-            elif key == "check":
-                doc[key] = value.lower() in ("1", "true", "yes")
-            elif key in known_scalars:
-                doc[key] = float(value) if key == "spacing" else int(value)
             else:
                 doc["options"][key] = value
     return doc
@@ -232,8 +230,7 @@ def run_solve(cfg: RunConfig, outdir: Path) -> dict:
 def _dim_cell(args):
     """All replicas of one Hurst index: per-replica records, the summary and
     replica 0's non-degenerate fit (the plot-ready table), or None."""
-    h, cfg_doc = args
-    cfg = config_from_dict(cfg_doc)
+    h, cfg = args
     log2n = cfg.opt("grid-log2", 16)
     n = 2 ** log2n
     scales = [2.0 ** -j for j in range(4, 11)]
@@ -270,8 +267,7 @@ def _dim_cell(args):
 
 
 def run_dim(cfg: RunConfig, outdir: Path) -> dict:
-    doc = config_to_dict(cfg)
-    results = _pool_map(_dim_cell, [(h, doc) for h in cfg.hurst])
+    results = _pool_map(_dim_cell, [(h, cfg) for h in cfg.hurst])
     records = [r for cell, _, _ in results for r in cell]
     summaries = [s for _, s, _ in results]
     _write_jsonl(outdir / "records.jsonl", records)
@@ -300,8 +296,7 @@ _EXPONENT_TOL = {"fbm_max": 0.07, "ifbm_one_sided": 0.08}
 
 
 def _persist_cell(args):
-    event_name, level, h, horizon, cfg_doc = args
-    cfg = config_from_dict(cfg_doc)
+    event_name, level, h, horizon, cfg = args
     est = estimate_persistence(BarrierEvent(event_name, level, horizon), h,
                                cfg.spacing, cfg.replicas, cfg.seed)
     rec = est.record()
@@ -312,7 +307,7 @@ def _persist_cell(args):
 def run_persist(cfg: RunConfig, outdir: Path) -> dict:
     events = str(cfg.opt("events", "fbm_max")).split(",")
     level = cfg.opt("level", 1.0)
-    cells = [(ev, level, h, t, config_to_dict(cfg))
+    cells = [(ev, level, h, t, cfg)
              for ev in events for h in cfg.hurst for t in sorted(cfg.horizons)]
     results = _pool_map(_persist_cell, cells)
     _write_jsonl(outdir / "records.jsonl", [rec for rec, _ in results])
@@ -341,14 +336,13 @@ def run_persist(cfg: RunConfig, outdir: Path) -> dict:
 
 
 def _chain_cell(args):
-    h, cfg_doc = args
-    cfg = config_from_dict(cfg_doc)
+    h, cfg = args
     report = verify_chain(h, cfg.opt("n", 64), cfg.replicas, cfg.seed)
     return report.to_json()
 
 
 def run_chain(cfg: RunConfig, outdir: Path) -> dict:
-    docs = _pool_map(_chain_cell, [(h, config_to_dict(cfg)) for h in cfg.hurst])
+    docs = _pool_map(_chain_cell, [(h, cfg) for h in cfg.hurst])
     merged = {f"h={h:g}": doc for h, doc in zip(cfg.hurst, docs)}
     write_json(outdir / "chain.json", merged)
     checks = [{"name": f"chain h={h:g}", "pass": doc["pass"]}

@@ -31,6 +31,7 @@ __all__ = [
     "ifbm_covariance",
     "fbm_ifbm_cross_covariance",
     "sample_fbm_exact",
+    "sample_fbm_exact_batch",
     "sample_fbm_fast",
     "sample_fbm_fast_batch",
     "integrate_path",
@@ -117,10 +118,21 @@ def fbm_ifbm_cross_covariance(h: float, x, t):
 # ---------------------------------------------------------------------------
 
 def sample_fbm_exact(h: float, grid: SampleGrid, rand: RandomnessSpec) -> GridPath:
-    """Draw w on the grid from the exact joint Gaussian law.
+    """Draw w on the grid from the exact joint Gaussian law: the batch
+    sampler's row for this one replica."""
+    h = check_hurst(h)
+    values = sample_fbm_exact_batch(h, grid, rand.seed,
+                                    range(rand.replica, rand.replica + 1))[0]
+    return GridPath(grid, values, "fbm", hurst=h)
 
-    The covariance matrix of the non-anchor coordinates is factorized with a
-    dense Cholesky decomposition; the anchor value is exactly zero.
+
+def sample_fbm_exact_batch(h: float, grid: SampleGrid, seed: int,
+                           replicas: range) -> np.ndarray:
+    """Rows of exact-sampler paths, one per replica index.
+
+    The covariance matrix of the non-anchor coordinates is factorized once
+    with a dense Cholesky decomposition and applied to each replica's noise
+    row on its own (``chol @ z``); the anchor value is exactly zero.
     """
     h = check_hurst(h)
     if grid.count > EXACT_SAMPLER_MAX_POINTS:
@@ -136,9 +148,8 @@ def sample_fbm_exact(h: float, grid: SampleGrid, rand: RandomnessSpec) -> GridPa
         raise FactorizationError(
             f"fBm covariance matrix is not positive definite at H={h}: "
             f"smallest pivot/eigenvalue {smallest:.6e}") from None
-    z = rand.generator().standard_normal(grid.count - 1)
-    values = np.insert(chol @ z, anchor, 0.0)
-    return GridPath(grid, values, "fbm", hurst=h)
+    noise = replica_normals(seed, replicas, grid.count - 1)
+    return np.insert([chol @ z for z in noise], anchor, 0.0, axis=1)
 
 
 # ---------------------------------------------------------------------------

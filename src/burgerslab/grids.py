@@ -72,14 +72,6 @@ class SampleGrid:
             raise ValueError("grid is not anchored: no index has coordinate 0")
         return i
 
-    @property
-    def is_anchored(self) -> bool:
-        try:
-            self.anchor_index
-        except ValueError:
-            return False
-        return True
-
     def index_of(self, coordinate: float) -> int:
         """Index of the grid point matching ``coordinate`` to 1e-9*spacing."""
         i = int(round((coordinate - self.left) / self.spacing))
@@ -119,9 +111,6 @@ class GridPath:
     def coordinates(self) -> np.ndarray:
         return self.grid.coordinates
 
-    def value_at(self, coordinate: float) -> float:
-        return float(self.values[self.grid.index_of(coordinate)])
-
     def to_csv(self, path) -> None:
         write_csv(path, ("coordinate", "value"),
                   zip(self.coordinates, self.values))
@@ -146,9 +135,6 @@ class RandomnessSpec:
 
     def generator(self) -> np.random.Generator:
         return np.random.default_rng((int(self.seed), int(self.replica)))
-
-    def with_replica(self, replica: int) -> "RandomnessSpec":
-        return RandomnessSpec(self.seed, replica)
 
 
 # numpy's SeedSequence hash constants (pool of 4 uint32 words) and PCG64's

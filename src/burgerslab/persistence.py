@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envelopes import all_slope_pairs_batch
+from .envelopes import slope_functional_batch
 from .fitting import ScalingFit, fit_scaling
 from .fbm import integrate_values, sample_fbm_fast_batch
 from .grids import SampleGrid, check_hurst
@@ -48,7 +48,7 @@ RELIABILITY_FLOOR = 10.0
 _ALPHA_4SIGMA = 3.167124183311998e-05
 
 # replicas per block of the Monte-Carlo reducer; bounds working memory only
-# (all_slope_pairs_batch holds O(N^2) floats per row)
+# (a block's noise rows, and O(N) slope floats per row)
 MC_BLOCK = 512
 
 #: E max of Brownian motion on (0,1) — reflection principle oracle
@@ -333,13 +333,7 @@ def verify_chain(h: float, n: int, replicas: int, seed: int) -> ChainReport:
     def slope_stats(reps):
         w = sample_fbm_fast_batch(h, grid, seed, reps)
         ii = integrate_values(w, 1.0, anchor)
-        gm, gp = all_slope_pairs_batch(ii[:, anchor:anchor + n + 1])  # I(0..N)
-        terms = np.clip(gm[:, 1:-1] - gp[:, 1:-1], 0.0, None)
-        f_rows = terms.sum(axis=1)
-        endpoint = gp[:, 0] - gm[:, -1]
-        rel = np.abs(f_rows - endpoint) / np.maximum.reduce(
-            [np.abs(f_rows), np.abs(endpoint), np.full_like(f_rows, 1e-30)])
-        maxterm = gp[:, 0]                          # max over p of I(p)/p
+        sf = slope_functional_batch(ii[:, anchor:anchor + n + 1])  # I(0..N)
         left_cols = ii[:, anchor - p]               # I(-1), ..., I(-N)
         right_cols = ii[:, anchor + p]              # I(1), ..., I(N)
         g0m = (-left_cols / p).min(axis=1)          # windowed left slope at 0
@@ -348,7 +342,7 @@ def verify_chain(h: float, n: int, replicas: int, seed: int) -> ChainReport:
         corner = (g0m >= 2.0) & (g0p <= -2.0)       # slopes beyond +-2 at 0
         trended = (np.all(left_cols <= -2.0 * p, axis=1)   # path below -2|x|
                    & np.all(right_cols <= -2.0 * p, axis=1))
-        return f_rows, maxterm, rel, terms, xi, corner, trended
+        return sf.f, sf.right0, sf.rel_err, sf.terms, xi, corner, trended
 
     f_rows, maxterm, rel, terms, xi, corner, trended = replica_stats(
         slope_stats, replicas)

@@ -1,12 +1,13 @@
 """Independent oracles shared across test modules: quadrature covariances,
-the full complex-FFT circulant map, the one-path fast sampler and the plain
-monotone-chain hull."""
+the full complex-FFT circulant map, the one-path fast and exact samplers,
+the quotient-cube slope kernel and the plain monotone-chain hull."""
 
 import numpy as np
 from scipy.integrate import quad
 
 from burgerslab.fbm import (_embedding_amplitudes, _fgn_rows, _noise_length,
                             fbm_covariance)
+from burgerslab.grids import check_hurst
 
 
 def quad_ifbm_covariance(h, s, t):
@@ -57,6 +58,35 @@ def generator_fbm_fast(h, grid, rand):
     values = levels - levels[grid.anchor_index]
     values[grid.anchor_index] = 0.0
     return values
+
+
+def generator_fbm_exact(h, grid, rand):
+    """One exact-sampler path from its replica's own generator and its own
+    Cholesky factor; the package factorizes once per batch of replicas."""
+    h = check_hurst(h)
+    anchor = grid.anchor_index
+    coords = np.delete(grid.coordinates, anchor)
+    chol = np.linalg.cholesky(fbm_covariance(h, coords[:, None],
+                                             coords[None, :]))
+    z = rand.generator().standard_normal(grid.count - 1)
+    return np.insert(chol @ z, anchor, 0.0)
+
+
+def cube_slope_pairs(rows):
+    """Left/right slopes at every index from the whole [R, N+1, N+1] cube
+    of difference quotients; the package folds one lag at a time."""
+    rows = np.asarray(rows, dtype=float)
+    r, n = rows.shape
+    idx = np.arange(n)
+    steps = (idx[None, :] - idx[:, None]).astype(float)  # j - i
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quot = (rows[:, None, :] - rows[:, :, None]) / steps  # [r, i, j]
+    upper = steps > 0
+    gm = np.where(upper[None, :, :], quot, np.inf).min(axis=1)   # min over i<k
+    gp = np.where(upper[None, :, :], quot, -np.inf).max(axis=2)  # max over j>k
+    gm[:, 0] = np.nan
+    gp[:, -1] = np.nan
+    return gm, gp
 
 
 def chain_hull_nodes(y, lower):

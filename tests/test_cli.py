@@ -15,6 +15,7 @@ from burgerslab.acceptance import run_checks
 from burgerslab.experiments import (
     ConfigError,
     RunConfig,
+    config_to_dict,
     load_config_file,
     run_experiment,
 )
@@ -58,6 +59,63 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "seed" in err
         assert not out.exists()
+
+
+class TestBadValues:
+    """A value that does not parse exits 1 with a config error naming its
+    field, before the output directory is made."""
+
+    ARGS = ["persist", "--hurst", "0.5", "--horizon", "4,8",
+            "--replicas", "100", "--seed", "1"]
+
+    @staticmethod
+    def assert_config_error(status, capsys, out, field):
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and field in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--replicas", "abc", "replicas"), ("--seed", "1.5", "seed"),
+        ("--spacing", "abc", "spacing"), ("--hurst", "abc", "hurst"),
+        ("--horizon", "4,x", "horizons")])
+    def test_bad_flag(self, tmp_path, capsys, flag, value, field):
+        out = tmp_path / "p"
+        status = main(self.ARGS + [flag, value, "--out", str(out)])
+        self.assert_config_error(status, capsys, out, field)
+
+    def test_bad_config_file_value(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("hurst = 0.5\nhorizons = 4,8\nreplicas = many\n")
+        out = tmp_path / "p"
+        status = main(["persist", "--config", str(cfg_file), "--out", str(out)])
+        self.assert_config_error(status, capsys, out, "replicas")
+
+    def test_bad_manifest_value(self, tmp_path, capsys):
+        assert main(self.ARGS + ["--out", str(tmp_path / "p")]) == 0
+        manifest = tmp_path / "p" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["config"]["replicas"] = "many"
+        manifest.write_text(json.dumps(doc))
+        again = tmp_path / "again"
+        status = main(["rerun", str(manifest), "--out", str(again)])
+        self.assert_config_error(status, capsys, again, "replicas")
+
+    def test_flag_strings_give_typed_manifest(self, tmp_path):
+        out, again = tmp_path / "p", tmp_path / "again"
+        assert main(self.ARGS + ["--spacing", "1", "--out", str(out)]) == 0
+        want = config_to_dict(RunConfig("persist", hurst=(0.5,),
+                                        horizons=(4.0, 8.0), spacing=1.0,
+                                        replicas=100, seed=1, out=str(out)))
+        config = json.loads(read_bytes(out / "manifest.json"))["config"]
+        # compared as JSON text, where 1 and 1.0 differ
+        assert json.dumps(config, sort_keys=True) == \
+            json.dumps(want, sort_keys=True)
+        assert main(["rerun", str(out / "manifest.json"),
+                     "--out", str(again)]) == 0
+        rerun = json.loads(read_bytes(again / "manifest.json"))["config"]
+        assert json.dumps({**rerun, "out": str(out)}, sort_keys=True) == \
+            json.dumps(want, sort_keys=True)
 
 
 class TestDeterminism:

@@ -18,13 +18,15 @@ from burgerslab.envelopes import (
     lower_envelope,
     nodal_event,
     right_slope,
+    slope_functional_batch,
     slope_pair,
     upper_envelope,
     windowed_slope_pair,
 )
-from burgerslab.fbm import sample_fbm_fast
+from burgerslab.fbm import (integrate_values, sample_fbm_fast,
+                            sample_fbm_fast_batch)
 from burgerslab.grids import RandomnessSpec, SampleGrid
-from oracles import chain_hull_nodes
+from oracles import chain_hull_nodes, cube_slope_pairs
 
 
 def oracle_nodes(y, lower):
@@ -296,6 +298,47 @@ class TestSlopePairs:
             gm, gp = all_slope_pairs(rows[r])
             np.testing.assert_array_equal(gmb[r][1:], gm[1:])
             np.testing.assert_array_equal(gpb[r][:-1], gp[:-1])
+
+
+class TestLagKernelMatchesCube:
+    """The one-lag-at-a-time slope kernel returns exactly the slopes of the
+    whole quotient cube, NaN positions included."""
+
+    @staticmethod
+    def assert_same_slopes(rows):
+        for got, want in zip(all_slope_pairs_batch(rows), cube_slope_pairs(rows)):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("h", [0.3, 0.5, 0.7])
+    def test_fbm_integrals(self, h, n):
+        grid = SampleGrid.one_sided(1.0, n)
+        w = sample_fbm_fast_batch(h, grid, 31, range(40))
+        self.assert_same_slopes(integrate_values(w, 1.0, 0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.lists(st.integers(-8, 8).map(lambda v: v / 4.0),
+                              min_size=2, max_size=300),
+                     integer_walks, linear_runs_with_bumps(),
+                     rounded_parabolas()))
+    def test_tie_heavy_sequences(self, y):
+        y = np.asarray(y, dtype=float)
+        self.assert_same_slopes(np.stack([y, y[::-1], 0.5 - y]))
+
+    def test_slope_functional_fields(self):
+        rng = np.random.default_rng(12)
+        rows = np.cumsum(np.cumsum(rng.standard_normal((6, 33)), axis=1), axis=1)
+        sf = slope_functional_batch(rows)
+        gm, gp = cube_slope_pairs(rows)
+        for r in range(len(rows)):
+            terms = np.clip(gm[r, 1:-1] - gp[r, 1:-1], 0.0, None)
+            endpoint = gp[r, 0] - gm[r, -1]
+            assert np.array_equal(sf.terms[r], terms)
+            assert sf.f[r] == terms.sum()
+            assert sf.right0[r] == gp[r, 0] == right_slope(rows[r], 0)[0]
+            assert sf.endpoint[r] == endpoint
+            assert sf.rel_err[r] == abs(sf.f[r] - endpoint) / max(
+                abs(sf.f[r]), abs(endpoint), 1e-30)
 
 
 class TestFunctionalF:

@@ -11,6 +11,7 @@ from burgerslab.fbm import (
     ifbm_covariance,
     integrate_path,
     sample_fbm_exact,
+    sample_fbm_exact_batch,
     sample_fbm_fast,
     sample_fbm_fast_batch,
 )
@@ -22,7 +23,8 @@ from burgerslab.grids import (
     replica_normals,
 )
 
-from oracles import complex_fft_fgn_rows, generator_fbm_fast
+from oracles import (complex_fft_fgn_rows, generator_fbm_exact,
+                     generator_fbm_fast)
 
 
 def ks_critical_value(n1, n2, alpha=0.01):
@@ -69,6 +71,24 @@ class TestExactSampler:
         assert np.array_equal(a, b)
         c = sample_fbm_exact(0.44, grid, RandomnessSpec(5, 3)).values
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("grid", [SampleGrid.anchored(0.5, 3, 4),
+                                      SampleGrid.one_sided(1.0, 64)],
+                             ids=["8-points", "65-points"])
+    @pytest.mark.parametrize("h", [0.3, 0.5, 0.7])
+    def test_batch_rows_equal_generator_paths(self, h, grid, monkeypatch):
+        replicas = [0, 1, 9_999]
+        want = [generator_fbm_exact(h, grid, RandomnessSpec(101, r))
+                for r in replicas]
+        # the package draws every exact path from replica_normals
+        monkeypatch.setattr(RandomnessSpec, "generator", None)
+        batch = sample_fbm_exact_batch(h, grid, 101, replicas)
+        for r, row, path in zip(replicas, batch, want):
+            assert np.array_equal(row, path), f"replica {r} differs"
+            single = sample_fbm_exact(h, grid, RandomnessSpec(101, r)).values
+            assert np.array_equal(single, path), f"replica {r} differs"
+        whole = sample_fbm_exact_batch(h, grid, 101, range(10_000))
+        assert np.array_equal(whole[replicas], batch)
 
     def test_size_cap(self):
         grid = SampleGrid.one_sided(1.0, fbm.EXACT_SAMPLER_MAX_POINTS + 10)
