@@ -14,6 +14,7 @@ import math
 import tempfile
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -115,35 +116,36 @@ def check_sampler_equivalence(ov: _Overrides) -> dict:
 
 # --- criterion 3 -----------------------------------------------------------
 
+def _telescoping_errors(h, grid, reps):
+    w = sample_fbm_fast_batch(h, grid, 301, reps)
+    return (slope_functional_batch(integrate_values(w, 1.0, 0)).rel_err,)
+
+
 def check_telescoping(ov: _Overrides) -> dict:
     sequences = ov.get("telescoping.sequences", 1000)
     length = ov.get("telescoping.length", 256)
     grid = SampleGrid.one_sided(1.0, length - 1)
-
-    def rel_errs(reps):
-        w = sample_fbm_fast_batch(h, grid, 301, reps)
-        return (slope_functional_batch(integrate_values(w, 1.0, 0)).rel_err,)
-
     worst = 0.0
     for h in H_TRIPLE:
-        (rel,) = replica_stats(rel_errs, sequences)
+        (rel,) = replica_stats(partial(_telescoping_errors, h, grid),
+                               sequences)
         worst = max(worst, float(rel.max()))
     return {"pass": worst <= 1e-9, "worst_rel_err": worst}
 
 
 # --- criterion 4 -----------------------------------------------------------
 
+def _identity_gaps(grid, reps):
+    w = sample_fbm_fast_batch(0.5, grid, 401, reps)
+    sf = slope_functional_batch(integrate_values(w, 1.0, 0))
+    return (sf.f - 2.0 * sf.right0,)
+
+
 def check_expectation_identity(ov: _Overrides) -> dict:
     replicas = ov.get("identity.replicas", 10_000)
     n = ov.get("identity.n", 64)
     grid = SampleGrid.one_sided(1.0, n)
-
-    def gaps(reps):
-        w = sample_fbm_fast_batch(0.5, grid, 401, reps)
-        sf = slope_functional_batch(integrate_values(w, 1.0, 0))
-        return (sf.f - 2.0 * sf.right0,)
-
-    (gap,) = replica_stats(gaps, replicas)
+    (gap,) = replica_stats(partial(_identity_gaps, grid), replicas)
     mean, se = mean_se(gap)
     return {"pass": abs(mean) <= 4 * se, "mean_gap": mean, "se": se,
             "gap_sigma": abs(mean) / se if se > 0 else 0.0}
@@ -202,7 +204,7 @@ def check_dimension(ov: _Overrides) -> dict:
     for h in H_TRIPLE:
         cfg = RunConfig(experiment="dim", hurst=(h,), replicas=replicas,
                         seed=701, options={"grid-log2": str(log2n)})
-        _, summary, _ = _dim_cell((h, cfg))
+        _, summary, _ = _dim_cell(h, cfg)
         target = ov.get(f"dim.target-h{h:g}", h)
         good = abs(summary["slope"] - target) <= tol
         slopes[f"h={h:g}"] = {"slope": summary["slope"],

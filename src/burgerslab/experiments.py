@@ -3,19 +3,21 @@
 Every experiment consumes a RunConfig, writes machine-readable artifacts
 (JSON-lines records, CSV tables, JSON summaries) plus a manifest, and is
 bit-reproducible from that manifest: outputs depend only on the config.
-Worker parallelism over experiment cells is capped by BURGERSLAB_WORKERS
-and cannot change results (cells are deterministic and written in a fixed
-order).
+Cells (Hurst indices, horizons) run one after another; inside a cell the
+replicas are spread over the process's worker pool
+(``persistence.pool_map``, capped by BURGERSLAB_WORKERS), which cannot
+change results: every replica is deterministic and results are gathered in
+replica order.
 """
 
 from __future__ import annotations
 
 import importlib.metadata
 import json
-import os
+import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +32,9 @@ from .persistence import (
     BarrierEvent,
     estimate_persistence,
     exponent_fit,
+    pool_map,
     verify_chain,
+    worker_count,
 )
 from .rkhs import (
     build_space,
@@ -101,14 +105,16 @@ class RunConfig:
                 raise ConfigError(f"hurst values must lie in (0, 1), got {h}")
         if not self.hurst:
             raise ConfigError("hurst list must not be empty")
-        if self.spacing <= 0:
-            raise ConfigError(f"spacing must be > 0, got {self.spacing}")
+        if not (math.isfinite(self.spacing) and self.spacing > 0):
+            raise ConfigError(f"spacing must be finite and > 0, "
+                              f"got {self.spacing}")
         if self.replicas < 1:
             raise ConfigError(f"replicas must be >= 1, got {self.replicas}")
         if not 0 <= self.seed <= SEED_MAX:
             raise ConfigError(f"seed must lie in [0, {SEED_MAX}], got {self.seed}")
-        if any(t <= 0 for t in self.horizons):
-            raise ConfigError(f"horizons must be > 0, got {self.horizons}")
+        if not all(math.isfinite(t) and t > 0 for t in self.horizons):
+            raise ConfigError(f"horizons must be finite and > 0, "
+                              f"got {self.horizons}")
         if self.experiment == "persist" and len(self.horizons) < 1:
             raise ConfigError("persist needs at least one horizon")
         return self
@@ -158,33 +164,6 @@ def load_config_file(path) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# worker pool
-# ---------------------------------------------------------------------------
-
-def worker_count() -> int:
-    cap = os.environ.get("BURGERSLAB_WORKERS")
-    workers = os.cpu_count() or 1
-    if cap is not None:
-        try:
-            workers = min(workers, max(1, int(cap)))
-        except ValueError:
-            raise ConfigError(f"BURGERSLAB_WORKERS must be an integer, "
-                              f"got {cap!r}")
-    return workers
-
-
-def _pool_map(fn, items):
-    """Map preserving order; parallel across items when allowed.  Each item
-    must be deterministic, so parallelism cannot change outputs."""
-    items = list(items)
-    workers = min(worker_count(), len(items))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-# ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
 
@@ -227,47 +206,50 @@ def run_solve(cfg: RunConfig, outdir: Path) -> dict:
     return {"solves": len(rows), "checks": []}
 
 
-def _dim_cell(args):
-    """All replicas of one Hurst index: per-replica records, the summary and
-    replica 0's non-degenerate fit (the plot-ready table), or None."""
-    h, cfg = args
+def _dim_replica(h: float, cfg: RunConfig, rep: int):
+    """One replica's record, and its fit when it is replica 0's and not
+    degenerate (else None)."""
     log2n = cfg.opt("grid-log2", 16)
     n = 2 ** log2n
     scales = [2.0 ** -j for j in range(4, 11)]
     edge = 0.05
     grid = SampleGrid.anchored(2.0 / n, n // 2, n // 2)
     window = (-1.0 + edge, 1.0 - edge)
-    records = []
-    first_fit = None
-    for rep in range(cfg.replicas):
-        u0 = sample_fbm_fast(h, grid, RandomnessSpec(cfg.seed, rep))
-        coords = solve(u0, cfg.opt("time", 1.0)).contact_coordinates
-        pts = coords[(coords >= window[0]) & (coords <= window[1])]
-        if pts.size < 4:
-            # total collapse happens at small grids; no dimension to fit
-            records.append({"h": h, "replica": rep, "slope": None,
-                            "points": int(pts.size)})
-            continue
-        fit = dimension_estimate(pts, scales, window=window)
-        if rep == 0 and not fit.degenerate:
-            first_fit = fit
-        records.append({"h": h, "replica": rep,
-                        "slope": None if fit.degenerate else fit.slope,
-                        "points": int(pts.size),
-                        "max_residual": fit.max_residual,
-                        "split_discrepancy": fit.split_discrepancy})
+    u0 = sample_fbm_fast(h, grid, RandomnessSpec(cfg.seed, rep))
+    coords = solve(u0, cfg.opt("time", 1.0)).contact_coordinates
+    pts = coords[(coords >= window[0]) & (coords <= window[1])]
+    if pts.size < 4:
+        # total collapse happens at small grids; no dimension to fit
+        return {"h": h, "replica": rep, "slope": None,
+                "points": int(pts.size)}, None
+    fit = dimension_estimate(pts, scales, window=window)
+    record = {"h": h, "replica": rep,
+              "slope": None if fit.degenerate else fit.slope,
+              "points": int(pts.size),
+              "max_residual": fit.max_residual,
+              "split_discrepancy": fit.split_discrepancy}
+    return record, fit if rep == 0 and not fit.degenerate else None
+
+
+def _dim_cell(h: float, cfg: RunConfig):
+    """All replicas of one Hurst index, spread over the worker pool:
+    per-replica records, the summary and replica 0's non-degenerate fit
+    (the plot-ready table), or None."""
+    results = pool_map(partial(_dim_replica, h, cfg), range(cfg.replicas))
+    records = [record for record, _ in results]
+    first_fit = results[0][1]
     slopes = np.array([r["slope"] for r in records if r["slope"] is not None])
     summary = {"h": h,
                "slope": float(slopes.mean()) if slopes.size else None,
                "slope_se": float(slopes.std(ddof=1) / np.sqrt(slopes.size))
                if slopes.size > 1 else 0.0,
                "valid_replicas": int(slopes.size),
-               "replicas": cfg.replicas, "grid_log2": log2n}
+               "replicas": cfg.replicas, "grid_log2": cfg.opt("grid-log2", 16)}
     return records, summary, first_fit
 
 
 def run_dim(cfg: RunConfig, outdir: Path) -> dict:
-    results = _pool_map(_dim_cell, [(h, cfg) for h in cfg.hurst])
+    results = [_dim_cell(h, cfg) for h in cfg.hurst]
     records = [r for cell, _, _ in results for r in cell]
     summaries = [s for _, s, _ in results]
     _write_jsonl(outdir / "records.jsonl", records)
@@ -295,8 +277,7 @@ _KNOWN_EXPONENTS = {"fbm_max": lambda h: 1.0 - h,
 _EXPONENT_TOL = {"fbm_max": 0.07, "ifbm_one_sided": 0.08}
 
 
-def _persist_cell(args):
-    event_name, level, h, horizon, cfg = args
+def _persist_cell(event_name, level, h, horizon, cfg):
     est = estimate_persistence(BarrierEvent(event_name, level, horizon), h,
                                cfg.spacing, cfg.replicas, cfg.seed)
     rec = est.record()
@@ -309,7 +290,7 @@ def run_persist(cfg: RunConfig, outdir: Path) -> dict:
     level = cfg.opt("level", 1.0)
     cells = [(ev, level, h, t, cfg)
              for ev in events for h in cfg.hurst for t in sorted(cfg.horizons)]
-    results = _pool_map(_persist_cell, cells)
+    results = [_persist_cell(*cell) for cell in cells]
     _write_jsonl(outdir / "records.jsonl", [rec for rec, _ in results])
     fits = {}
     checks = []
@@ -335,14 +316,9 @@ def run_persist(cfg: RunConfig, outdir: Path) -> dict:
     return {"cells": len(cells), "checks": checks, "flagged": flagged}
 
 
-def _chain_cell(args):
-    h, cfg = args
-    report = verify_chain(h, cfg.opt("n", 64), cfg.replicas, cfg.seed)
-    return report.to_json()
-
-
 def run_chain(cfg: RunConfig, outdir: Path) -> dict:
-    docs = _pool_map(_chain_cell, [(h, cfg) for h in cfg.hurst])
+    docs = [verify_chain(h, cfg.opt("n", 64), cfg.replicas, cfg.seed).to_json()
+            for h in cfg.hurst]
     merged = {f"h={h:g}": doc for h, doc in zip(cfg.hurst, docs)}
     write_json(outdir / "chain.json", merged)
     checks = [{"name": f"chain h={h:g}", "pass": doc["pass"]}
@@ -405,7 +381,10 @@ def run_experiment(cfg: RunConfig) -> tuple[int, dict]:
     at the CLI boundary).
     """
     cfg = cfg.validate()
-    workers = worker_count()
+    try:
+        workers = worker_count()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.time()
@@ -435,7 +414,12 @@ def write_manifest(cfg: RunConfig, outdir: Path, wall_time_s: float,
 
 def rerun_from_manifest(manifest_path, out: str | None = None) -> tuple[int, dict]:
     with open(manifest_path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{manifest_path}: not valid JSON ({exc})") from None
+    if not isinstance(doc, dict) or not isinstance(doc.get("config"), dict):
+        raise ConfigError(f"{manifest_path}: no config object")
     cfg = config_from_dict(doc["config"])
     if out is not None:
         cfg = replace(cfg, out=out)

@@ -158,8 +158,10 @@ def sample_fbm_exact_batch(h: float, grid: SampleGrid, seed: int,
 
 @lru_cache(maxsize=32)
 def _embedding_amplitudes(h: float, spacing: float, n_increments: int):
-    """Spectral amplitudes sqrt(eig / 2M) of the circulant embedding of the
-    increment autocovariance, with automatic doubling of the half-size M."""
+    """The half-size M and the first M+1 spectral amplitudes sqrt(eig / 2M)
+    of the circulant embedding of the increment autocovariance, with
+    automatic doubling of M; the rest of the spectrum mirrors them and is
+    not kept."""
     m0 = 1
     while m0 < n_increments:
         m0 *= 2
@@ -169,7 +171,7 @@ def _embedding_amplitudes(h: float, spacing: float, n_increments: int):
         first_row = np.concatenate([r, r[m - 1:0:-1]])
         eig = np.fft.fft(first_row).real
         if eig.min() >= -EMBEDDING_EIG_TOL * eig.max():
-            return m, np.sqrt(np.clip(eig, 0.0, None) / (2.0 * m))
+            return m, np.sqrt(np.clip(eig[:m + 1], 0.0, None) / (2.0 * m))
         m *= 2
     raise EmbeddingError(
         f"circulant embedding for H={h} stayed indefinite after "
@@ -191,7 +193,7 @@ def _fgn_rows(h: float, spacing: float, n_increments: int,
     v.real[..., m] = noise[..., 1]
     np.multiply(noise[..., 2:m + 1], 1.0 / np.sqrt(2.0), out=v.real[..., 1:m])
     np.multiply(noise[..., m + 1:2 * m], 1.0 / np.sqrt(2.0), out=v.imag[..., 1:m])
-    v *= amp[:m + 1]
+    v *= amp
     return np.fft.hfft(v, n=2 * m)[..., :n_increments]
 
 

@@ -11,8 +11,13 @@ identical paths.
 
 from __future__ import annotations
 
+import atexit
 import math
+import multiprocessing
+import os
+from concurrent import futures
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -26,6 +31,8 @@ __all__ = [
     "McEstimate",
     "ChainReport",
     "replica_stats",
+    "pool_map",
+    "worker_count",
     "mean_se",
     "estimate_persistence",
     "exponent_fit",
@@ -162,19 +169,77 @@ class McEstimate:
         return out
 
 
+def worker_count() -> int:
+    """Worker processes for Monte-Carlo work: the CPU count, capped by
+    BURGERSLAB_WORKERS; raises ValueError when the cap is no integer."""
+    cap = os.environ.get("BURGERSLAB_WORKERS")
+    workers = os.cpu_count() or 1
+    if cap is not None:
+        try:
+            workers = min(workers, max(1, int(cap)))
+        except ValueError:
+            raise ValueError(f"BURGERSLAB_WORKERS must be an integer, "
+                             f"got {cap!r}") from None
+    return workers
+
+
+# (executor, worker count, pid of the process that created it)
+_POOL = None
+
+
+@atexit.register
+def _shutdown_pool() -> None:
+    """Join the pool's workers while the interpreter is still whole; a pool
+    left to module teardown can fail in its garbage-collection callback."""
+    global _POOL
+    if _POOL is not None and _POOL[2] == os.getpid():
+        _POOL[0].shutdown()
+    _POOL = None
+
+
+def pool_map(fn, items) -> list:
+    """``[fn(item) for item in items]``, spread over ``worker_count()``
+    processes when there are several workers and several items.
+
+    One fork pool serves the whole process: it is created on the first
+    parallel call and rebuilt when the worker count changes.  ``fn`` and
+    the items must pickle, so callbacks are module-level functions bound
+    with ``functools.partial``.  Workers keep the module state they had
+    when they were forked: code patched after that is not seen by them, so
+    tests that patch package code and then run pooled code pin
+    BURGERSLAB_WORKERS=1.  Inside a worker the map runs serially, so pools
+    never nest.  Each item must be deterministic; then the worker count
+    cannot change results.
+    """
+    global _POOL
+    items = list(items)
+    workers = worker_count()
+    if workers <= 1 or len(items) <= 1 or (
+            _POOL is not None and _POOL[2] != os.getpid()):
+        return [fn(item) for item in items]
+    if _POOL is None or _POOL[1] != workers:
+        _shutdown_pool()
+        # named: Python 3.14 changes the Linux default away from fork
+        pool = futures.ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("fork"))
+        _POOL = (pool, workers, os.getpid())
+    return list(_POOL[0].map(fn, items))
+
+
 def replica_stats(stats, replicas: int) -> tuple[np.ndarray, ...]:
     """Per-replica statistics of replicas 0..replicas-1.
 
     ``stats(range)`` returns a tuple of arrays with one row per replica of
-    the range; the reducer calls it on consecutive blocks of ``MC_BLOCK``
-    replicas and concatenates each array over the blocks.  Each row must be
-    a function of its replica alone (every draw is keyed by (seed,
-    replica)); then the block size bounds memory and cannot change results.
+    the range; the reducer maps it over consecutive blocks of ``MC_BLOCK``
+    replicas with ``pool_map`` and concatenates each array over the blocks
+    in order.  Each row must be a function of its replica alone (every draw
+    is keyed by (seed, replica)); then neither the block size nor the
+    worker count can change results.
     """
     if replicas < 1:
         raise ValueError(f"need at least 1 replica, got {replicas}")
-    blocks = [stats(range(start, min(start + MC_BLOCK, replicas)))
-              for start in range(0, replicas, MC_BLOCK)]
+    blocks = pool_map(stats, [range(start, min(start + MC_BLOCK, replicas))
+                              for start in range(0, replicas, MC_BLOCK)])
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
@@ -227,6 +292,21 @@ def exponent_fit(estimates) -> ScalingFit:
     return fit_scaling(scales, values, value_ses=ses, excluded=excluded)
 
 
+def _stays_below(h, grid, seed, checks, reps):
+    """Stay-below flags of each replica on each subgrid of ``checks``, a
+    tuple of (subgrid, step, (cols, thresholds, needs_integral))."""
+    vals = sample_fbm_fast_batch(h, grid, seed, reps)
+    below = []
+    for sub, step, (cols, thr, needs_integral) in checks:
+        # each spacing sees the same motion path restricted to its own
+        # grid, and runs its own trapezoid when the event needs I
+        src = vals[:, ::step]
+        if needs_integral:
+            src = integrate_values(src, sub.spacing, sub.anchor_index)
+        below.append(np.all(src[:, cols] <= thr, axis=1))
+    return tuple(below)
+
+
 def refinement_study(event: BarrierEvent, h: float, spacings, replicas: int,
                      seed: int) -> list[McEstimate]:
     """Estimates of one event across nested grids sharing each replica's path.
@@ -241,27 +321,19 @@ def refinement_study(event: BarrierEvent, h: float, spacings, replicas: int,
         raise ValueError("spacings must be strictly decreasing")
     finest = spacings[-1]
     steps = [_exact_steps(s, finest, "spacing ratio") for s in spacings]
-    grid = event.grid(finest)
     subgrids = [event.grid(s) for s in spacings]
-    checks = [event.thresholds(sub) for sub in subgrids]
-
-    def stays_below(reps):
-        vals = sample_fbm_fast_batch(h, grid, seed, reps)
-        below = []
-        for sub, step, (cols, thr, needs_integral) in zip(subgrids, steps,
-                                                           checks):
-            # each spacing sees the same motion path restricted to its own
-            # grid, and runs its own trapezoid when the event needs I
-            src = vals[:, ::step]
-            if needs_integral:
-                src = integrate_values(src, sub.spacing, sub.anchor_index)
-            below.append(np.all(src[:, cols] <= thr, axis=1))
-        return tuple(below)
-
+    checks = tuple(zip(subgrids, steps,
+                       [event.thresholds(sub) for sub in subgrids]))
+    stats = partial(_stays_below, h, event.grid(finest), seed, checks)
     label = f"{event.process}@{event.level:g}"
     return [McEstimate.proportion(np.count_nonzero(below), replicas, seed=seed,
                                   spacing=s, horizon=event.horizon, label=label)
-            for s, below in zip(spacings, replica_stats(stays_below, replicas))]
+            for s, below in zip(spacings, replica_stats(stats, replicas))]
+
+
+def _path_max(h, grid, seed, reps):
+    """Max of each replica's path over the grid points past 0."""
+    return (sample_fbm_fast_batch(h, grid, seed, reps)[:, 1:].max(axis=1),)
 
 
 def estimate_fbm_max_mean(h: float, spacing: float, replicas: int,
@@ -270,9 +342,7 @@ def estimate_fbm_max_mean(h: float, spacing: float, replicas: int,
     h = check_hurst(h)
     n = _exact_steps(1.0, spacing, "unit interval")
     grid = SampleGrid.one_sided(spacing, n)
-    (peak,) = replica_stats(
-        lambda reps: (sample_fbm_fast_batch(h, grid, seed, reps)[:, 1:]
-                      .max(axis=1),), replicas)
+    (peak,) = replica_stats(partial(_path_max, h, grid, seed), replicas)
     mean, se = mean_se(peak)
     return McEstimate(value=mean, std_error=se, replicas=replicas, seed=seed,
                       spacing=spacing, label="fbm_max_mean", kind="mean")
@@ -314,6 +384,26 @@ def _binom_upper(count: int, total: int, alpha: float = _ALPHA_4SIGMA) -> float:
     return float(betaincinv(count + 1, total - count, 1.0 - alpha))
 
 
+def _slope_stats(h, n, seed, reps):
+    """Per-replica slope functional, its telescoping error and the windowed
+    slopes at 0 on the chain's window [-N, 2N] at unit spacing."""
+    grid = SampleGrid.anchored(1.0, n, 2 * n)
+    anchor = n
+    p = np.arange(1, n + 1)
+    w = sample_fbm_fast_batch(h, grid, seed, reps)
+    ii = integrate_values(w, 1.0, anchor)
+    sf = slope_functional_batch(ii[:, anchor:anchor + n + 1])  # I(0..N)
+    left_cols = ii[:, anchor - p]               # I(-1), ..., I(-N)
+    right_cols = ii[:, anchor + p]              # I(1), ..., I(N)
+    g0m = (-left_cols / p).min(axis=1)          # windowed left slope at 0
+    g0p = (right_cols / p).max(axis=1)          # windowed right slope at 0
+    xi = np.clip(g0m - g0p, 0.0, None)
+    corner = (g0m >= 2.0) & (g0p <= -2.0)       # slopes beyond +-2 at 0
+    trended = (np.all(left_cols <= -2.0 * p, axis=1)   # path below -2|x|
+               & np.all(right_cols <= -2.0 * p, axis=1))
+    return sf.f, sf.right0, sf.rel_err, sf.terms, xi, corner, trended
+
+
 def verify_chain(h: float, n: int, replicas: int, seed: int) -> ChainReport:
     """Estimate both sides of every relation in the chain and test them at
     4 combined standard errors with common random numbers.
@@ -326,26 +416,8 @@ def verify_chain(h: float, n: int, replicas: int, seed: int) -> ChainReport:
     h = check_hurst(h)
     if n < 2:
         raise ValueError("need n >= 2")
-    grid = SampleGrid.anchored(1.0, n, 2 * n)
-    anchor = n
-    p = np.arange(1, n + 1)
-
-    def slope_stats(reps):
-        w = sample_fbm_fast_batch(h, grid, seed, reps)
-        ii = integrate_values(w, 1.0, anchor)
-        sf = slope_functional_batch(ii[:, anchor:anchor + n + 1])  # I(0..N)
-        left_cols = ii[:, anchor - p]               # I(-1), ..., I(-N)
-        right_cols = ii[:, anchor + p]              # I(1), ..., I(N)
-        g0m = (-left_cols / p).min(axis=1)          # windowed left slope at 0
-        g0p = (right_cols / p).max(axis=1)          # windowed right slope at 0
-        xi = np.clip(g0m - g0p, 0.0, None)
-        corner = (g0m >= 2.0) & (g0p <= -2.0)       # slopes beyond +-2 at 0
-        trended = (np.all(left_cols <= -2.0 * p, axis=1)   # path below -2|x|
-                   & np.all(right_cols <= -2.0 * p, axis=1))
-        return sf.f, sf.right0, sf.rel_err, sf.terms, xi, corner, trended
-
     f_rows, maxterm, rel, terms, xi, corner, trended = replica_stats(
-        slope_stats, replicas)
+        partial(_slope_stats, h, n, seed), replicas)
     r = replicas
     worst_telescope = float(rel.max())
     mean_f, se_f = mean_se(f_rows)

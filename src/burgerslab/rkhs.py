@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -263,6 +264,14 @@ class ShiftReport:
                 "pass": self.passed, "inconclusive": self.inconclusive}
 
 
+def _stays_below(space, phi, level, seed, reps):
+    """Per-replica stay-below flags of the draws without and with the
+    trend values ``phi`` added."""
+    draws = space.sample_batch(seed, reps)
+    return (np.all(draws <= level, axis=1),
+            np.all(draws + phi[None, :] <= level, axis=1))
+
+
 def verify_shift_inequality(space: KernelSpace, trend: TrendFunction,
                             level: float, replicas: int,
                             seed: int) -> ShiftReport:
@@ -273,14 +282,8 @@ def verify_shift_inequality(space: KernelSpace, trend: TrendFunction,
                          f"{SHIFT_MC_MAX_POINTS} points (probabilities must "
                          "stay resolvable by plain MC)")
     norm = rkhs_norm(space, trend)
-    phi = trend.values
-
-    def stays_below(reps):
-        draws = space.sample_batch(seed, reps)
-        return (np.all(draws <= level, axis=1),
-                np.all(draws + phi[None, :] <= level, axis=1))
-
-    plain, trended = replica_stats(stays_below, replicas)
+    plain, trended = replica_stats(
+        partial(_stays_below, space, trend.values, level, seed), replicas)
     mk = lambda below, what: McEstimate.proportion(
         np.count_nonzero(below), replicas, seed=seed,
         spacing=space.grid.spacing, label=what)

@@ -37,8 +37,10 @@ def quad_cross_covariance(h, x, t):
 
 def complex_fft_fgn_rows(h, spacing, n_increments, noise):
     """Increment rows from the whole length-2M Hermitian spectrum and a full
-    complex FFT; the package builds only the first M+1 coefficients."""
-    m, amp = _embedding_amplitudes(h, spacing, n_increments)
+    complex FFT; the package builds only the first M+1 coefficients and
+    keeps only the first M+1 amplitudes, whose inner ones are mirrored."""
+    m, half_amp = _embedding_amplitudes(h, spacing, n_increments)
+    amp = np.concatenate([half_amp, half_amp[m - 1:0:-1]])
     v = np.empty(noise.shape[:-1] + (2 * m,), dtype=complex)
     v[..., 0] = noise[..., 0]
     v[..., m] = noise[..., 1]

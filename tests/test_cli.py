@@ -84,6 +84,29 @@ class TestBadValues:
         status = main(self.ARGS + [flag, value, "--out", str(out)])
         self.assert_config_error(status, capsys, out, field)
 
+    @pytest.mark.parametrize("argv, field", [
+        (["persist", "--hurst", "0.5", "--horizon", "nan,8"], "horizons"),
+        (["persist", "--hurst", "0.5", "--horizon", "4,inf"], "horizons"),
+        (["sample", "--spacing", "nan"], "spacing")])
+    def test_non_finite_value(self, tmp_path, capsys, argv, field):
+        out = tmp_path / "p"
+        status = main(argv + ["--out", str(out)])
+        self.assert_config_error(status, capsys, out, field)
+
+    def test_malformed_worker_cap(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("BURGERSLAB_WORKERS", "two")
+        out = tmp_path / "p"
+        status = main(self.ARGS + ["--out", str(out)])
+        self.assert_config_error(status, capsys, out, "BURGERSLAB_WORKERS")
+
+    @pytest.mark.parametrize("text", ["{\n", "{}\n", "[]\n"])
+    def test_truncated_manifest(self, tmp_path, capsys, text):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text)
+        again = tmp_path / "again"
+        status = main(["rerun", str(manifest), "--out", str(again)])
+        self.assert_config_error(status, capsys, again, "manifest.json")
+
     def test_bad_config_file_value(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("hurst = 0.5\nhorizons = 4,8\nreplicas = many\n")

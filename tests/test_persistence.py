@@ -2,6 +2,8 @@
 the relation chain."""
 
 import math
+import os
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from scipy.stats import beta, ks_2samp, norm
 
 from burgerslab import persistence
 from burgerslab.envelopes import windowed_slope_pair
+from burgerslab.experiments import RunConfig, _dim_cell
 from burgerslab.fbm import integrate_values, sample_fbm_fast_batch
 from burgerslab.grids import SampleGrid, write_json
 from burgerslab.persistence import (
@@ -24,6 +27,8 @@ from burgerslab.persistence import (
     refinement_study,
     verify_chain,
 )
+from burgerslab.rkhs import (build_space, covariance_column_trend,
+                             verify_shift_inequality)
 
 
 class TestBarrierEvent:
@@ -248,9 +253,53 @@ class TestBlockSizeInvariance:
 
     @pytest.mark.parametrize("block", [1, 7])
     def test_results_equal_default_block(self, monkeypatch, block):
+        # pool workers would not see the patched block size
+        monkeypatch.setenv("BURGERSLAB_WORKERS", "1")
         want = self.estimates()
         monkeypatch.setattr(persistence, "MC_BLOCK", block)
         assert self.estimates() == want
+
+
+class TestWorkerInvariance:
+    """Blocks and dim replicas spread over the worker pool give the serial
+    results exactly; a callback that does not pickle fails here."""
+
+    REPLICAS = persistence.MC_BLOCK + 88
+
+    def results(self):
+        space = build_space(SampleGrid.anchored(0.25, 8, 8), 0.5)
+        trend = covariance_column_trend(space, 1.0, 0.1)
+        cfg = RunConfig("dim", replicas=6, seed=4,
+                        options={"grid-log2": "10"})
+        r = self.REPLICAS
+        return (
+            refinement_study(BarrierEvent("ifbm_punctured", 1.0, 8.0), 0.6,
+                             [0.5, 0.25], r, 2),
+            estimate_fbm_max_mean(0.3, 2.0 ** -6, r, 3),
+            verify_chain(0.3, 8, r, 5).to_json(),
+            verify_shift_inequality(space, trend, 1.0, r, 6),
+            _dim_cell(0.4, cfg),
+        )
+
+    def test_two_workers_equal_one(self, monkeypatch):
+        maps = []
+        executor_map = futures.ProcessPoolExecutor.map
+
+        def counted(pool, fn, *iterables, **kwargs):
+            maps.append(fn)
+            return executor_map(pool, fn, *iterables, **kwargs)
+
+        monkeypatch.setattr(futures.ProcessPoolExecutor, "map", counted)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("BURGERSLAB_WORKERS", "1")
+        serial = self.results()
+        assert maps == []
+        monkeypatch.setenv("BURGERSLAB_WORKERS", "2")
+        pooled = self.results()
+        # refinement_study, the max mean, the chain (twice), the shift
+        # check and the dim cell each map through the pool
+        assert len(maps) == 6
+        assert pooled == serial
 
 
 class TestSlopeSymmetryInExpectation:
