@@ -27,9 +27,12 @@ from .burgers import solve
 from .envelopes import envelope_backend
 from .fbm import sample_fbm_exact, sample_fbm_fast
 from .fractal import dimension_estimate
-from .grids import RNG_SCHEME, RandomnessSpec, SampleGrid, write_json
+from .grids import (RNG_SCHEME, RandomnessSpec, SampleGrid, rng_state_write,
+                    write_json)
 from .persistence import (
+    MIN_REPLICAS,
     BarrierEvent,
+    _exact_steps,
     estimate_persistence,
     exponent_fit,
     pool_map,
@@ -115,9 +118,27 @@ class RunConfig:
         if not all(math.isfinite(t) and t > 0 for t in self.horizons):
             raise ConfigError(f"horizons must be finite and > 0, "
                               f"got {self.horizons}")
-        if self.experiment == "persist" and len(self.horizons) < 1:
-            raise ConfigError("persist needs at least one horizon")
+        if self.experiment == "persist":
+            self._validate_persist()
         return self
+
+    def _validate_persist(self) -> None:
+        """The preconditions of ``estimate_persistence`` and its events."""
+        if len(self.horizons) < 1:
+            raise ConfigError("persist needs at least one horizon")
+        if self.replicas < MIN_REPLICAS:
+            raise ConfigError(f"replicas must be >= {MIN_REPLICAS} for "
+                              f"persist, got {self.replicas}")
+        if self.spacing > 1.0:
+            raise ConfigError(f"spacing must be <= 1 for persist, "
+                              f"got {self.spacing}")
+        for t in self.horizons:
+            if t < 1.0:
+                raise ConfigError(f"horizons must be >= 1, got {t}")
+            try:
+                _exact_steps(t, self.spacing, "horizon")
+            except ValueError as exc:
+                raise ConfigError(f"horizons: {exc}") from None
 
     def opt(self, key: str, default):
         """Typed option lookup; option values arrive as strings."""
@@ -403,7 +424,8 @@ def write_manifest(cfg: RunConfig, outdir: Path, wall_time_s: float,
                    workers: int) -> None:
     """Config, provenance and wall time; the only output that may differ
     between re-runs of one config."""
-    provenance = {"rng": RNG_SCHEME, "numpy": np.__version__,
+    provenance = {"rng": RNG_SCHEME, "rng_state_write": rng_state_write(),
+                  "numpy": np.__version__,
                   # read from the package metadata: importing scipy is slow
                   "scipy": importlib.metadata.version("scipy"),
                   "hull": envelope_backend(), "workers": workers}

@@ -7,8 +7,10 @@ processes can be anchored there.
 
 from __future__ import annotations
 
+import ctypes
 import json
 from dataclasses import dataclass
+from functools import partial
 import numpy as np
 
 PATH_KINDS = ("fbm", "integrated", "potential", "velocity")
@@ -140,7 +142,8 @@ class RandomnessSpec:
 # numpy's SeedSequence hash constants (pool of 4 uint32 words) and PCG64's
 # 128-bit LCG multiplier, as in numpy/random/bit_generator.pyx and pcg64.h.
 _MASK32 = 2 ** 32 - 1
-_MASK128 = 2 ** 128 - 1
+_MASK64 = 2 ** 64 - 1
+_LO32 = np.uint64(_MASK32)
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
@@ -187,36 +190,121 @@ def _pcg64_seed_words(seed: int, replicas: np.ndarray) -> np.ndarray:
                      for i, consts in enumerate(_STATE_HASHES)], axis=-1)
 
 
+def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of the 128-bit products ``a * b`` (uint64 a, b < 2^64),
+    from 32-bit halves whose partial products fit in uint64."""
+    a0, a1 = a & _LO32, a >> np.uint64(32)
+    b0, b1 = np.uint64(b & _MASK32), np.uint64(b >> 32)
+    low, cross0, cross1 = a0 * b0, a0 * b1, a1 * b0
+    mid = (low >> np.uint64(32)) + (cross0 & _LO32) + (cross1 & _LO32)
+    return (a1 * b1 + (cross0 >> np.uint64(32)) + (cross1 >> np.uint64(32))
+            + (mid >> np.uint64(32)))
+
+
+def _pcg64_seeded_states(seed: int, replicas: np.ndarray) -> np.ndarray:
+    """Each replica's seeded PCG64 state as uint64 limbs, one row of
+    (state low, state high, inc low, inc high) per replica.
+
+    ``pcg64_set_seed`` on the words of ``_pcg64_seed_words``: inc =
+    2*initseq + 1 and state = (inc + initstate)*MULT + inc, mod 2^128, with
+    the carries between limbs taken by comparison.
+    """
+    words = _pcg64_seed_words(seed, replicas).astype(np.uint64)
+    # little-endian pairs of uint32 words form generate_state(4, uint64)
+    words = words[:, 0::2] | (words[:, 1::2] << np.uint64(32))
+    s_hi, s_lo, i_hi, i_lo = words.T
+    one = np.uint64(1)
+    inc_lo = (i_lo << one) | one
+    inc_hi = (i_hi << one) | (i_lo >> np.uint64(63))
+    sum_lo = inc_lo + s_lo
+    sum_hi = inc_hi + s_hi + (sum_lo < inc_lo)
+    mult_lo, mult_hi = _PCG64_MULT & _MASK64, _PCG64_MULT >> 64
+    prod_lo = sum_lo * np.uint64(mult_lo)
+    prod_hi = (_mulhi64(sum_lo, mult_lo) + sum_lo * np.uint64(mult_hi)
+               + sum_hi * np.uint64(mult_lo))
+    state_lo = prod_lo + inc_lo
+    state_hi = prod_hi + inc_hi + (state_lo < prod_lo)
+    return np.stack([state_lo, state_hi, inc_lo, inc_hi], axis=-1)
+
+
+def _direct_setter(bit_gen, states: np.ndarray):
+    """Setter and per-row keys that copy each row's 32 bytes into the
+    generator's ``pcg64_random_t``, whose address is the first member of the
+    struct at ``state_address`` (state, then inc, each as low and high
+    uint64 limbs when the build has 128-bit integers)."""
+    address = ctypes.c_void_p.from_address(bit_gen.ctypes.state_address).value
+    struct = memoryview((ctypes.c_char * 32).from_address(address)).cast("B")
+    raw = states.tobytes()
+    return (partial(struct.__setitem__, slice(None)),
+            [raw[k:k + 32] for k in range(0, len(raw), 32)])
+
+
+def _dict_setter(bit_gen, states: np.ndarray):
+    """Setter and per-row keys that go through the ``state`` dict."""
+    doc = bit_gen.state
+
+    def set_row(limbs):
+        s_lo, s_hi, i_lo, i_hi = limbs
+        doc["state"]["state"] = (s_hi << 64) | s_lo
+        doc["state"]["inc"] = (i_hi << 64) | i_lo
+        bit_gen.state = doc
+    return set_row, states.tolist()
+
+
+_SETTERS = {"direct": _direct_setter, "dict": _dict_setter}
+
+
+def _draw_rows(seed: int, replicas, length: int, write: str) -> np.ndarray:
+    """Rows of ``replica_normals`` with the state setter ``write``."""
+    states = _pcg64_seeded_states(seed, np.asarray(replicas, dtype=np.uint32))
+    bit_gen = np.random.PCG64(0)
+    gen = np.random.Generator(bit_gen)
+    set_state, keys = _SETTERS[write](bit_gen, states)
+    out = np.empty((len(keys), length))
+    for key, row in zip(keys, out):
+        set_state(key)
+        gen.standard_normal(out=row)
+    return out
+
+
+# "direct" or "dict" once rng_state_write() has probed
+_STATE_WRITE = None
+
+
+def rng_state_write() -> str:
+    """How ``replica_normals`` sets each row's state: "direct" when 32-byte
+    writes into the PCG64 struct reproduce the per-replica generators on a
+    probe, else "dict".  Probed once per process; recorded in manifests."""
+    global _STATE_WRITE
+    if _STATE_WRITE is None:
+        seed, reps = _MASK32, [0, 1, 2 ** 31, _MASK32]
+        # the generators RandomnessSpec(seed, r).generator() builds
+        want = [np.random.default_rng((seed, r)).standard_normal(5)
+                for r in reps]
+        try:
+            direct = np.array_equal(_draw_rows(seed, reps, 5, "direct"), want)
+        except Exception:  # any failure of the direct path selects the dict
+            direct = False
+        _STATE_WRITE = "direct" if direct else "dict"
+    return _STATE_WRITE
+
+
 def replica_normals(seed: int, replicas, length: int) -> np.ndarray:
     """Standard normals, one row of ``length`` per replica, equal bit for
     bit to ``RandomnessSpec(seed, r).generator().standard_normal(length)``.
 
-    The seed hashing runs for the whole replica range at once and each row
-    is drawn by one reused PCG64 whose state is set to that replica's
-    seeded state, so no generator is built per replica.  Seed and replicas
-    must lie in [0, 2^32), where each contributes one entropy word.
+    The seed hashing and the seeded PCG64 states are computed for the whole
+    replica range at once; each row is drawn by one reused PCG64 whose
+    state is overwritten with that replica's (``rng_state_write``), so no
+    generator is built per replica.  Seed and replicas must lie in
+    [0, 2^32), where each contributes one entropy word.
     """
     reps = np.asarray(replicas, dtype=np.int64)
     if not 0 <= seed <= _MASK32 or (
             reps.size and (reps.min() < 0 or reps.max() > _MASK32)):
         raise ValueError(f"seed and replicas must lie in [0, 2^32), got seed "
                          f"{seed} and replicas {replicas}")
-    words = _pcg64_seed_words(int(seed), reps.astype(np.uint32)).astype(np.uint64)
-    # little-endian pairs of uint32 words form generate_state(4, uint64)
-    words = (words[:, 0::2] | (words[:, 1::2] << np.uint64(32))).tolist()
-    bit_gen = np.random.PCG64(0)
-    gen = np.random.Generator(bit_gen)
-    state = bit_gen.state
-    out = np.empty((len(words), length))
-    for row, (s_hi, s_lo, i_hi, i_lo) in zip(out, words):
-        # pcg64_set_seed: inc = 2*initseq + 1; state = (inc + initstate)*MULT + inc
-        inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128
-        state["state"]["inc"] = inc
-        state["state"]["state"] = (
-            (inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        bit_gen.state = state
-        gen.standard_normal(out=row)
-    return out
+    return _draw_rows(int(seed), reps, length, rng_state_write())
 
 
 def write_csv(path, header, rows) -> None:

@@ -24,7 +24,7 @@ import numpy as np
 from .envelopes import slope_functional_batch
 from .fitting import ScalingFit, fit_scaling
 from .fbm import integrate_values, sample_fbm_fast_batch
-from .grids import SampleGrid, check_hurst
+from .grids import SampleGrid, check_hurst, rng_state_write
 
 __all__ = [
     "BarrierEvent",
@@ -53,6 +53,9 @@ RELIABILITY_FLOOR = 10.0
 
 # one-sided normal tail at 4 sigma; used for binomial upper confidence bounds
 _ALPHA_4SIGMA = 3.167124183311998e-05
+
+# fewest replicas a persistence estimate accepts
+MIN_REPLICAS = 100
 
 # replicas per block of the Monte-Carlo reducer; bounds working memory only
 # (a block's noise rows, and O(N) slope floats per row)
@@ -219,6 +222,9 @@ def pool_map(fn, items) -> list:
         return [fn(item) for item in items]
     if _POOL is None or _POOL[1] != workers:
         _shutdown_pool()
+        # workers inherit the probe's result and its numpy.random import
+        # instead of each running it, which keeps their peak RSS lower
+        rng_state_write()
         # named: Python 3.14 changes the Linux default away from fork
         pool = futures.ProcessPoolExecutor(
             max_workers=workers, mp_context=multiprocessing.get_context("fork"))
@@ -261,8 +267,9 @@ def estimate_persistence(event: BarrierEvent, h: float, spacing: float,
     """Indicator mean of the barrier event over independent paths."""
     if spacing > 1.0:
         raise ValueError(f"spacing must be <= 1, got {spacing}")
-    if replicas < 100:
-        raise ValueError(f"need at least 100 replicas, got {replicas}")
+    if replicas < MIN_REPLICAS:
+        raise ValueError(f"need at least {MIN_REPLICAS} replicas, "
+                         f"got {replicas}")
     return refinement_study(event, h, [spacing], replicas, seed)[0]
 
 
@@ -379,7 +386,10 @@ def _binom_upper(count: int, total: int, alpha: float = _ALPHA_4SIGMA) -> float:
     quantile of Beta(count + 1, total - count)."""
     if count >= total:
         return 1.0
-    # imported here: scipy.special costs ~0.3 s, and only chain needs it
+    if count == 0:
+        # Beta(1, n) has cdf 1 - (1 - x)^n; equals betaincinv bit for bit
+        return -math.expm1(math.log(alpha) / total)
+    # imported here: scipy.special costs ~0.2 s, and only chain needs it
     from scipy.special import betaincinv
     return float(betaincinv(count + 1, total - count, 1.0 - alpha))
 

@@ -40,6 +40,7 @@ __all__ = [
     "combined_trend",
     "covariance_column_trend",
     "verify_shift_inequality",
+    "verify_shift_inequalities",
     "TrendRangeError",
 ]
 
@@ -264,12 +265,15 @@ class ShiftReport:
                 "pass": self.passed, "inconclusive": self.inconclusive}
 
 
-def _stays_below(space, phi, level, seed, reps):
-    """Per-replica stay-below flags of the draws without and with the
-    trend values ``phi`` added."""
+def _stays_below(space, cases, seed, reps):
+    """Per-replica stay-below flags of the draws without and with each
+    case's trend values added, two arrays per (trend values, level) case."""
     draws = space.sample_batch(seed, reps)
-    return (np.all(draws <= level, axis=1),
-            np.all(draws + phi[None, :] <= level, axis=1))
+    flags = []
+    for phi, level in cases:
+        flags += [np.all(draws <= level, axis=1),
+                  np.all(draws + phi[None, :] <= level, axis=1)]
+    return tuple(flags)
 
 
 def verify_shift_inequality(space: KernelSpace, trend: TrendFunction,
@@ -277,13 +281,28 @@ def verify_shift_inequality(space: KernelSpace, trend: TrendFunction,
                             seed: int) -> ShiftReport:
     """Estimate stay-below probabilities with and without the trend on
     common draws and test the norm-controlled shift bound at 4 sigma."""
+    return verify_shift_inequalities(space, [(trend, level)], replicas,
+                                     seed)[0]
+
+
+def verify_shift_inequalities(space: KernelSpace, cases, replicas: int,
+                              seed: int) -> list[ShiftReport]:
+    """``verify_shift_inequality`` for each (trend, level) case, all on one
+    pass of draws; each report equals the one of a separate call."""
     if space.grid.count > SHIFT_MC_MAX_POINTS:
         raise ValueError(f"shift verification restricted to grids of at most "
                          f"{SHIFT_MC_MAX_POINTS} points (probabilities must "
                          "stay resolvable by plain MC)")
-    norm = rkhs_norm(space, trend)
-    plain, trended = replica_stats(
-        partial(_stays_below, space, trend.values, level, seed), replicas)
+    norms = [rkhs_norm(space, trend) for trend, _ in cases]
+    phis = tuple((trend.values, level) for trend, level in cases)
+    flags = replica_stats(partial(_stays_below, space, phis, seed), replicas)
+    return [_shift_report(space, trend, norm, plain, trended, replicas, seed)
+            for (trend, _), norm, plain, trended
+            in zip(cases, norms, flags[0::2], flags[1::2])]
+
+
+def _shift_report(space, trend, norm, plain, trended, replicas, seed):
+    """The report of one case from its per-replica stay-below flags."""
     mk = lambda below, what: McEstimate.proportion(
         np.count_nonzero(below), replicas, seed=seed,
         spacing=space.grid.spacing, label=what)

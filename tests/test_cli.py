@@ -11,6 +11,7 @@ import pytest
 
 import burgerslab
 from burgerslab.cli import main
+from burgerslab.grids import rng_state_write
 from burgerslab.acceptance import run_checks
 from burgerslab.experiments import (
     ConfigError,
@@ -91,6 +92,14 @@ class TestBadValues:
     def test_non_finite_value(self, tmp_path, capsys, argv, field):
         out = tmp_path / "p"
         status = main(argv + ["--out", str(out)])
+        self.assert_config_error(status, capsys, out, field)
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--replicas", "50", "replicas"), ("--horizon", "8.5", "horizons"),
+        ("--horizon", "0.5", "horizons"), ("--spacing", "2", "spacing")])
+    def test_persist_precondition(self, tmp_path, capsys, flag, value, field):
+        out = tmp_path / "p"
+        status = main(self.ARGS + [flag, value, "--out", str(out)])
         self.assert_config_error(status, capsys, out, field)
 
     def test_malformed_worker_cap(self, tmp_path, capsys, monkeypatch):
@@ -252,6 +261,8 @@ class TestProvenance:
                      "--out", str(out)]) == 0
         prov = json.loads(read_bytes(out / "manifest.json"))["provenance"]
         assert prov["rng"].startswith("numpy PCG64, SeedSequence((seed, replica))")
+        assert prov["rng_state_write"] == rng_state_write()
+        assert prov["rng_state_write"] in ("direct", "dict")
         assert prov["numpy"] == np.__version__
         assert prov["scipy"].count(".") >= 1
         assert prov["hull"] == "numpy"

@@ -3,7 +3,10 @@ the relation chain."""
 
 import math
 import os
+import subprocess
+import sys
 from concurrent import futures
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,6 +237,24 @@ class TestVerifyChain:
                                       total - count))
                 assert _binom_upper(count, total) == want, (count, total)
         assert _binom_upper(7, 7) == 1.0
+        # count 0 takes the closed form
+        totals = np.concatenate([np.arange(1, 5001), np.unique(
+            np.geomspace(5001, 10 ** 8, 400).astype(int))])
+        want = beta.ppf(1.0 - _ALPHA_4SIGMA, 1, totals)
+        for total, upper in zip(totals.tolist(), want.tolist()):
+            assert _binom_upper(0, total) == upper, total
+
+    def test_count_zero_chain_skips_scipy(self):
+        src = str(Path(persistence.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "BURGERSLAB_WORKERS": "1"}
+        code = ("import sys; from burgerslab.persistence import verify_chain; "
+                "doc = verify_chain(0.5, 64, 2000, 1).to_json(); "
+                "print(doc['relations']['eq16']['count_trended'], "
+                "'scipy.special' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0", "False"]
 
 
 class TestBlockSizeInvariance:

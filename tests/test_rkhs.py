@@ -18,8 +18,10 @@ from burgerslab.rkhs import (
     localizer_trends,
     psi_trend,
     rkhs_norm,
+    verify_shift_inequalities,
     verify_shift_inequality,
 )
+from burgerslab import rkhs
 
 
 def symmetric_grid(spacing, n_half):
@@ -208,6 +210,24 @@ class TestShiftInequality:
         rep = verify_shift_inequality(sp, combined_trend(sp, 0), 1.0,
                                       20_000, 4)
         assert rep.inconclusive and not rep.passed
+
+    def test_cases_share_one_pass_of_draws(self, monkeypatch):
+        monkeypatch.setenv("BURGERSLAB_WORKERS", "1")
+        sp = build_space(symmetric_grid(0.125, 16), 0.5)
+        cases = [(combined_trend(sp, 0), 2.0), (combined_trend(sp, 1), 3.0),
+                 (covariance_column_trend(sp, 1.0, 0.1), 1.0)]
+        alone = [verify_shift_inequality(sp, trend, level, 3000, 1101)
+                 for trend, level in cases]
+        rows = []
+        sample_batch = rkhs.KernelSpace.sample_batch
+        monkeypatch.setattr(rkhs.KernelSpace, "sample_batch",
+                            lambda space, seed, reps: rows.append(len(reps))
+                            or sample_batch(space, seed, reps))
+        together = verify_shift_inequalities(sp, cases, 3000, 1101)
+        assert sum(rows) == 3000
+        assert [json.dumps(r.to_json()) for r in together] == \
+            [json.dumps(r.to_json()) for r in alone]
+        assert together == alone
 
     def test_grid_cap(self):
         sp = build_space(symmetric_grid(0.05, 40), 0.5)

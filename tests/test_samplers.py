@@ -1,10 +1,12 @@
 """Distributional and determinism checks for the two fBm samplers."""
 
+import sys
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from burgerslab import fbm
+from burgerslab import fbm, grids
 from burgerslab.fbm import (
     EmbeddingError,
     FactorizationError,
@@ -21,6 +23,7 @@ from burgerslab.grids import (
     SampleGrid,
     read_path_csv,
     replica_normals,
+    rng_state_write,
 )
 
 from oracles import (complex_fft_fgn_rows, generator_fbm_exact,
@@ -249,6 +252,15 @@ class TestFastSampler:
         fbm._embedding_amplitudes.cache_clear()
 
 
+def _swapped_limbs(bit_gen, states):
+    """A direct setter for a struct that keeps the high word first."""
+    return grids._direct_setter(bit_gen, states[:, [1, 0, 3, 2]])
+
+
+def _no_address(bit_gen, states):
+    raise AttributeError("state_address")
+
+
 class TestReplicaNormals:
     """The vectorised seeding must reproduce each replica's own generator."""
 
@@ -267,6 +279,38 @@ class TestReplicaNormals:
                            for r in reps])
         assert np.array_equal(replica_normals(3, reps, 8), oracle)
         assert replica_normals(3, range(0), 8).shape == (0, 8)
+
+    @pytest.mark.parametrize("seed", [0, 1101, 2 ** 32 - 1])
+    def test_random_indices_equal_per_replica_generators(self, seed):
+        # random words set every carry of the limb arithmetic both ways
+        reps = np.random.default_rng(7).integers(0, 2 ** 32, 20_000)
+        oracle = np.stack([RandomnessSpec(seed, r).generator().standard_normal(2)
+                           for r in reps.tolist()])
+        assert np.array_equal(replica_normals(seed, reps, 2), oracle)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="numpy's Linux builds "
+                        "keep the PCG64 state in native 128-bit integers")
+    def test_probe_picks_direct_writes(self, monkeypatch):
+        monkeypatch.setattr(grids, "_STATE_WRITE", None)
+        assert rng_state_write() == "direct"
+
+    @pytest.mark.parametrize("direct", [_swapped_limbs, _no_address],
+                             ids=["swapped_limbs", "no_address"])
+    def test_dict_setter_when_probe_fails(self, monkeypatch, direct):
+        calls = []
+
+        def counted(bit_gen, states):
+            calls.append(len(states))
+            return direct(bit_gen, states)
+        monkeypatch.setattr(grids, "_STATE_WRITE", None)
+        monkeypatch.setitem(grids._SETTERS, "direct", counted)
+        assert rng_state_write() == "dict"
+        assert calls == [4]     # the probe only
+        reps = np.random.default_rng(8).integers(0, 2 ** 32, 2000)
+        oracle = np.stack([RandomnessSpec(1101, r).generator().standard_normal(3)
+                           for r in reps.tolist()])
+        assert np.array_equal(replica_normals(1101, reps, 3), oracle)
+        assert calls == [4]
 
     @pytest.mark.parametrize("seed, replicas", [
         (-1, range(2)), (2 ** 32, range(2)), (1, range(-1, 2)),
