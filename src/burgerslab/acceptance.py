@@ -35,11 +35,11 @@ from .grids import RandomnessSpec, SampleGrid
 from .persistence import (
     BROWNIAN_MAX_MEAN,
     BarrierEvent,
-    estimate_persistence,
+    estimate_persistences,
     exponent_fit,
     mean_se,
     replica_stats,
-    verify_chain,
+    verify_chains,
 )
 from .rkhs import (
     build_space,
@@ -159,8 +159,7 @@ def check_inequality_chain(ov: _Overrides) -> dict:
     per_h = {}
     ok = True
     m1_gap = None
-    for h in H_TRIPLE:
-        report = verify_chain(h, n, replicas, 501)
+    for h, report in zip(H_TRIPLE, verify_chains(H_TRIPLE, n, replicas, 501)):
         per_h[f"h={h:g}"] = {name: rel["pass"]
                              for name, rel in report.relations.items()}
         ok = ok and report.passed
@@ -223,10 +222,11 @@ def check_max_exponent(ov: _Overrides) -> dict:
     ladder = (64.0, 128.0, 256.0, 512.0, 1024.0)
     out = {}
     ok = True
-    for h in H_TRIPLE:
-        ests = [estimate_persistence(BarrierEvent("fbm_max", level, t), h,
-                                     1.0, replicas, 801) for t in ladder]
-        fit = exponent_fit(ests)
+    ests = estimate_persistences([(BarrierEvent("fbm_max", level, t), h)
+                                  for h in H_TRIPLE for t in ladder],
+                                 1.0, replicas, 801)
+    for i, h in enumerate(H_TRIPLE):
+        fit = exponent_fit(ests[i * len(ladder):(i + 1) * len(ladder)])
         good = abs(fit.slope - (1.0 - h)) <= tol
         out[f"h={h:g}"] = {"slope": fit.slope, "se": fit.slope_se,
                            "target": 1.0 - h, "pass": bool(good),
@@ -238,9 +238,9 @@ def check_max_exponent(ov: _Overrides) -> dict:
 def check_integral_exponent(ov: _Overrides) -> dict:
     replicas = ov.get("int-exp.replicas", 10_000)
     tol = ov.get("int-exp.tol", 0.08)
-    ests = [estimate_persistence(BarrierEvent("ifbm_one_sided", 1.0, t), 0.5,
+    ests = estimate_persistences([(BarrierEvent("ifbm_one_sided", 1.0, t), 0.5)
+                                  for t in (64.0, 128.0, 256.0, 512.0)],
                                  1.0, replicas, 901)
-            for t in (64.0, 128.0, 256.0, 512.0)]
     fit = exponent_fit(ests)
     return {"pass": abs(fit.slope - 0.25) <= tol, "slope": fit.slope,
             "se": fit.slope_se, "target": 0.25, "tol": tol}
@@ -252,17 +252,20 @@ def check_two_sided_bound(ov: _Overrides) -> dict:
     ladder = (32.0, 64.0, 128.0, 256.0, 512.0)
     out = {}
     ok = True
-    for h in H_TRIPLE:
-        ests = [estimate_persistence(BarrierEvent("ifbm_two_sided", 1.0, t),
-                                     h, 1.0, replicas, 1001) for t in ladder]
-        fit = exponent_fit(ests)
+    ests = estimate_persistences([(BarrierEvent("ifbm_two_sided", 1.0, t), h)
+                                  for h in H_TRIPLE for t in ladder],
+                                 1.0, replicas, 1001)
+    # both events share each H's paths at seed 1002
+    pairs = estimate_persistences([(BarrierEvent(process, 1.0, 128.0), h)
+                                   for h in H_TRIPLE for process
+                                   in ("ifbm_two_sided", "ifbm_punctured")],
+                                  1.0, replicas, 1002)
+    for i, h in enumerate(H_TRIPLE):
+        fit = exponent_fit(ests[i * len(ladder):(i + 1) * len(ladder)])
         floor = (1.0 - h) - slack
         good = fit.slope >= floor
         # full-domain event is included in the punctured one pathwise
-        p_two = estimate_persistence(BarrierEvent("ifbm_two_sided", 1.0, 128.0),
-                                     h, 1.0, replicas, 1002)
-        p_punc = estimate_persistence(BarrierEvent("ifbm_punctured", 1.0, 128.0),
-                                      h, 1.0, replicas, 1002)
+        p_two, p_punc = pairs[2 * i:2 * i + 2]
         ordered = p_two.value <= p_punc.value
         out[f"h={h:g}"] = {"slope": fit.slope, "floor": floor,
                            "pass": bool(good), "p_full": p_two.value,

@@ -3,8 +3,9 @@
 Every experiment consumes a RunConfig, writes machine-readable artifacts
 (JSON-lines records, CSV tables, JSON summaries) plus a manifest, and is
 bit-reproducible from that manifest: outputs depend only on the config.
-Cells (Hurst indices, horizons) run one after another; inside a cell the
-replicas are spread over the process's worker pool
+Cells (Hurst indices, horizons, events) run one after another, except that
+persist and chain estimate all their cells on one pass of draws per seed;
+the replicas are spread over the process's worker pool
 (``persistence.pool_map``, capped by BURGERSLAB_WORKERS), which cannot
 change results: every replica is deterministic and results are gathered in
 replica order.
@@ -33,10 +34,10 @@ from .persistence import (
     MIN_REPLICAS,
     BarrierEvent,
     _exact_steps,
-    estimate_persistence,
+    estimate_persistences,
     exponent_fit,
     pool_map,
-    verify_chain,
+    verify_chains,
     worker_count,
 )
 from .rkhs import (
@@ -120,6 +121,9 @@ class RunConfig:
                               f"got {self.horizons}")
         if self.experiment == "persist":
             self._validate_persist()
+        if self.experiment == "chain" and self.opt("n", 64) < 2:
+            raise ConfigError(f"option n must be >= 2 for chain, "
+                              f"got {self.opt('n', 64)}")
         return self
 
     def _validate_persist(self) -> None:
@@ -139,6 +143,12 @@ class RunConfig:
                 _exact_steps(t, self.spacing, "horizon")
             except ValueError as exc:
                 raise ConfigError(f"horizons: {exc}") from None
+        try:
+            _persist_events(self)
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"option events: {exc}") from None
 
     def opt(self, key: str, default):
         """Typed option lookup; option values arrive as strings."""
@@ -298,28 +308,38 @@ _KNOWN_EXPONENTS = {"fbm_max": lambda h: 1.0 - h,
 _EXPONENT_TOL = {"fbm_max": 0.07, "ifbm_one_sided": 0.08}
 
 
-def _persist_cell(event_name, level, h, horizon, cfg):
-    est = estimate_persistence(BarrierEvent(event_name, level, horizon), h,
-                               cfg.spacing, cfg.replicas, cfg.seed)
-    rec = est.record()
-    rec.update({"event": event_name, "level": level, "h": h})
-    return rec, est
+def _persist_events(cfg: RunConfig) -> list[tuple[str, list]]:
+    """(name, one BarrierEvent per sorted horizon) for each event of a
+    persist run; raises ValueError for an unknown event or a horizon or
+    puncture radius that is no whole number of steps."""
+    level = cfg.opt("level", 1.0)
+    events = []
+    for name in str(cfg.opt("events", "fbm_max")).split(","):
+        ladder = [BarrierEvent(name, level, t) for t in sorted(cfg.horizons)]
+        for event in ladder:
+            event.grid(cfg.spacing)
+        events.append((name, ladder))
+    return events
 
 
 def run_persist(cfg: RunConfig, outdir: Path) -> dict:
-    events = str(cfg.opt("events", "fbm_max")).split(",")
-    level = cfg.opt("level", 1.0)
-    cells = [(ev, level, h, t, cfg)
-             for ev in events for h in cfg.hurst for t in sorted(cfg.horizons)]
-    results = [_persist_cell(*cell) for cell in cells]
-    _write_jsonl(outdir / "records.jsonl", [rec for rec, _ in results])
+    events = _persist_events(cfg)
+    cells = [(event, h) for _, ladder in events for h in cfg.hurst
+             for event in ladder]
+    results = estimate_persistences(cells, cfg.spacing, cfg.replicas, cfg.seed)
+    records = []
+    for (event, h), est in zip(cells, results):
+        rec = est.record()
+        rec.update({"event": event.process, "level": event.level, "h": h})
+        records.append(rec)
+    _write_jsonl(outdir / "records.jsonl", records)
     fits = {}
     checks = []
     flagged = False
-    for ev in events:
+    for ev, _ in events:
         for h in cfg.hurst:
-            ests = [est for (c, (rec, est)) in zip(cells, results)
-                    if c[0] == ev and c[2] == h]
+            ests = [est for ((event, eh), est) in zip(cells, results)
+                    if event.process == ev and eh == h]
             if len(ests) < 4:
                 continue
             fit = exponent_fit(ests)
@@ -338,8 +358,8 @@ def run_persist(cfg: RunConfig, outdir: Path) -> dict:
 
 
 def run_chain(cfg: RunConfig, outdir: Path) -> dict:
-    docs = [verify_chain(h, cfg.opt("n", 64), cfg.replicas, cfg.seed).to_json()
-            for h in cfg.hurst]
+    docs = [report.to_json() for report in
+            verify_chains(cfg.hurst, cfg.opt("n", 64), cfg.replicas, cfg.seed)]
     merged = {f"h={h:g}": doc for h, doc in zip(cfg.hurst, docs)}
     write_json(outdir / "chain.json", merged)
     checks = [{"name": f"chain h={h:g}", "pass": doc["pass"]}

@@ -34,6 +34,8 @@ __all__ = [
     "sample_fbm_exact_batch",
     "sample_fbm_fast",
     "sample_fbm_fast_batch",
+    "fast_noise_length",
+    "fbm_fast_rows",
     "integrate_path",
     "integrate_values",
     "FactorizationError",
@@ -215,6 +217,12 @@ def sample_fbm_fast(h: float, grid: SampleGrid, rand: RandomnessSpec) -> GridPat
     return GridPath(grid, values, "fbm", hurst=h)
 
 
+def fast_noise_length(h: float, grid: SampleGrid) -> int:
+    """Normals per replica the fast sampler draws on ``grid``: the length
+    2M of its circulant embedding, which may double with H."""
+    return _noise_length(check_hurst(h), grid.spacing, grid.count - 1)
+
+
 def sample_fbm_fast_batch(h: float, grid: SampleGrid, seed: int,
                           replicas: range) -> np.ndarray:
     """Rows of fast-sampler paths, one per replica index.
@@ -223,14 +231,28 @@ def sample_fbm_fast_batch(h: float, grid: SampleGrid, seed: int,
     and each row is transformed on its own, so batching and chunking cannot
     change results.
     """
+    noise = replica_normals(seed, replicas, fast_noise_length(h, grid))
+    return fbm_fast_rows(h, grid, noise)
+
+
+def fbm_fast_rows(h: float, grid: SampleGrid, noise: np.ndarray) -> np.ndarray:
+    """Fast-sampler rows on ``grid`` from rows of replica noise.
+
+    Each row uses the first ``fast_noise_length(h, grid)`` normals of its
+    noise row and ignores the rest.  The first l normals of a replica's
+    stream are its draw of length l, so a noise block drawn once at the
+    longest length serves every (h, grid) that shares its seed.
+    """
     h = check_hurst(h)
     anchor = grid.anchor_index
     n_inc = grid.count - 1
-    noise = replica_normals(seed, replicas, _noise_length(h, grid.spacing, n_inc))
-    fgn = _fgn_rows(h, grid.spacing, n_inc, noise)
-    levels = np.concatenate([np.zeros((len(replicas), 1)), np.cumsum(fgn, axis=1)],
-                            axis=1)
-    values = levels - levels[:, anchor:anchor + 1]
+    fgn = _fgn_rows(h, grid.spacing, n_inc,
+                    noise[:, :_noise_length(h, grid.spacing, n_inc)])
+    # summed and re-anchored in place: one row-sized array, not three
+    values = np.zeros((len(noise), grid.count))
+    np.cumsum(fgn, axis=1, out=values[:, 1:])
+    del fgn
+    values -= values[:, anchor:anchor + 1].copy()
     values[:, anchor] = 0.0
     return values
 

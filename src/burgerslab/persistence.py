@@ -23,8 +23,8 @@ import numpy as np
 
 from .envelopes import slope_functional_batch
 from .fitting import ScalingFit, fit_scaling
-from .fbm import integrate_values, sample_fbm_fast_batch
-from .grids import SampleGrid, check_hurst, rng_state_write
+from .fbm import fast_noise_length, fbm_fast_rows, integrate_values
+from .grids import SampleGrid, check_hurst, replica_normals, rng_state_write
 
 __all__ = [
     "BarrierEvent",
@@ -35,10 +35,12 @@ __all__ = [
     "worker_count",
     "mean_se",
     "estimate_persistence",
+    "estimate_persistences",
     "exponent_fit",
     "refinement_study",
     "estimate_fbm_max_mean",
     "verify_chain",
+    "verify_chains",
     "bm_max_below_prob",
     "BROWNIAN_MAX_MEAN",
 ]
@@ -262,15 +264,54 @@ def mean_se(values: np.ndarray):
     return mean, se
 
 
+def _shared_pass(cells, seed: int, reps) -> tuple[np.ndarray, ...]:
+    """Per-replica statistics of several cells on one draw of noise.
+
+    Each cell is (h, grid, stat): ``stat(rows)`` maps the block's fast-
+    sampler rows on (h, grid) to a tuple of per-replica arrays.  The block's
+    noise is drawn once, at the longest length among the cells, and each
+    distinct (h, grid) transforms its prefix once, however many cells share
+    it; this equals a draw per cell bit for bit.  Rows are built longest
+    noise first, and each (h, grid)'s rows are freed before the next are
+    built, so later, smaller arrays reuse freed memory.  Returns the
+    cells' arrays, in cell order, as one flat tuple; bound with
+    ``functools.partial`` it is a ``replica_stats`` callback.
+    """
+    lengths = {(h, grid): fast_noise_length(h, grid) for h, grid, _ in cells}
+    noise = replica_normals(seed, reps, max(lengths.values()))
+    out = [()] * len(cells)
+    for key in sorted(lengths, key=lengths.get, reverse=True):
+        rows = fbm_fast_rows(*key, noise)
+        for i, (h, grid, stat) in enumerate(cells):
+            if (h, grid) == key:
+                out[i] = stat(rows)
+        del rows
+    return tuple(a for arrays in out for a in arrays)
+
+
+def _split(flat, sizes) -> list[tuple]:
+    """Consecutive groups of ``sizes`` arrays from a flat tuple."""
+    parts = iter(flat)
+    return [tuple(next(parts) for _ in range(size)) for size in sizes]
+
+
 def estimate_persistence(event: BarrierEvent, h: float, spacing: float,
                          replicas: int, seed: int) -> McEstimate:
     """Indicator mean of the barrier event over independent paths."""
+    return estimate_persistences([(event, h)], spacing, replicas, seed)[0]
+
+
+def estimate_persistences(cells, spacing: float, replicas: int,
+                          seed: int) -> list[McEstimate]:
+    """``estimate_persistence`` for each (event, h) cell, all on one pass of
+    draws; each estimate equals the one of a separate call."""
     if spacing > 1.0:
         raise ValueError(f"spacing must be <= 1, got {spacing}")
     if replicas < MIN_REPLICAS:
         raise ValueError(f"need at least {MIN_REPLICAS} replicas, "
                          f"got {replicas}")
-    return refinement_study(event, h, [spacing], replicas, seed)[0]
+    return [ests[0] for ests in _refinement_studies(
+        [(event, h, [spacing]) for event, h in cells], replicas, seed)]
 
 
 def exponent_fit(estimates) -> ScalingFit:
@@ -299,10 +340,10 @@ def exponent_fit(estimates) -> ScalingFit:
     return fit_scaling(scales, values, value_ses=ses, excluded=excluded)
 
 
-def _stays_below(h, grid, seed, checks, reps):
-    """Stay-below flags of each replica on each subgrid of ``checks``, a
-    tuple of (subgrid, step, (cols, thresholds, needs_integral))."""
-    vals = sample_fbm_fast_batch(h, grid, seed, reps)
+def _stays_below(checks, vals):
+    """Stay-below flags of each row of ``vals`` on each subgrid of
+    ``checks``, a tuple of (subgrid, step, (cols, thresholds,
+    needs_integral))."""
     below = []
     for sub, step, (cols, thr, needs_integral) in checks:
         # each spacing sees the same motion path restricted to its own
@@ -322,8 +363,13 @@ def refinement_study(event: BarrierEvent, h: float, spacings, replicas: int,
     event set shrinks pathwise as the grid refines and the returned
     probabilities are exactly non-increasing.
     """
+    return _refinement_studies([(event, h, spacings)], replicas, seed)[0]
+
+
+def _event_cell(event: BarrierEvent, h: float, spacings):
+    """The ``_shared_pass`` cell of one event on nested spacings: paths at
+    the finest spacing, one stay-below flag per spacing."""
     h = check_hurst(h)
-    spacings = [float(s) for s in spacings]
     if any(b >= a for a, b in zip(spacings, spacings[1:])):
         raise ValueError("spacings must be strictly decreasing")
     finest = spacings[-1]
@@ -331,28 +377,46 @@ def refinement_study(event: BarrierEvent, h: float, spacings, replicas: int,
     subgrids = [event.grid(s) for s in spacings]
     checks = tuple(zip(subgrids, steps,
                        [event.thresholds(sub) for sub in subgrids]))
-    stats = partial(_stays_below, h, event.grid(finest), seed, checks)
-    label = f"{event.process}@{event.level:g}"
-    return [McEstimate.proportion(np.count_nonzero(below), replicas, seed=seed,
-                                  spacing=s, horizon=event.horizon, label=label)
-            for s, below in zip(spacings, replica_stats(stats, replicas))]
+    return h, event.grid(finest), partial(_stays_below, checks)
 
 
-def _path_max(h, grid, seed, reps):
-    """Max of each replica's path over the grid points past 0."""
-    return (sample_fbm_fast_batch(h, grid, seed, reps)[:, 1:].max(axis=1),)
+def _refinement_studies(studies, replicas: int,
+                        seed: int) -> list[list[McEstimate]]:
+    """``refinement_study`` for each (event, h, spacings), all on one pass
+    of draws."""
+    studies = [(event, h, [float(s) for s in spacings])
+               for event, h, spacings in studies]
+    cells = tuple(_event_cell(*study) for study in studies)
+    flags = replica_stats(partial(_shared_pass, cells, seed), replicas)
+    return [[McEstimate.proportion(np.count_nonzero(below), replicas,
+                                   seed=seed, spacing=s, horizon=event.horizon,
+                                   label=f"{event.process}@{event.level:g}")
+             for s, below in zip(spacings, group)]
+            for (event, _, spacings), group
+            in zip(studies, _split(flags, [len(s) for _, _, s in studies]))]
+
+
+def _path_max(vals):
+    """Max of each row over the grid points past 0."""
+    return (vals[:, 1:].max(axis=1),)
 
 
 def estimate_fbm_max_mean(h: float, spacing: float, replicas: int,
                           seed: int) -> McEstimate:
     """E max of w on (0, 1], estimated on a grid of the given spacing."""
-    h = check_hurst(h)
+    return _fbm_max_means([h], spacing, replicas, seed)[0]
+
+
+def _fbm_max_means(hs, spacing: float, replicas: int,
+                   seed: int) -> list[McEstimate]:
+    """``estimate_fbm_max_mean`` for each H, all on one pass of draws."""
     n = _exact_steps(1.0, spacing, "unit interval")
     grid = SampleGrid.one_sided(spacing, n)
-    (peak,) = replica_stats(partial(_path_max, h, grid, seed), replicas)
-    mean, se = mean_se(peak)
-    return McEstimate(value=mean, std_error=se, replicas=replicas, seed=seed,
-                      spacing=spacing, label="fbm_max_mean", kind="mean")
+    cells = tuple((check_hurst(h), grid, _path_max) for h in hs)
+    peaks = replica_stats(partial(_shared_pass, cells, seed), replicas)
+    return [McEstimate(*mean_se(peak), replicas=replicas, seed=seed,
+                       spacing=spacing, label="fbm_max_mean", kind="mean")
+            for peak in peaks]
 
 
 # ---------------------------------------------------------------------------
@@ -394,13 +458,12 @@ def _binom_upper(count: int, total: int, alpha: float = _ALPHA_4SIGMA) -> float:
     return float(betaincinv(count + 1, total - count, 1.0 - alpha))
 
 
-def _slope_stats(h, n, seed, reps):
+def _slope_stats(n, w):
     """Per-replica slope functional, its telescoping error and the windowed
-    slopes at 0 on the chain's window [-N, 2N] at unit spacing."""
-    grid = SampleGrid.anchored(1.0, n, 2 * n)
+    slopes at 0 from rows ``w`` on the chain's window [-N, 2N] at unit
+    spacing."""
     anchor = n
     p = np.arange(1, n + 1)
-    w = sample_fbm_fast_batch(h, grid, seed, reps)
     ii = integrate_values(w, 1.0, anchor)
     sf = slope_functional_batch(ii[:, anchor:anchor + n + 1])  # I(0..N)
     left_cols = ii[:, anchor - p]               # I(-1), ..., I(-N)
@@ -423,11 +486,30 @@ def verify_chain(h: float, n: int, replicas: int, seed: int) -> ChainReport:
     [-N, N].  The max-mean scale constant is estimated on its own replicas
     (seed+1) so both sides of the inequalities carry independent errors.
     """
-    h = check_hurst(h)
+    return verify_chains([h], n, replicas, seed)[0]
+
+
+def verify_chains(hs, n: int, replicas: int, seed: int) -> list[ChainReport]:
+    """``verify_chain`` for each H on two passes of draws for all of them:
+    the slope statistics at ``seed``, the max-mean constants at ``seed + 1``;
+    each report equals the one of a separate call."""
+    hs = [check_hurst(h) for h in hs]
     if n < 2:
         raise ValueError("need n >= 2")
-    f_rows, maxterm, rel, terms, xi, corner, trended = replica_stats(
-        partial(_slope_stats, h, n, seed), replicas)
+    grid = SampleGrid.anchored(1.0, n, 2 * n)
+    stat = partial(_slope_stats, n)
+    flat = replica_stats(
+        partial(_shared_pass, tuple((h, grid, stat) for h in hs), seed),
+        replicas)
+    m1s = _fbm_max_means(hs, 2.0 ** -10, replicas, seed + 1)
+    return [_chain_report(h, n, replicas, seed, m1, stats)
+            for h, m1, stats in zip(hs, m1s, _split(flat, [7] * len(hs)))]
+
+
+def _chain_report(h, n, replicas, seed, m1, stats) -> ChainReport:
+    """The report of one H from its per-replica slope statistics and its
+    max-mean constant."""
+    f_rows, maxterm, rel, terms, xi, corner, trended = stats
     r = replicas
     worst_telescope = float(rel.max())
     mean_f, se_f = mean_se(f_rows)
@@ -439,7 +521,6 @@ def verify_chain(h: float, n: int, replicas: int, seed: int) -> ChainReport:
     count_trended = int(np.count_nonzero(trended))
     mismatch_corner_trended = int(np.count_nonzero(corner != trended))
 
-    m1 = estimate_fbm_max_mean(h, 2.0 ** -10, replicas, seed + 1)
     scale = float(n) ** h
     bound11 = 2.0 * m1.value * scale
     se_bound11 = 2.0 * m1.std_error * scale

@@ -102,6 +102,17 @@ class TestBadValues:
         status = main(self.ARGS + [flag, value, "--out", str(out)])
         self.assert_config_error(status, capsys, out, field)
 
+    @pytest.mark.parametrize("argv, field", [
+        (["persist", "--hurst", "0.5", "--horizon", "4,8", "--opt",
+          "events=bogus"], "option events"),
+        (["persist", "--hurst", "0.5", "--horizon", "3", "--spacing", "0.3",
+          "--opt", "events=ifbm_punctured"], "option events"),
+        (["chain", "--hurst", "0.5", "--opt", "n=1"], "option n")])
+    def test_bad_experiment_option(self, tmp_path, capsys, argv, field):
+        out = tmp_path / "p"
+        status = main(argv + ["--replicas", "100", "--out", str(out)])
+        self.assert_config_error(status, capsys, out, field)
+
     def test_malformed_worker_cap(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BURGERSLAB_WORKERS", "two")
         out = tmp_path / "p"

@@ -15,7 +15,8 @@ from scipy.stats import beta, ks_2samp, norm
 from burgerslab import persistence
 from burgerslab.envelopes import windowed_slope_pair
 from burgerslab.experiments import RunConfig, _dim_cell
-from burgerslab.fbm import integrate_values, sample_fbm_fast_batch
+from burgerslab.fbm import (fast_noise_length, integrate_values,
+                            sample_fbm_fast_batch)
 from burgerslab.grids import SampleGrid, write_json
 from burgerslab.persistence import (
     BROWNIAN_MAX_MEAN,
@@ -26,9 +27,11 @@ from burgerslab.persistence import (
     bm_max_below_prob,
     estimate_fbm_max_mean,
     estimate_persistence,
+    estimate_persistences,
     exponent_fit,
     refinement_study,
     verify_chain,
+    verify_chains,
 )
 from burgerslab.rkhs import (build_space, covariance_column_trend,
                              verify_shift_inequality)
@@ -257,6 +260,79 @@ class TestVerifyChain:
         assert done.stdout.split() == ["0", "False"]
 
 
+# mixed Hurst indices, horizons and events at spacing 0.5; the first two
+# share (h, grid), and the cells are not in order of noise length
+MIXED_CELLS = (
+    (BarrierEvent("ifbm_two_sided", 1.0, 4.0), 0.3),
+    (BarrierEvent("ifbm_punctured", 1.0, 4.0), 0.3),
+    (BarrierEvent("ifbm_trended", 0.0, 16.0), 0.7),
+    (BarrierEvent("fbm_max", 1.0, 8.0), 0.5),
+    (BarrierEvent("ifbm_punctured", 0.5, 8.0), 0.6),
+)
+
+
+def _rows(vals):
+    return (vals,)
+
+
+class TestSharedPass:
+    """One noise draw per block serves every cell of one seed, and each
+    cell's result equals that of its own pass."""
+
+    def test_rows_equal_separate_draws(self):
+        grids = [SampleGrid.anchored(0.5, 8, 8), SampleGrid.one_sided(1.0, 64),
+                 SampleGrid.anchored(1.0, 8, 16)]
+        cells = tuple((h, grid, _rows) for grid in grids for h in (0.3, 0.7))
+        reps = range(3, 40)
+        got = persistence._shared_pass(cells, 17, reps)
+        for (h, grid, _), rows in zip(cells, got):
+            assert np.array_equal(rows, sample_fbm_fast_batch(h, grid, 17, reps))
+
+    def test_plural_persistence_equals_singular(self):
+        got = estimate_persistences(MIXED_CELLS, 0.5, 150, 11)
+        assert got == [estimate_persistence(event, h, 0.5, 150, 11)
+                       for event, h in MIXED_CELLS]
+
+    def test_verify_chains_equals_verify_chain(self):
+        hs = (0.3, 0.5, 0.7)
+        got = [report.to_json() for report in verify_chains(hs, 8, 150, 5)]
+        assert got == [verify_chain(h, 8, 150, 5).to_json() for h in hs]
+
+    def test_one_draw_per_block_at_longest_length(self, monkeypatch):
+        monkeypatch.setenv("BURGERSLAB_WORKERS", "1")
+        draws, built = [], []
+        normals, rows = persistence.replica_normals, persistence.fbm_fast_rows
+
+        def spy_normals(seed, reps, length):
+            draws.append((seed, len(reps), length))
+            built.append([])
+            return normals(seed, reps, length)
+
+        def spy_rows(h, grid, noise):
+            built[-1].append((fast_noise_length(h, grid), h, grid))
+            return rows(h, grid, noise)
+
+        monkeypatch.setattr(persistence, "replica_normals", spy_normals)
+        monkeypatch.setattr(persistence, "fbm_fast_rows", spy_rows)
+        r = persistence.MC_BLOCK + 88
+        estimate_persistences(MIXED_CELLS, 0.5, r, 11)
+        longest = max(fast_noise_length(h, event.grid(0.5))
+                      for event, h in MIXED_CELLS)
+        assert draws == [(11, persistence.MC_BLOCK, longest), (11, 88, longest)]
+        for block in built:
+            # one transform per distinct (h, grid), longest noise first
+            assert len(block) == len(MIXED_CELLS) - 1
+            assert len(set(block)) == len(block)
+            assert [n for n, _, _ in block] == sorted(
+                (n for n, _, _ in block), reverse=True)
+        draws.clear()
+        verify_chains((0.3, 0.5, 0.7), 8, r, 5)
+        chain = fast_noise_length(0.5, SampleGrid.anchored(1.0, 8, 16))
+        peak = fast_noise_length(0.5, SampleGrid.one_sided(2.0 ** -10, 1024))
+        assert draws == [(5, persistence.MC_BLOCK, chain), (5, 88, chain),
+                         (6, persistence.MC_BLOCK, peak), (6, 88, peak)]
+
+
 class TestBlockSizeInvariance:
     """Statistics are kept per replica and reduced once, so the reducer's
     block size cannot change any result."""
@@ -270,6 +346,7 @@ class TestBlockSizeInvariance:
                              [0.5, 0.25], 150, 2),
             estimate_fbm_max_mean(0.3, 2.0 ** -6, 150, 3),
             verify_chain(0.3, 8, 150, 5).to_json(),
+            estimate_persistences(MIXED_CELLS, 0.5, 150, 11),
         )
 
     @pytest.mark.parametrize("block", [1, 7])
@@ -300,6 +377,8 @@ class TestWorkerInvariance:
             verify_chain(0.3, 8, r, 5).to_json(),
             verify_shift_inequality(space, trend, 1.0, r, 6),
             _dim_cell(0.4, cfg),
+            estimate_persistences(MIXED_CELLS, 0.5, r, 11),
+            [report.to_json() for report in verify_chains((0.3, 0.7), 8, r, 5)],
         )
 
     def test_two_workers_equal_one(self, monkeypatch):
@@ -318,8 +397,9 @@ class TestWorkerInvariance:
         monkeypatch.setenv("BURGERSLAB_WORKERS", "2")
         pooled = self.results()
         # refinement_study, the max mean, the chain (twice), the shift
-        # check and the dim cell each map through the pool
-        assert len(maps) == 6
+        # check, the dim cell, the plural persistence and the plural chain
+        # (twice) each map through the pool
+        assert len(maps) == 9
         assert pooled == serial
 
 

@@ -273,6 +273,15 @@ class TestReplicaNormals:
                            for r in replicas])
         assert np.array_equal(replica_normals(seed, replicas, 19), oracle)
 
+    @pytest.mark.parametrize("seed", [0, 1101, 2 ** 32 - 1])
+    def test_prefix_equals_shorter_draw(self, seed):
+        # what lets one noise block serve cells of several lengths
+        reps = range(1000)
+        long = replica_normals(seed, reps, 2048)
+        for length in (1, 2, 33, 128, 2047):
+            assert np.array_equal(long[:, :length],
+                                  replica_normals(seed, reps, length))
+
     def test_non_range_replicas_and_empty(self):
         reps = [5, 0, 70_000, 5]
         oracle = np.stack([RandomnessSpec(3, r).generator().standard_normal(8)

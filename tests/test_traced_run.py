@@ -1,0 +1,43 @@
+"""The benchmark's traced run (``perfbench/traced.py``) wraps pipeline
+functions by module and name; a layer that is renamed or no longer bound
+where it looks breaks the benchmark, so it is run here on tiny configs."""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACED = ROOT / "perfbench" / "traced.py"
+
+
+def layer_names() -> set:
+    spec = importlib.util.spec_from_file_location("traced", TRACED)
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    return {f"{module}.{path}" for module, path, _ in traced.LAYERS}
+
+
+@pytest.mark.parametrize("argv", [
+    ["persist", "--hurst", "0.5", "--horizon", "4,8", "--replicas", "200",
+     "--opt", "events=fbm_max,ifbm_two_sided"],
+    ["chain", "--hurst", "0.3,0.7", "--replicas", "200", "--opt", "n=8"]],
+    ids=["persist", "chain"])
+def test_traced_run_summarises_every_layer(tmp_path, argv):
+    # spans recorded in pool workers would be lost
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+           "BURGERSLAB_WORKERS": "1"}
+    summary = tmp_path / "summary.json"
+    done = subprocess.run(
+        [sys.executable, str(TRACED), str(summary), str(tmp_path / "spans.json"),
+         "test", *argv, "--seed", "1", "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(summary.read_text())
+    assert doc["status"] == 0
+    assert set(doc["layers"]) == layer_names()
+    assert doc["layers"]["experiments.run_experiment"]["calls"] == 1
