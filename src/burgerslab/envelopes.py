@@ -9,18 +9,29 @@ k is a nodal point of the concave majorant exactly when left(k) >= right(k);
 summing the positive parts of left - right over interior k telescopes to
 right(0) - left(N).
 
-Node extraction is Andrew's monotone chain behind a vectorised prefilter.
-Each filter pass drops, all at once, every surviving interior point that the
-chain's own pop test would pop against its two surviving neighbours; such a
-point is not a node.  The passes stop when nothing is dropped or after
-``_FILTER_PASSES`` passes, and the chain then runs over the survivors at
-their true indices.  Both stages use the chain's float expressions and its
-1e-12 relative collinearity tolerance, and the nodes equal those of the
-plain chain over the whole sequence, which the tests keep as the oracle.
-The one exception is a pop test that falls at the edge of that tolerance:
-there the plain chain's answer depends on which points sit below on its
-stack, and the two envelopes can differ by about 1e-12 of the sequence's
-scale.
+Node extraction is Andrew's monotone chain, carried to its fixed point in
+numpy.  Each stage drops, all at once, points that are not nodes:
+
+* chords of the grid itself, (k - s, k, k + s) for s = 1, 2, 4, ..., over
+  the whole sequence;
+* chords of the survivors, (i - s, i, i + s) in survivor positions, with s
+  halving from the largest power of two down to 2;
+* rounds of the chain's own pop test of each survivor against its two
+  surviving neighbours, each followed by the chords from a survivor's
+  neighbour to the first survivor across the nearest gap that test opened.
+
+The long chords drop a point only when it lies off the hull's side of the
+chord by a clear margin (``_CHORD_MARGIN``), far outside rounding and the
+chain's 1e-12 collinearity tolerance: such a point is no node of the exact
+hull, so it is none of the chain's nodes either.  The pop test uses the
+chain's float expressions and tolerance.  Once a round drops nothing, every
+consecutive survivor triple passes that test, so the chain would pop
+nothing and the survivors are its nodes; only after ``_ROUND_CAP`` rounds
+does the chain itself finish them.  The nodes equal those of the plain
+chain over the whole sequence, which the tests keep as the oracle.  The one
+exception is a pop test that falls at the edge of that tolerance: there the
+plain chain's answer depends on which points sit below on its stack, and
+the two envelopes can differ by about 1e-12 of the sequence's scale.
 """
 
 from __future__ import annotations
@@ -31,10 +42,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-# A pass sweeps all survivors but drops fewer points each time: on a
-# 2^16-point fBm potential 16 passes leave about 3000 points, and further
-# passes gain little over finishing those in the chain.
-_FILTER_PASSES = 16
+# A long chord drops a point only this far (relative to the cross product's
+# magnitude) off the hull's side, far outside the chain's 1e-12 band.
+_CHORD_MARGIN = 1e-9
+# Pop-test rounds before the chain finishes the survivors; each of dim's
+# 2^16-point potentials reaches its fixed point within 4.
+_ROUND_CAP = 16
 
 
 def envelope_backend() -> str:
@@ -42,30 +55,111 @@ def envelope_backend() -> str:
     return "numpy"
 
 
+def _clearance(x0, x1, xk, y0, y1, yk, lower: bool):
+    """The chain's cross product of each middle point against the chord of
+    its outer points, signed to be > 0 strictly on the hull's side (below
+    for the minorant), and the magnitude max(|t1|, |t2|) it is judged by."""
+    t1 = (x1 - x0) * (yk - y0)
+    t2 = (xk - x0) * (y1 - y0)
+    return t1 - t2 if lower else t2 - t1, np.maximum(np.abs(t1), np.abs(t2))
+
+
+def _grid_sweep(y: np.ndarray, lower: bool) -> np.ndarray:
+    """Indices left after dropping each point that lies clearly off the
+    hull's side of a grid chord (k - s, k + s), s = 1, 2, 4, ...
+
+    On the grid the cross product is s (y[k-s] + y[k+s] - 2 y[k]) and its
+    magnitude at most 4 s max|y|, so one margin of 4 max|y| times
+    ``_CHORD_MARGIN`` serves every chord and is never below its own."""
+    n = y.size
+    margin = 4 * _CHORD_MARGIN * np.abs(y).max()
+    drop = np.zeros(n, dtype=bool)
+    buf = np.empty(n)
+    off = np.empty(n, dtype=bool)
+    s = 1
+    while 2 * s < n:
+        m = n - 2 * s
+        d = np.add(y[:m], y[2 * s:], out=buf[:m])
+        d -= y[s:-s]
+        d -= y[s:-s]
+        if lower:
+            np.less(d, -margin, out=off[:m])
+        else:
+            np.greater(d, margin, out=off[:m])
+        drop[s:-s] |= off[:m]
+        s *= 2
+    return np.flatnonzero(~drop)
+
+
+def _drop_middles(xs, ys, s: int, lower: bool):
+    """Survivors after testing each triple (i - s, i, i + s) of survivor
+    positions: at s = 1 the chain's pop test, at s > 1 the clear margin.
+    Returns (xs, ys, kept), kept the mask over the input, None when
+    nothing is dropped."""
+    if xs.size <= 2 * s:
+        return xs, ys, None
+    c, scale = _clearance(xs[:-2 * s], xs[s:-s], xs[2 * s:],
+                          ys[:-2 * s], ys[s:-s], ys[2 * s:], lower)
+    drop = c <= 1e-12 * scale if s == 1 else c < -_CHORD_MARGIN * scale
+    if not drop.any():
+        return xs, ys, None
+    kept = np.ones(xs.size, dtype=bool)
+    kept[s:-s] = ~drop
+    return xs[kept], ys[kept], kept
+
+
+def _gap_chords(xs, ys, kept, lower: bool):
+    """Survivors after testing each survivor i, with the clear margin,
+    against the chords (i - 1, a) and (b, i + 1) that reach across the gaps
+    the last pop test opened (``kept`` is its mask): a is the first survivor
+    after the next gap to the right of i, b the last one before the next gap
+    to its left.
+
+    A zipper, a locally convex arc ending at a deep dip, keeps passing the
+    pop test but for its last point, so that test peels it one point per
+    round; against the point across the dip the whole overhang goes at once.
+    """
+    old = np.flatnonzero(kept)
+    after = np.flatnonzero(~kept[old[1:] - 1]) + 1
+    before = np.flatnonzero(~kept[old[:-1] + 1])
+    i = np.arange(1, xs.size - 1)
+    j = np.searchsorted(after, i, side="right")
+    right = i[j < after.size]
+    a = after[j[j < after.size]]
+    j = np.searchsorted(before, i, side="left") - 1
+    left = i[j >= 0]
+    b = before[j[j >= 0]]
+    drop = np.zeros(xs.size, dtype=bool)
+    c, scale = _clearance(xs[right - 1], xs[right], xs[a],
+                          ys[right - 1], ys[right], ys[a], lower)
+    drop[right] = c < -_CHORD_MARGIN * scale
+    c, scale = _clearance(xs[b], xs[left], xs[left + 1],
+                          ys[b], ys[left], ys[left + 1], lower)
+    drop[left] |= c < -_CHORD_MARGIN * scale
+    if not drop.any():
+        return xs, ys
+    return xs[~drop], ys[~drop]
+
+
 def _hull_nodes(y: np.ndarray, lower: bool) -> np.ndarray:
     """Node indices of the greatest convex minorant (lower=True) or least
     concave majorant (lower=False) of the points (k, y[k])."""
-    xs = np.arange(y.size)
-    ys = y
-    for _ in range(_FILTER_PASSES):
-        if xs.size < 3:
-            break
-        # the chain's pop test for each interior point (x1, y1) between its
-        # surviving neighbours (x0, y0) and (xk, yk), as in ``_chain``
-        x0, x1, xk = xs[:-2], xs[1:-1], xs[2:]
-        y0, y1, yk = ys[:-2], ys[1:-1], ys[2:]
-        t1 = (x1 - x0) * (yk - y0)
-        t2 = (xk - x0) * (y1 - y0)
-        cross = t1 - t2
-        tol = 1e-12 * np.maximum(np.abs(t1), np.abs(t2))
-        drop = cross <= tol if lower else cross >= -tol
-        if not drop.any():
-            break
-        keep = np.ones(xs.size, dtype=bool)
-        keep[1:-1] = ~drop
-        xs = xs[keep]
-        ys = ys[keep]
-    return _chain(xs.tolist(), ys.tolist(), lower)
+    xs = _grid_sweep(y, lower)
+    ys = y[xs]
+    # integer-valued floats: the products below equal the chain's int * float
+    xs = xs.astype(float)
+    s = 1  # up to the widest stride that leaves a triple
+    while 4 * s < xs.size:
+        s *= 2
+    while s > 1:
+        xs, ys, _ = _drop_middles(xs, ys, s, lower)
+        s //= 2
+    for _ in range(_ROUND_CAP):
+        xs, ys, kept = _drop_middles(xs, ys, 1, lower)
+        if kept is None:
+            return xs.astype(np.int64)
+        xs, ys = _gap_chords(xs, ys, kept, lower)
+    return _chain(xs.astype(np.int64).tolist(), ys.tolist(), lower)
 
 
 def _chain(xs: list, ys: list, lower: bool) -> np.ndarray:

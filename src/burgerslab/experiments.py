@@ -55,6 +55,9 @@ EXPERIMENTS = ("sample", "solve", "dim", "persist", "chain", "rkhs-verify")
 # (seed, replica) words below 2^32
 SEED_MAX = 2 ** 32 - 2
 
+# dim's largest grid, 2^20 points: about 200 MB per process
+DIM_GRID_LOG2_MAX = 20
+
 
 class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending field."""
@@ -124,6 +127,16 @@ class RunConfig:
         if self.experiment == "chain" and self.opt("n", 64) < 2:
             raise ConfigError(f"option n must be >= 2 for chain, "
                               f"got {self.opt('n', 64)}")
+        if self.experiment in ("solve", "dim"):
+            t = self.opt("time", 1.0)
+            if not (math.isfinite(t) and t > 0):
+                raise ConfigError(f"option time must be finite and > 0, "
+                                  f"got {t}")
+        if self.experiment == "dim":
+            log2n = self.opt("grid-log2", 16)
+            if not 1 <= log2n <= DIM_GRID_LOG2_MAX:
+                raise ConfigError(f"option grid-log2 must lie in "
+                                  f"[1, {DIM_GRID_LOG2_MAX}], got {log2n}")
         return self
 
     def _validate_persist(self) -> None:

@@ -63,6 +63,13 @@ MIN_REPLICAS = 100
 # (a block's noise rows, and O(N) slope floats per row)
 MC_BLOCK = 512
 
+# bytes of noise a shared pass draws and transforms at a time.  A whole
+# block of long rows (512 x 2048 normals in chain's max-mean pass) makes
+# arrays of 8 MB, and whether glibc reuses its freed heap for them depends
+# on the heap's earlier layout, down to the length of the install path:
+# chain's peak RSS read 64.7 or 69-70 MB by that alone.
+_PASS_BYTES = 2 ** 21
+
 #: E max of Brownian motion on (0,1) — reflection principle oracle
 BROWNIAN_MAX_MEAN = math.sqrt(2.0 / math.pi)
 
@@ -273,12 +280,20 @@ def _shared_pass(cells, seed: int, reps) -> tuple[np.ndarray, ...]:
     distinct (h, grid) transforms its prefix once, however many cells share
     it; this equals a draw per cell bit for bit.  Rows are built longest
     noise first, and each (h, grid)'s rows are freed before the next are
-    built, so later, smaller arrays reuse freed memory.  Returns the
+    built, so later, smaller arrays reuse freed memory.  A block whose
+    noise exceeds ``_PASS_BYTES`` is passed in parts of fewer replicas,
+    which cannot change its rows either.  Returns the
     cells' arrays, in cell order, as one flat tuple; bound with
     ``functools.partial`` it is a ``replica_stats`` callback.
     """
     lengths = {(h, grid): fast_noise_length(h, grid) for h, grid, _ in cells}
-    noise = replica_normals(seed, reps, max(lengths.values()))
+    longest = max(lengths.values())
+    step = max(1, _PASS_BYTES // (8 * longest))
+    if len(reps) > step:
+        parts = [_shared_pass(cells, seed, reps[i:i + step])
+                 for i in range(0, len(reps), step)]
+        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+    noise = replica_normals(seed, reps, longest)
     out = [()] * len(cells)
     for key in sorted(lengths, key=lengths.get, reverse=True):
         rows = fbm_fast_rows(*key, noise)

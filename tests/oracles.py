@@ -94,7 +94,8 @@ def cube_slope_pairs(rows):
 def chain_hull_nodes(y, lower):
     """Andrew's monotone chain over every point (k, y[k]), one at a time.
 
-    The package's hull kernel prefilters points before its own chain; its
+    The package's hull kernel runs the same pop test over all survivors at
+    once, after dropping points that lie clearly above long chords; its
     nodes must equal these exactly: same pop test, same tolerance, same
     float expressions.
     """

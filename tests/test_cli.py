@@ -107,11 +107,24 @@ class TestBadValues:
           "events=bogus"], "option events"),
         (["persist", "--hurst", "0.5", "--horizon", "3", "--spacing", "0.3",
           "--opt", "events=ifbm_punctured"], "option events"),
-        (["chain", "--hurst", "0.5", "--opt", "n=1"], "option n")])
+        (["chain", "--hurst", "0.5", "--opt", "n=1"], "option n"),
+        (["dim", "--opt", "time=0"], "option time"),
+        (["dim", "--opt", "time=nan"], "option time"),
+        (["solve", "--opt", "time=-1"], "option time"),
+        (["dim", "--opt", "grid-log2=-3"], "option grid-log2"),
+        (["dim", "--opt", "grid-log2=abc"], "option grid-log2"),
+        (["dim", "--opt", "grid-log2=1.5"], "option grid-log2")])
     def test_bad_experiment_option(self, tmp_path, capsys, argv, field):
         out = tmp_path / "p"
         status = main(argv + ["--replicas", "100", "--out", str(out)])
         self.assert_config_error(status, capsys, out, field)
+
+    def test_dim_grid_cap(self):
+        RunConfig("dim", options={"grid-log2": "20"}).validate()
+        # through validate only: a grid this large is never built
+        for log2n in ("0", "21", "40"):
+            with pytest.raises(ConfigError, match="option grid-log2"):
+                RunConfig("dim", options={"grid-log2": log2n}).validate()
 
     def test_malformed_worker_cap(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BURGERSLAB_WORKERS", "two")

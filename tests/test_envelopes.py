@@ -146,6 +146,25 @@ def rounded_parabolas(draw):
     return draw(st.sampled_from([1.0, -1.0])) * y
 
 
+@st.composite
+def zippers(draw):
+    """Convex arcs, each ending in a dip far below it, joined end to end,
+    then mirrored (reversed) and negated at random: zippers for both hulls,
+    with the dip on either side of its arc.  Every value is exact."""
+    pieces = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(3, 60))
+        k = np.arange(n) - n / 2
+        arc = (draw(st.integers(1, 8)) / 8.0 * k ** 2
+               + draw(st.integers(-8, 8)) / 4.0 * k + draw(st.integers(-50, 50)))
+        dip = arc.min() - draw(st.integers(1, 10_000))
+        pieces.append(np.append(arc, dip))
+    y = np.concatenate(pieces)
+    if draw(st.booleans()):
+        y = y[::-1]
+    return draw(st.sampled_from([1.0, -1.0])) * y
+
+
 def _fbm_potential(h, log2n, seed=1):
     n = 2 ** log2n
     grid = SampleGrid.anchored(2.0 / n, n // 2, n // 2)
@@ -154,7 +173,7 @@ def _fbm_potential(h, log2n, seed=1):
 
 
 class TestHullKernelMatchesChain:
-    """The prefiltered kernel returns the plain monotone chain's nodes."""
+    """The numpy kernel returns the plain monotone chain's nodes."""
 
     @staticmethod
     def assert_same_nodes(y):
@@ -181,9 +200,16 @@ class TestHullKernelMatchesChain:
     @pytest.mark.parametrize("h", [0.3, 0.5, 0.7])
     def test_fbm_potentials(self, h, log2n, chain_calls):
         self.assert_same_nodes(_fbm_potential(h, log2n))
-        if log2n == 16:
-            # the filter passes stop at their cap with points left to pop
-            assert all(points > nodes for points, nodes in chain_calls)
+        # both sides reach the fixed point of the pop test in numpy
+        assert chain_calls == []
+
+    @pytest.mark.parametrize("cap", [0, 1])
+    def test_round_cap_falls_back_to_chain(self, cap, chain_calls, monkeypatch):
+        monkeypatch.setattr(envelopes, "_ROUND_CAP", cap)
+        self.assert_same_nodes(_fbm_potential(0.7, 16))
+        # one chain call per side, and the chain still had points to pop
+        assert len(chain_calls) == 2
+        assert any(points > nodes for points, nodes in chain_calls)
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(quantised, integer_walks, linear_runs_with_bumps(),
@@ -191,13 +217,18 @@ class TestHullKernelMatchesChain:
     def test_tie_heavy_sequences(self, y):
         self.assert_same_nodes(y)
 
+    @settings(max_examples=200, deadline=None)
+    @given(zippers())
+    def test_zippers(self, y):
+        self.assert_same_nodes(y)
+
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_strictly_convex_and_concave(self, sign, chain_calls):
-        # the first pass drops every interior point on one side and none on
-        # the other, so both sides leave the passes early
+        # the grid chords drop every interior point on one side, and the
+        # first pop test drops none on the other
         y = sign * (np.arange(101) - 37.5) ** 2
         self.assert_same_nodes(y)
-        assert sorted(chain_calls) == [(2, 2), (101, 101)]
+        assert chain_calls == []
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(-3, 3), st.floats(-100, 100),

@@ -329,8 +329,10 @@ class TestSharedPass:
         verify_chains((0.3, 0.5, 0.7), 8, r, 5)
         chain = fast_noise_length(0.5, SampleGrid.anchored(1.0, 8, 16))
         peak = fast_noise_length(0.5, SampleGrid.one_sided(2.0 ** -10, 1024))
-        assert draws == [(5, persistence.MC_BLOCK, chain), (5, 88, chain),
-                         (6, persistence.MC_BLOCK, peak), (6, 88, peak)]
+        # the max-mean pass's long rows come in parts of _PASS_BYTES
+        part = persistence._PASS_BYTES // (8 * peak)
+        assert draws == [(5, persistence.MC_BLOCK, chain), (5, 88, chain)] + \
+            [(6, part, peak)] * (persistence.MC_BLOCK // part) + [(6, 88, peak)]
 
 
 class TestBlockSizeInvariance:
@@ -355,6 +357,14 @@ class TestBlockSizeInvariance:
         monkeypatch.setenv("BURGERSLAB_WORKERS", "1")
         want = self.estimates()
         monkeypatch.setattr(persistence, "MC_BLOCK", block)
+        assert self.estimates() == want
+
+    @pytest.mark.parametrize("pass_bytes", [1, 8 * 300])
+    def test_results_equal_whole_pass(self, monkeypatch, pass_bytes):
+        # a shared pass split into parts of one row, or of a few rows
+        monkeypatch.setenv("BURGERSLAB_WORKERS", "1")
+        want = self.estimates()
+        monkeypatch.setattr(persistence, "_PASS_BYTES", pass_bytes)
         assert self.estimates() == want
 
 

@@ -22,12 +22,15 @@ def layer_names() -> set:
     return {f"{module}.{path}" for module, path, _ in traced.LAYERS}
 
 
-@pytest.mark.parametrize("argv", [
-    ["persist", "--hurst", "0.5", "--horizon", "4,8", "--replicas", "200",
-     "--opt", "events=fbm_max,ifbm_two_sided"],
-    ["chain", "--hurst", "0.3,0.7", "--replicas", "200", "--opt", "n=8"]],
-    ids=["persist", "chain"])
-def test_traced_run_summarises_every_layer(tmp_path, argv):
+@pytest.mark.parametrize("argv, hulls", [
+    (["persist", "--hurst", "0.5", "--horizon", "4,8", "--replicas", "200",
+      "--opt", "events=fbm_max,ifbm_two_sided"], 0),
+    (["chain", "--hurst", "0.3,0.7", "--replicas", "200", "--opt", "n=8"], 0),
+    # one minorant per replica and H
+    (["dim", "--hurst", "0.3,0.7", "--replicas", "3", "--opt",
+      "grid-log2=12"], 6)],
+    ids=["persist", "chain", "dim"])
+def test_traced_run_summarises_every_layer(tmp_path, argv, hulls):
     # spans recorded in pool workers would be lost
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
            "BURGERSLAB_WORKERS": "1"}
@@ -41,3 +44,6 @@ def test_traced_run_summarises_every_layer(tmp_path, argv):
     assert doc["status"] == 0
     assert set(doc["layers"]) == layer_names()
     assert doc["layers"]["experiments.run_experiment"]["calls"] == 1
+    hull = doc["layers"]["envelopes.lower_envelope"]
+    assert hull["calls"] == hulls
+    assert (hull["nodes"] > 0) == (hulls > 0)
