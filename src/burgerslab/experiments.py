@@ -41,6 +41,7 @@ from .persistence import (
     worker_count,
 )
 from .rkhs import (
+    SHIFT_MC_MAX_POINTS,
     build_space,
     combined_trend,
     covariance_column_trend,
@@ -57,6 +58,10 @@ SEED_MAX = 2 ** 32 - 2
 
 # dim's largest grid, 2^20 points: about 200 MB per process
 DIM_GRID_LOG2_MAX = 20
+
+# rkhs-verify's largest half-points: its grid of 2*half + 1 points must fit
+# the shift verification's cap
+RKHS_HALF_POINTS_MAX = (SHIFT_MC_MAX_POINTS - 1) // 2
 
 
 class ConfigError(ValueError):
@@ -137,6 +142,13 @@ class RunConfig:
             if not 1 <= log2n <= DIM_GRID_LOG2_MAX:
                 raise ConfigError(f"option grid-log2 must lie in "
                                   f"[1, {DIM_GRID_LOG2_MAX}], got {log2n}")
+            # read only after every replica has run
+            self.opt("slope-tol", 0.1)
+            for key in self.options:
+                if key.startswith("target-h"):
+                    self.opt(key, 0.0)
+        if self.experiment == "rkhs-verify":
+            self._validate_rkhs()
         return self
 
     def _validate_persist(self) -> None:
@@ -162,6 +174,24 @@ class RunConfig:
             raise
         except ValueError as exc:
             raise ConfigError(f"option events: {exc}") from None
+        self.opt("slope-tol", 0.1)
+
+    def _validate_rkhs(self) -> None:
+        """The grid, trend and level of rkhs-verify, checked before any
+        kernel space is built."""
+        half = self.opt("half-points", 16)
+        if not (2 <= half <= RKHS_HALF_POINTS_MAX and half % 2 == 0):
+            raise ConfigError(
+                f"option half-points must be an even integer in [2, "
+                f"{RKHS_HALF_POINTS_MAX}] (the grid holds x = +-1 and at most "
+                f"{SHIFT_MC_MAX_POINTS} points), got {half}")
+        kind, numbers = _parse_trend(self.opt("trend", "combined0"))
+        if kind == "covcol@":
+            try:
+                _rkhs_grid(half).index_of(numbers[0])
+            except ValueError as exc:
+                raise ConfigError(f"option trend: {exc}") from None
+        self.opt("level", 2.0)
 
     def opt(self, key: str, default):
         """Typed option lookup; option values arrive as strings."""
@@ -380,24 +410,49 @@ def run_chain(cfg: RunConfig, outdir: Path) -> dict:
     return {"chain": merged, "checks": checks}
 
 
-def _rkhs_trend(space, name: str, cfg: RunConfig):
-    if name == "combined0":
-        return combined_trend(space, 0)
-    if name == "combined1":
-        return combined_trend(space, 1)
-    if name == "psi":
-        return psi_trend(space.grid)
+def _parse_trend(name: str) -> tuple[str, tuple[float, ...]]:
+    """(kind, numbers) of an rkhs trend name: combined0, combined1, psi,
+    psi*<factor>, covcol@<x>[*<factor>] or zero; kind is the name up to its
+    numbers.  Raises ConfigError for an unknown name or a malformed or
+    non-finite number."""
+    kind, numbers = name, ()
     if name.startswith("psi*"):
-        factor = float(name.split("*", 1)[1])
+        kind, numbers = "psi*", (name[len("psi*"):],)
+    elif name.startswith("covcol@"):
+        coord, _, factor = name[len("covcol@"):].partition("*")
+        kind, numbers = "covcol@", (coord, factor or "1")
+    if kind not in ("combined0", "combined1", "psi", "psi*", "covcol@", "zero"):
+        raise ConfigError(f"option trend must be combined0, combined1, psi, "
+                          f"psi*<factor>, covcol@<x>[*<factor>] or zero, "
+                          f"got {name!r}")
+    bad = ConfigError(f"option trend {name!r} needs finite numbers")
+    try:
+        values = tuple(float(v) for v in numbers)
+    except ValueError:
+        raise bad from None
+    if not all(map(math.isfinite, values)):
+        raise bad
+    return kind, values
+
+
+def _rkhs_grid(half: int) -> SampleGrid:
+    """rkhs-verify's grid on [-2, 2] with ``half`` steps per side."""
+    return SampleGrid.anchored(2.0 / half, half, half)
+
+
+def _rkhs_trend(space, name: str):
+    kind, numbers = _parse_trend(name)
+    if kind in ("combined0", "combined1"):
+        return combined_trend(space, int(kind[-1]))
+    if kind == "psi":
+        return psi_trend(space.grid)
+    if kind == "psi*":
+        factor, = numbers
         base = psi_trend(space.grid)
         return TrendFunction(factor * base.values, label=f"psi*{factor:g}")
-    if name.startswith("covcol@"):
-        coord, _, factor = name[len("covcol@"):].partition("*")
-        return covariance_column_trend(space, float(coord),
-                                       float(factor) if factor else 1.0)
-    if name == "zero":
-        return TrendFunction(np.zeros(space.grid.count), "zero")
-    raise ConfigError(f"unknown rkhs trend {name!r}")
+    if kind == "covcol@":
+        return covariance_column_trend(space, *numbers)
+    return TrendFunction(np.zeros(space.grid.count), "zero")
 
 
 def run_rkhs_verify(cfg: RunConfig, outdir: Path) -> dict:
@@ -408,9 +463,8 @@ def run_rkhs_verify(cfg: RunConfig, outdir: Path) -> dict:
     checks = []
     flagged = False
     for h in cfg.hurst:
-        grid = SampleGrid.anchored(2.0 / half, half, half)
-        space = build_space(grid, h)
-        trend = _rkhs_trend(space, trend_name, cfg)
+        space = build_space(_rkhs_grid(half), h)
+        trend = _rkhs_trend(space, trend_name)
         rep = verify_shift_inequality(space, trend, level, cfg.replicas,
                                       cfg.seed)
         key = f"h={h:g}"

@@ -36,6 +36,7 @@ __all__ = [
     "sample_fbm_fast_batch",
     "fast_noise_length",
     "fbm_fast_rows",
+    "RowBuffers",
     "integrate_path",
     "integrate_values",
     "FactorizationError",
@@ -182,21 +183,47 @@ def _embedding_amplitudes(h: float, spacing: float, n_increments: int):
         "size cap or reduce the grid")
 
 
+class RowBuffers:
+    """Flat arrays kept for reuse, one per name, each grown to the largest
+    size asked of it; ``view`` hands out its leading elements in a shape.
+    Every entry of a view is written again by whoever takes it."""
+
+    def __init__(self):
+        self._flat = {}
+
+    def view(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
+        size = int(np.prod(shape))
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            # dropped first, so the old and the grown array never coexist
+            self._flat.pop(name, None)
+            flat = self._flat[name] = np.empty(size, dtype)
+        return flat[:size].reshape(shape)
+
+
 def _fgn_rows(h: float, spacing: float, n_increments: int,
-              noise: np.ndarray) -> np.ndarray:
-    """Map standard-normal rows of length 2M to increment rows of length n."""
+              noise: np.ndarray,
+              buffers: RowBuffers | None = None) -> np.ndarray:
+    """Map standard-normal rows of length 2M to increment rows of length n;
+    the spectrum and the transform live in ``buffers`` when given."""
     m, amp = _embedding_amplitudes(h, spacing, n_increments)
     # the length-2M spectrum is Hermitian, so only its first M+1
-    # coefficients are built and hfft returns the (real) FFT of the whole.
-    # Parts are written in place; times 1/sqrt(2) is what complex division
-    # by sqrt(2) computes, so the coefficients are those of the full form.
-    v = np.zeros(noise.shape[:-1] + (m + 1,), dtype=complex)
-    v.real[..., 0] = noise[..., 0]
-    v.real[..., m] = noise[..., 1]
+    # coefficients are built, conjugated, and the inverse real FFT with
+    # forward norm returns the (real) FFT of the whole: hfft without its
+    # conjugate copy.  Times -1/sqrt(2) is the conjugate of what complex
+    # division by sqrt(2) computes, so the coefficients are those of the
+    # full form.
+    shape = noise.shape[:-1] + (m + 1,)
+    v = (np.empty(shape, dtype=complex) if buffers is None
+         else buffers.view("spectrum", shape, complex))
+    v[..., 0] = noise[..., 0]
+    v[..., m] = noise[..., 1]
     np.multiply(noise[..., 2:m + 1], 1.0 / np.sqrt(2.0), out=v.real[..., 1:m])
-    np.multiply(noise[..., m + 1:2 * m], 1.0 / np.sqrt(2.0), out=v.imag[..., 1:m])
+    np.multiply(noise[..., m + 1:2 * m], -1.0 / np.sqrt(2.0),
+                out=v.imag[..., 1:m])
     v *= amp
-    return np.fft.hfft(v, n=2 * m)[..., :n_increments]
+    out = None if buffers is None else buffers.view("fft", shape[:-1] + (2 * m,))
+    return np.fft.irfft(v, n=2 * m, norm="forward", out=out)[..., :n_increments]
 
 
 def _noise_length(h: float, spacing: float, n_increments: int) -> int:
@@ -235,21 +262,26 @@ def sample_fbm_fast_batch(h: float, grid: SampleGrid, seed: int,
     return fbm_fast_rows(h, grid, noise)
 
 
-def fbm_fast_rows(h: float, grid: SampleGrid, noise: np.ndarray) -> np.ndarray:
+def fbm_fast_rows(h: float, grid: SampleGrid, noise: np.ndarray,
+                  buffers: RowBuffers | None = None) -> np.ndarray:
     """Fast-sampler rows on ``grid`` from rows of replica noise.
 
     Each row uses the first ``fast_noise_length(h, grid)`` normals of its
     noise row and ignores the rest.  The first l normals of a replica's
     stream are its draw of length l, so a noise block drawn once at the
-    longest length serves every (h, grid) that shares its seed.
+    longest length serves every (h, grid) that shares its seed.  With
+    ``buffers`` the spectrum, the transform and the returned rows are views
+    of its arrays, valid until its next use; without, they are fresh.
     """
     h = check_hurst(h)
     anchor = grid.anchor_index
     n_inc = grid.count - 1
     fgn = _fgn_rows(h, grid.spacing, n_inc,
-                    noise[:, :_noise_length(h, grid.spacing, n_inc)])
+                    noise[:, :_noise_length(h, grid.spacing, n_inc)], buffers)
     # summed and re-anchored in place: one row-sized array, not three
-    values = np.zeros((len(noise), grid.count))
+    shape = (len(noise), grid.count)
+    values = np.empty(shape) if buffers is None else buffers.view("rows", shape)
+    values[:, 0] = 0.0
     np.cumsum(fgn, axis=1, out=values[:, 1:])
     del fgn
     values -= values[:, anchor:anchor + 1].copy()

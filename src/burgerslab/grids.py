@@ -254,13 +254,16 @@ def _dict_setter(bit_gen, states: np.ndarray):
 _SETTERS = {"direct": _direct_setter, "dict": _dict_setter}
 
 
-def _draw_rows(seed: int, replicas, length: int, write: str) -> np.ndarray:
-    """Rows of ``replica_normals`` with the state setter ``write``."""
+def _draw_rows(seed: int, replicas, length: int, write: str,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Rows of ``replica_normals`` with the state setter ``write``, written
+    into ``out`` when it is given."""
     states = _pcg64_seeded_states(seed, np.asarray(replicas, dtype=np.uint32))
     bit_gen = np.random.PCG64(0)
     gen = np.random.Generator(bit_gen)
     set_state, keys = _SETTERS[write](bit_gen, states)
-    out = np.empty((len(keys), length))
+    if out is None:
+        out = np.empty((len(keys), length))
     for key, row in zip(keys, out):
         set_state(key)
         gen.standard_normal(out=row)
@@ -289,7 +292,8 @@ def rng_state_write() -> str:
     return _STATE_WRITE
 
 
-def replica_normals(seed: int, replicas, length: int) -> np.ndarray:
+def replica_normals(seed: int, replicas, length: int,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Standard normals, one row of ``length`` per replica, equal bit for
     bit to ``RandomnessSpec(seed, r).generator().standard_normal(length)``.
 
@@ -297,14 +301,20 @@ def replica_normals(seed: int, replicas, length: int) -> np.ndarray:
     replica range at once; each row is drawn by one reused PCG64 whose
     state is overwritten with that replica's (``rng_state_write``), so no
     generator is built per replica.  Seed and replicas must lie in
-    [0, 2^32), where each contributes one entropy word.
+    [0, 2^32), where each contributes one entropy word.  With ``out``, a
+    float array of shape (replicas, length), the rows are written into it
+    and it is returned.
     """
     reps = np.asarray(replicas, dtype=np.int64)
     if not 0 <= seed <= _MASK32 or (
             reps.size and (reps.min() < 0 or reps.max() > _MASK32)):
         raise ValueError(f"seed and replicas must lie in [0, 2^32), got seed "
                          f"{seed} and replicas {replicas}")
-    return _draw_rows(int(seed), reps, length, rng_state_write())
+    if out is not None and (out.shape != (reps.size, length)
+                            or out.dtype != np.float64):
+        raise ValueError(f"out must be a float64 array of shape "
+                         f"{(reps.size, length)}, got {out.dtype} {out.shape}")
+    return _draw_rows(int(seed), reps, length, rng_state_write(), out)
 
 
 def write_csv(path, header, rows) -> None:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .envelopes import slope_functional_batch
 from .fitting import ScalingFit, fit_scaling
-from .fbm import fast_noise_length, fbm_fast_rows, integrate_values
+from .fbm import RowBuffers, fast_noise_length, fbm_fast_rows, integrate_values
 from .grids import SampleGrid, check_hurst, replica_normals, rng_state_write
 
 __all__ = [
@@ -67,8 +67,13 @@ MC_BLOCK = 512
 # block of long rows (512 x 2048 normals in chain's max-mean pass) makes
 # arrays of 8 MB, and whether glibc reuses its freed heap for them depends
 # on the heap's earlier layout, down to the length of the install path:
-# chain's peak RSS read 64.7 or 69-70 MB by that alone.
+# chain's peak RSS read 64.7 or 69-70 MB by that alone.  It also bounds the
+# shared pass's buffers: noise, spectrum, transform and rows, about 7 MB.
 _PASS_BYTES = 2 ** 21
+
+# the shared passes' buffers, made on a process's first pass; a worker
+# forked later writes its own copy of the parent's
+_BUFFERS = RowBuffers()
 
 #: E max of Brownian motion on (0,1) — reflection principle oracle
 BROWNIAN_MAX_MEAN = math.sqrt(2.0 / math.pi)
@@ -278,13 +283,18 @@ def _shared_pass(cells, seed: int, reps) -> tuple[np.ndarray, ...]:
     sampler rows on (h, grid) to a tuple of per-replica arrays.  The block's
     noise is drawn once, at the longest length among the cells, and each
     distinct (h, grid) transforms its prefix once, however many cells share
-    it; this equals a draw per cell bit for bit.  Rows are built longest
-    noise first, and each (h, grid)'s rows are freed before the next are
-    built, so later, smaller arrays reuse freed memory.  A block whose
-    noise exceeds ``_PASS_BYTES`` is passed in parts of fewer replicas,
-    which cannot change its rows either.  Returns the
-    cells' arrays, in cell order, as one flat tuple; bound with
-    ``functools.partial`` it is a ``replica_stats`` callback.
+    it; this equals a draw per cell bit for bit.  A block whose noise
+    exceeds ``_PASS_BYTES`` is passed in parts of fewer replicas, which
+    cannot change its rows either.  Returns the cells' arrays, in cell
+    order, as one flat tuple; bound with ``functools.partial`` it is a
+    ``replica_stats`` callback.
+
+    The noise, the spectra, the transforms and the rows live in one set of
+    buffers per process, reused by every part, cell and block it runs, so
+    once they are warm, drawing and transforming allocate no row-sized
+    array.  The rows handed to ``stat`` are overwritten by the next
+    (h, grid): a stat must not keep a reference to ``rows`` or return a
+    view of it.
     """
     lengths = {(h, grid): fast_noise_length(h, grid) for h, grid, _ in cells}
     longest = max(lengths.values())
@@ -293,14 +303,16 @@ def _shared_pass(cells, seed: int, reps) -> tuple[np.ndarray, ...]:
         parts = [_shared_pass(cells, seed, reps[i:i + step])
                  for i in range(0, len(reps), step)]
         return tuple(np.concatenate(arrays) for arrays in zip(*parts))
-    noise = replica_normals(seed, reps, longest)
+    noise = replica_normals(seed, reps, longest,
+                            out=_BUFFERS.view("noise", (len(reps), longest)))
     out = [()] * len(cells)
+    # longest noise first: the first transform grows the buffers to the
+    # pass's largest shapes
     for key in sorted(lengths, key=lengths.get, reverse=True):
-        rows = fbm_fast_rows(*key, noise)
+        rows = fbm_fast_rows(*key, noise, _BUFFERS)
         for i, (h, grid, stat) in enumerate(cells):
             if (h, grid) == key:
                 out[i] = stat(rows)
-        del rows
     return tuple(a for arrays in out for a in arrays)
 
 

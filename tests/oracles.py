@@ -1,5 +1,6 @@
 """Independent oracles shared across test modules: quadrature covariances,
-the full complex-FFT circulant map, the one-path fast and exact samplers,
+the full complex-FFT and the hfft circulant maps, the one-path fast and
+exact samplers,
 the quotient-cube slope kernel and the plain monotone-chain hull."""
 
 import numpy as np
@@ -48,6 +49,20 @@ def complex_fft_fgn_rows(h, spacing, n_increments, noise):
     v[..., 1:m] = half
     v[..., m + 1:] = np.conj(half[..., ::-1])
     return np.fft.fft(amp * v, axis=-1).real[..., :n_increments]
+
+
+def hfft_fgn_rows(h, spacing, n_increments, noise):
+    """Increment rows from the unconjugated half spectrum by ``np.fft.hfft``,
+    which conjugates a copy of it; the package writes the conjugate itself
+    and calls ``irfft`` with forward norm, into a reusable buffer."""
+    m, amp = _embedding_amplitudes(h, spacing, n_increments)
+    v = np.zeros(noise.shape[:-1] + (m + 1,), dtype=complex)
+    v.real[..., 0] = noise[..., 0]
+    v.real[..., m] = noise[..., 1]
+    np.multiply(noise[..., 2:m + 1], 1.0 / np.sqrt(2.0), out=v.real[..., 1:m])
+    np.multiply(noise[..., m + 1:2 * m], 1.0 / np.sqrt(2.0), out=v.imag[..., 1:m])
+    v *= amp
+    return np.fft.hfft(v, n=2 * m)[..., :n_increments]
 
 
 def generator_fbm_fast(h, grid, rand):

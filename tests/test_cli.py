@@ -113,7 +113,20 @@ class TestBadValues:
         (["solve", "--opt", "time=-1"], "option time"),
         (["dim", "--opt", "grid-log2=-3"], "option grid-log2"),
         (["dim", "--opt", "grid-log2=abc"], "option grid-log2"),
-        (["dim", "--opt", "grid-log2=1.5"], "option grid-log2")])
+        (["dim", "--opt", "grid-log2=1.5"], "option grid-log2"),
+        (["dim", "--opt", "grid-log2=8", "--opt", "slope-tol=abc"],
+         "option slope-tol"),
+        (["dim", "--opt", "grid-log2=8", "--opt", "target-h0.5=abc"],
+         "option target-h0.5"),
+        (["persist", "--hurst", "0.5", "--horizon", "4,8", "--opt",
+          "slope-tol=abc"], "option slope-tol"),
+        (["rkhs-verify", "--opt", "half-points=7"], "option half-points"),
+        (["rkhs-verify", "--opt", "half-points=40"], "option half-points"),
+        (["rkhs-verify", "--opt", "half-points=0"], "option half-points"),
+        (["rkhs-verify", "--opt", "trend=bogus"], "option trend"),
+        (["rkhs-verify", "--opt", "trend=psi*abc"], "option trend"),
+        (["rkhs-verify", "--opt", "trend=covcol@0.3"], "option trend"),
+        (["rkhs-verify", "--opt", "level=abc"], "option level")])
     def test_bad_experiment_option(self, tmp_path, capsys, argv, field):
         out = tmp_path / "p"
         status = main(argv + ["--replicas", "100", "--out", str(out)])
@@ -125,6 +138,13 @@ class TestBadValues:
         for log2n in ("0", "21", "40"):
             with pytest.raises(ConfigError, match="option grid-log2"):
                 RunConfig("dim", options={"grid-log2": log2n}).validate()
+
+    def test_rkhs_half_points_cap(self):
+        for half in ("2", "30"):
+            RunConfig("rkhs-verify", options={"half-points": half}).validate()
+        for half in ("32", "31", "-2"):
+            with pytest.raises(ConfigError, match="option half-points"):
+                RunConfig("rkhs-verify", options={"half-points": half}).validate()
 
     def test_malformed_worker_cap(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BURGERSLAB_WORKERS", "two")

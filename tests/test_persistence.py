@@ -15,7 +15,7 @@ from scipy.stats import beta, ks_2samp, norm
 from burgerslab import persistence
 from burgerslab.envelopes import windowed_slope_pair
 from burgerslab.experiments import RunConfig, _dim_cell
-from burgerslab.fbm import (fast_noise_length, integrate_values,
+from burgerslab.fbm import (RowBuffers, fast_noise_length, integrate_values,
                             sample_fbm_fast_batch)
 from burgerslab.grids import SampleGrid, write_json
 from burgerslab.persistence import (
@@ -272,7 +272,8 @@ MIXED_CELLS = (
 
 
 def _rows(vals):
-    return (vals,)
+    # a copy: the pass reuses the rows' buffer for its next (h, grid)
+    return (vals.copy(),)
 
 
 class TestSharedPass:
@@ -287,6 +288,20 @@ class TestSharedPass:
         got = persistence._shared_pass(cells, 17, reps)
         for (h, grid, _), rows in zip(cells, got):
             assert np.array_equal(rows, sample_fbm_fast_batch(h, grid, 17, reps))
+
+    def test_back_to_back_passes_equal_fresh_draws(self, monkeypatch):
+        # the second pass reuses the first one's buffers, here grown by the
+        # longer rows and then handed out in a smaller shape
+        monkeypatch.setattr(persistence, "_BUFFERS", RowBuffers())
+        passes = [((0.7, SampleGrid.one_sided(0.25, 256)),
+                   (0.3, SampleGrid.anchored(1.0, 8, 16))),
+                  ((0.5, SampleGrid.anchored(0.5, 8, 8)),)]
+        for seed, keys in zip((23, 4), passes):
+            cells = tuple((h, grid, _rows) for h, grid in keys)
+            got = persistence._shared_pass(cells, seed, range(5, 31))
+            for (h, grid), rows in zip(keys, got):
+                assert np.array_equal(
+                    rows, sample_fbm_fast_batch(h, grid, seed, range(5, 31)))
 
     def test_plural_persistence_equals_singular(self):
         got = estimate_persistences(MIXED_CELLS, 0.5, 150, 11)
@@ -303,14 +318,14 @@ class TestSharedPass:
         draws, built = [], []
         normals, rows = persistence.replica_normals, persistence.fbm_fast_rows
 
-        def spy_normals(seed, reps, length):
+        def spy_normals(seed, reps, length, out=None):
             draws.append((seed, len(reps), length))
             built.append([])
-            return normals(seed, reps, length)
+            return normals(seed, reps, length, out=out)
 
-        def spy_rows(h, grid, noise):
+        def spy_rows(h, grid, noise, buffers=None):
             built[-1].append((fast_noise_length(h, grid), h, grid))
-            return rows(h, grid, noise)
+            return rows(h, grid, noise, buffers)
 
         monkeypatch.setattr(persistence, "replica_normals", spy_normals)
         monkeypatch.setattr(persistence, "fbm_fast_rows", spy_rows)

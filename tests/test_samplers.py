@@ -27,7 +27,7 @@ from burgerslab.grids import (
 )
 
 from oracles import (complex_fft_fgn_rows, generator_fbm_exact,
-                     generator_fbm_fast)
+                     generator_fbm_fast, hfft_fgn_rows)
 
 
 def ks_critical_value(n1, n2, alpha=0.01):
@@ -328,6 +328,19 @@ class TestReplicaNormals:
         with pytest.raises(ValueError, match="2\\^32"):
             replica_normals(seed, replicas, 4)
 
+    def test_out_equals_allocating_call(self):
+        out = np.full((4, 9), np.nan)
+        got = replica_normals(5, range(2, 6), 9, out=out)
+        assert got is out
+        assert np.array_equal(out, replica_normals(5, range(2, 6), 9))
+
+    @pytest.mark.parametrize("out", [
+        np.empty((4, 8)), np.empty((3, 9)), np.empty((5, 9)), np.empty(36),
+        np.empty((4, 9), dtype=np.float32)])
+    def test_out_of_wrong_shape_raises(self, out):
+        with pytest.raises(ValueError, match="out must be"):
+            replica_normals(5, range(2, 6), 9, out=out)
+
 
 class TestHalfSpectrumFft:
     @pytest.mark.parametrize("h", [0.3, 0.5, 0.7])
@@ -339,6 +352,57 @@ class TestHalfSpectrumFft:
         want = complex_fft_fgn_rows(h, 0.5, n_inc, noise)
         assert got.shape == want.shape == (64, n_inc)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+    @pytest.mark.parametrize("h", [0.3, 0.7])
+    @pytest.mark.parametrize("m", [64, 256, 1024, 2 ** 16])
+    def test_irfft_equals_hfft_bit_for_bit(self, h, m):
+        noise = np.random.default_rng(m).standard_normal((3, 2 * m))
+        got = fbm._fgn_rows(h, 1.0, m, noise)
+        assert got.tobytes() == hfft_fgn_rows(h, 1.0, m, noise).tobytes()
+
+
+# H whose circulant embedding is indefinite at every odd power of two, so
+# its half-size doubles once from 8, 32, 128 and 512
+_DOUBLING_H = 0.9
+
+
+class TestRowBuffers:
+    """Rows built in reused buffers equal freshly allocated rows bit for
+    bit, whatever the buffers held and whatever shapes they served before."""
+
+    @pytest.fixture
+    def doubling(self, monkeypatch):
+        autocov = fbm.fgn_autocovariance
+
+        def odd_powers_indefinite(h, lag, spacing=1.0):
+            m = len(lag) - 1
+            if h == _DOUBLING_H and m.bit_length() % 2 == 0:
+                return np.where(np.asarray(lag) == 0, 1.0, -0.9)
+            return autocov(h, lag, spacing)
+
+        monkeypatch.setattr(fbm, "fgn_autocovariance", odd_powers_indefinite)
+        fbm._embedding_amplitudes.cache_clear()
+        yield
+        fbm._embedding_amplitudes.cache_clear()
+
+    def test_reused_buffers_equal_fresh_rows(self, doubling):
+        buffers = fbm.RowBuffers()
+        sizes = [2 ** k for k in range(2, 11)]
+        doubled = 0
+        for m in sizes + sizes[::-1]:
+            for h in (0.3, 0.7, _DOUBLING_H):
+                grid = SampleGrid.anchored(0.5, m // 4, m - m // 4)
+                length = fbm.fast_noise_length(h, grid)
+                doubled += length > 2 * m
+                noise = replica_normals(m, range(m % 3 + 2), length + 3)
+                for flat in buffers._flat.values():
+                    flat.view(float).fill(np.nan)
+                got = fbm.fbm_fast_rows(h, grid, noise, buffers)
+                want = fbm.fbm_fast_rows(h, grid, noise)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (m, h)
+        assert doubled == 8
 
 
 class TestIntegratePath:
