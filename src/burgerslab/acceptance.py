@@ -2,9 +2,10 @@
 
 Each check runs at its pinned desk scale and tolerance and returns a
 CheckResult; the CLI ``check`` subcommand and the acceptance test module
-both drive this registry.  Scales and targets accept string overrides
-(e.g. {"dim.target-h0.5": "0.9"}) so a deliberately broken tolerance can
-be demonstrated and so tests can shrink scales.
+both drive this registry.  Each check declares its scales and targets as
+settings with defaults; string overrides (e.g. {"dim.target-h0.5": "0.9"})
+parse as the type of the default, so a deliberately broken tolerance can be
+demonstrated and so tests can shrink scales.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from scipy.stats import ks_2samp
 from .burgers import clusters_match, solve, sticky_shock_clusters
 from .envelopes import slope_functional_batch
 from .experiments import (
+    ConfigError,
     RunConfig,
-    parse_option,
+    parse_value,
     rerun_from_manifest,
     run_experiment,
     _dim_cell,
@@ -62,14 +64,6 @@ class CheckResult:
     details: dict
 
 
-class _Overrides:
-    def __init__(self, values: dict | None):
-        self.values = dict(values or {})
-
-    def get(self, key: str, default):
-        return parse_option(self.values, key, default)
-
-
 def _ks_critical(n1: int, n2: int, alpha: float = 0.01) -> float:
     c = math.sqrt(-math.log(alpha / 2.0) / 2.0)
     return c * math.sqrt((n1 + n2) / (n1 * n2))
@@ -77,8 +71,8 @@ def _ks_critical(n1: int, n2: int, alpha: float = 0.01) -> float:
 
 # --- criterion 1 -----------------------------------------------------------
 
-def check_sampler_covariance(ov: _Overrides) -> dict:
-    replicas = ov.get("sampler-cov.replicas", 10_000)
+def check_sampler_covariance(ov: dict) -> dict:
+    replicas = ov["sampler-cov.replicas"]
     grid = SampleGrid.anchored(0.5, 3, 4)  # 8 points including the anchor
     coords = grid.coordinates
     worst = 0.0
@@ -99,9 +93,9 @@ def check_sampler_covariance(ov: _Overrides) -> dict:
 
 # --- criterion 2 -----------------------------------------------------------
 
-def check_sampler_equivalence(ov: _Overrides) -> dict:
-    replicas = ov.get("sampler-eq.replicas", 10_000)
-    n = ov.get("sampler-eq.points", 64)
+def check_sampler_equivalence(ov: dict) -> dict:
+    replicas = ov["sampler-eq.replicas"]
+    n = ov["sampler-eq.points"]
     grid = SampleGrid.one_sided(1.0, n)
     crit = _ks_critical(replicas, replicas)
     stats = {}
@@ -121,9 +115,9 @@ def _telescoping_errors(h, grid, reps):
     return (slope_functional_batch(integrate_values(w, 1.0, 0)).rel_err,)
 
 
-def check_telescoping(ov: _Overrides) -> dict:
-    sequences = ov.get("telescoping.sequences", 1000)
-    length = ov.get("telescoping.length", 256)
+def check_telescoping(ov: dict) -> dict:
+    sequences = ov["telescoping.sequences"]
+    length = ov["telescoping.length"]
     grid = SampleGrid.one_sided(1.0, length - 1)
     worst = 0.0
     for h in H_TRIPLE:
@@ -141,9 +135,9 @@ def _identity_gaps(grid, reps):
     return (sf.f - 2.0 * sf.right0,)
 
 
-def check_expectation_identity(ov: _Overrides) -> dict:
-    replicas = ov.get("identity.replicas", 10_000)
-    n = ov.get("identity.n", 64)
+def check_expectation_identity(ov: dict) -> dict:
+    replicas = ov["identity.replicas"]
+    n = ov["identity.n"]
     grid = SampleGrid.one_sided(1.0, n)
     (gap,) = replica_stats(partial(_identity_gaps, grid), replicas)
     mean, se = mean_se(gap)
@@ -153,9 +147,9 @@ def check_expectation_identity(ov: _Overrides) -> dict:
 
 # --- criterion 5 -----------------------------------------------------------
 
-def check_inequality_chain(ov: _Overrides) -> dict:
-    replicas = ov.get("chain.replicas", 10_000)
-    n = ov.get("chain.n", 64)
+def check_inequality_chain(ov: dict) -> dict:
+    replicas = ov["chain.replicas"]
+    n = ov["chain.n"]
     per_h = {}
     ok = True
     m1_gap = None
@@ -175,9 +169,9 @@ def check_inequality_chain(ov: _Overrides) -> dict:
 
 # --- criterion 6 -----------------------------------------------------------
 
-def check_burgers_oracle(ov: _Overrides) -> dict:
-    paths = ov.get("burgers.paths", 20)
-    particles = ov.get("burgers.particles", 128)
+def check_burgers_oracle(ov: dict) -> dict:
+    paths = ov["burgers.paths"]
+    particles = ov["burgers.particles"]
     failures = []
     for h in H_TRIPLE:
         grid = SampleGrid.anchored(2.0 / particles, particles // 2,
@@ -194,17 +188,17 @@ def check_burgers_oracle(ov: _Overrides) -> dict:
 
 # --- criterion 7 -----------------------------------------------------------
 
-def check_dimension(ov: _Overrides) -> dict:
-    replicas = ov.get("dim.replicas", 50)
-    log2n = ov.get("dim.grid-log2", 16)
-    tol = ov.get("dim.slope-tol", 0.1)
+def check_dimension(ov: dict) -> dict:
+    replicas = ov["dim.replicas"]
+    log2n = ov["dim.grid-log2"]
+    tol = ov["dim.slope-tol"]
     slopes = {}
     ok = True
     for h in H_TRIPLE:
         cfg = RunConfig(experiment="dim", hurst=(h,), replicas=replicas,
                         seed=701, options={"grid-log2": str(log2n)})
         _, summary, _ = _dim_cell(h, cfg)
-        target = ov.get(f"dim.target-h{h:g}", h)
+        target = ov[f"dim.target-h{h:g}"]
         good = abs(summary["slope"] - target) <= tol
         slopes[f"h={h:g}"] = {"slope": summary["slope"],
                               "se": summary["slope_se"], "target": target,
@@ -215,10 +209,10 @@ def check_dimension(ov: _Overrides) -> dict:
 
 # --- criteria 8, 9, 10 -----------------------------------------------------
 
-def check_max_exponent(ov: _Overrides) -> dict:
-    replicas = ov.get("max-exp.replicas", 20_000)
-    level = ov.get("max-exp.level", 0.5)
-    tol = ov.get("max-exp.tol", 0.07)
+def check_max_exponent(ov: dict) -> dict:
+    replicas = ov["max-exp.replicas"]
+    level = ov["max-exp.level"]
+    tol = ov["max-exp.tol"]
     ladder = (64.0, 128.0, 256.0, 512.0, 1024.0)
     out = {}
     ok = True
@@ -235,9 +229,9 @@ def check_max_exponent(ov: _Overrides) -> dict:
     return {"pass": ok, "fits": out, "level": level, "tol": tol}
 
 
-def check_integral_exponent(ov: _Overrides) -> dict:
-    replicas = ov.get("int-exp.replicas", 10_000)
-    tol = ov.get("int-exp.tol", 0.08)
+def check_integral_exponent(ov: dict) -> dict:
+    replicas = ov["int-exp.replicas"]
+    tol = ov["int-exp.tol"]
     ests = estimate_persistences([(BarrierEvent("ifbm_one_sided", 1.0, t), 0.5)
                                   for t in (64.0, 128.0, 256.0, 512.0)],
                                  1.0, replicas, 901)
@@ -246,9 +240,9 @@ def check_integral_exponent(ov: _Overrides) -> dict:
             "se": fit.slope_se, "target": 0.25, "tol": tol}
 
 
-def check_two_sided_bound(ov: _Overrides) -> dict:
-    replicas = ov.get("two-sided.replicas", 10_000)
-    slack = ov.get("two-sided.slack", 0.15)
+def check_two_sided_bound(ov: dict) -> dict:
+    replicas = ov["two-sided.replicas"]
+    slack = ov["two-sided.slack"]
     ladder = (32.0, 64.0, 128.0, 256.0, 512.0)
     out = {}
     ok = True
@@ -277,8 +271,8 @@ def check_two_sided_bound(ov: _Overrides) -> dict:
 
 # --- criterion 11 ----------------------------------------------------------
 
-def check_rkhs(ov: _Overrides) -> dict:
-    replicas = ov.get("rkhs.replicas", 1_000_000)
+def check_rkhs(ov: dict) -> dict:
+    replicas = ov["rkhs.replicas"]
     grid33 = SampleGrid.anchored(0.125, 16, 16)
     grid17 = SampleGrid.anchored(0.25, 8, 8)
     details: dict = {}
@@ -354,7 +348,7 @@ _TINY_CONFIGS = [
 ]
 
 
-def check_determinism(ov: _Overrides) -> dict:
+def check_determinism(ov: dict) -> dict:
     import dataclasses
     mismatches = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -379,33 +373,71 @@ def check_determinism(ov: _Overrides) -> dict:
 
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class Check:
+    """One criterion: ``run`` maps the typed settings to its details, and
+    ``settings`` declares its ``--set`` keys and their defaults, whose type
+    a key's string parses as."""
+    run: object
+    settings: dict
+
+
 CHECKS = {
-    "sampler-covariance": check_sampler_covariance,
-    "sampler-equivalence": check_sampler_equivalence,
-    "telescoping": check_telescoping,
-    "expectation-identity": check_expectation_identity,
-    "inequality-chain": check_inequality_chain,
-    "burgers-oracle": check_burgers_oracle,
-    "dimension": check_dimension,
-    "max-exponent": check_max_exponent,
-    "integral-exponent": check_integral_exponent,
-    "two-sided-bound": check_two_sided_bound,
-    "rkhs": check_rkhs,
-    "determinism": check_determinism,
+    "sampler-covariance": Check(check_sampler_covariance,
+                                {"sampler-cov.replicas": 10_000}),
+    "sampler-equivalence": Check(check_sampler_equivalence,
+                                 {"sampler-eq.replicas": 10_000,
+                                  "sampler-eq.points": 64}),
+    "telescoping": Check(check_telescoping, {"telescoping.sequences": 1000,
+                                             "telescoping.length": 256}),
+    "expectation-identity": Check(check_expectation_identity,
+                                  {"identity.replicas": 10_000,
+                                   "identity.n": 64}),
+    "inequality-chain": Check(check_inequality_chain,
+                              {"chain.replicas": 10_000, "chain.n": 64}),
+    "burgers-oracle": Check(check_burgers_oracle, {"burgers.paths": 20,
+                                                   "burgers.particles": 128}),
+    "dimension": Check(check_dimension,
+                       {"dim.replicas": 50, "dim.grid-log2": 16,
+                        "dim.slope-tol": 0.1,
+                        **{f"dim.target-h{h:g}": h for h in H_TRIPLE}}),
+    "max-exponent": Check(check_max_exponent,
+                          {"max-exp.replicas": 20_000, "max-exp.level": 0.5,
+                           "max-exp.tol": 0.07}),
+    "integral-exponent": Check(check_integral_exponent,
+                               {"int-exp.replicas": 10_000,
+                                "int-exp.tol": 0.08}),
+    "two-sided-bound": Check(check_two_sided_bound,
+                             {"two-sided.replicas": 10_000,
+                              "two-sided.slack": 0.15}),
+    "rkhs": Check(check_rkhs, {"rkhs.replicas": 1_000_000}),
+    "determinism": Check(check_determinism, {}),
 }
 
 
 def run_checks(names=None, overrides=None) -> list[CheckResult]:
-    ov = _Overrides(overrides)
+    """Runs the named checks (all by default) with their settings; an
+    override of a key that no selected check declares, or one that does not
+    parse, raises ValueError before any check runs."""
     selected = list(CHECKS) if not names else list(names)
     unknown = [n for n in selected if n not in CHECKS]
     if unknown:
         raise ValueError(f"unknown check names {unknown}; "
                          f"available: {sorted(CHECKS)}")
+    declared = {key: default for name in selected
+                for key, default in CHECKS[name].settings.items()}
+    overrides = overrides or {}
+    for key in overrides:
+        if key not in declared:
+            raise ConfigError(f"unknown --set key {key} for checks "
+                              f"{', '.join(selected)}; their keys are "
+                              f"{', '.join(declared) or 'none'}")
+    settings = {key: parse_value(overrides.get(key), default, key)
+                for key, default in declared.items()}
     results = []
     for name in selected:
         started = time.time()
-        details = CHECKS[name](ov)
+        details = CHECKS[name].run(settings)
         results.append(CheckResult(name=name, passed=bool(details.pop("pass")),
                                    runtime_s=time.time() - started,
                                    details=details))

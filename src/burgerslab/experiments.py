@@ -26,12 +26,13 @@ import numpy as np
 from . import __version__
 from .burgers import solve
 from .envelopes import envelope_backend
-from .fbm import sample_fbm_exact, sample_fbm_fast
+from .fbm import EXACT_SAMPLER_MAX_POINTS, sample_fbm_exact, sample_fbm_fast
 from .fractal import dimension_estimate
 from .grids import (RNG_SCHEME, RandomnessSpec, SampleGrid, rng_state_write,
                     write_json)
 from .persistence import (
     MIN_REPLICAS,
+    PROCESSES,
     BarrierEvent,
     _exact_steps,
     estimate_persistences,
@@ -50,14 +51,21 @@ from .rkhs import (
     verify_shift_inequality,
 )
 
-EXPERIMENTS = ("sample", "solve", "dim", "persist", "chain", "rkhs-verify")
-
 # chain draws its max-mean constant at seed + 1, and every stream is keyed by
 # (seed, replica) words below 2^32
 SEED_MAX = 2 ** 32 - 2
 
 # dim's largest grid, 2^20 points: about 200 MB per process
 DIM_GRID_LOG2_MAX = 20
+
+# sample's and solve's largest grids, 2^20 + 1 points like dim's
+SAMPLE_POINTS_MAX = 2 ** 20
+SOLVE_HALF_POINTS_MAX = 2 ** 19
+
+# chain's window holds 3n + 1 points, and a pass over one of its rows takes
+# about 600 bytes per unit of n (40 MB above the import at n = 2^16), so the
+# largest n takes about 160 MB per process
+CHAIN_N_MAX = 2 ** 18
 
 # rkhs-verify's largest half-points: its grid of 2*half + 1 points must fit
 # the shift verification's cap
@@ -68,9 +76,14 @@ class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending field."""
 
 
-def _parse_value(raw, default, name: str):
+_BOOLS = {"true": True, "1": True, "yes": True,
+          "false": False, "0": False, "no": False}
+
+
+def parse_value(raw, default, name: str):
     """``raw`` parsed as the type of ``default``; None gives ``default``.
-    A tuple default means floats, comma-separated when ``raw`` is a string."""
+    A tuple default means floats, comma-separated when ``raw`` is a string;
+    a bool is true/false, 1/0 or yes/no in any case, or a real bool."""
     if raw is None:
         return default
     try:
@@ -78,22 +91,86 @@ def _parse_value(raw, default, name: str):
             return tuple(float(v) for v in
                          (raw.split(",") if isinstance(raw, str) else raw))
         if isinstance(default, bool):
-            return str(raw).lower() in ("1", "true", "yes")
+            return raw if isinstance(raw, bool) else _BOOLS[str(raw).lower()]
         if isinstance(default, int):
             return int(raw)
         if isinstance(default, float):
             return float(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, KeyError):
         kind = ("a comma-separated list of numbers"
                 if isinstance(default, tuple) else type(default).__name__)
         raise ConfigError(f"{name} must parse as {kind}, got {raw!r}") from None
     return str(raw)
 
 
-def parse_option(options: dict, key: str, default):
-    """Typed lookup of a string-valued option: the value parses as the type
-    of ``default``, which is returned when the key is absent."""
-    return _parse_value(options.get(key), default, f"option {key}")
+# Rules on parsed values: (the allowed values in words, a predicate).
+_FINITE = ("finite", math.isfinite)
+_POSITIVE = ("finite and > 0", lambda v: math.isfinite(v) and v > 0)
+_NON_NEGATIVE = ("finite and >= 0", lambda v: math.isfinite(v) and v >= 0)
+
+
+def _within(lo, hi) -> tuple:
+    return f"in [{lo}, {hi}]", lambda v: lo <= v <= hi
+
+
+class Option:
+    """One row of an experiment's option table: the default, whose type
+    the option's string parses as, and the rule the parsed value meets."""
+
+    def __init__(self, default, allowed: str, ok):
+        self.default, self.allowed, self.ok = default, allowed, ok
+
+
+OPTIONS = {
+    "sample": {
+        "points": Option(256, *_within(1, SAMPLE_POINTS_MAX)),
+        "method": Option("fast", "fast or exact",
+                         ("fast", "exact").__contains__),
+    },
+    "solve": {
+        "half-points": Option(512, *_within(1, SOLVE_HALF_POINTS_MAX)),
+        "time": Option(1.0, *_POSITIVE),
+    },
+    "dim": {
+        "grid-log2": Option(16, *_within(1, DIM_GRID_LOG2_MAX)),
+        "time": Option(1.0, *_POSITIVE),
+        "slope-tol": Option(0.1, *_NON_NEGATIVE),
+        # and one target-h<H> per Hurst index (RunConfig.option_rows)
+    },
+    "persist": {
+        "events": Option("fbm_max", "a comma-separated list of "
+                         + ", ".join(PROCESSES),
+                         lambda v: set(v.split(",")) <= set(PROCESSES)),
+        "level": Option(1.0, *_FINITE),
+        # unset, fbm_max and ifbm_one_sided check at _EXPONENT_TOL
+        "slope-tol": Option(0.1, *_NON_NEGATIVE),
+    },
+    "chain": {
+        "n": Option(64, *_within(2, CHAIN_N_MAX)),
+    },
+    "rkhs-verify": {
+        "half-points": Option(16, f"even and in [2, {RKHS_HALF_POINTS_MAX}]",
+                              lambda v: v % 2 == 0
+                              and 2 <= v <= RKHS_HALF_POINTS_MAX),
+        "trend": Option("combined0", "combined0, combined1, psi, psi*<f>, "
+                        "covcol@<x>[*<f>] or zero, with finite numbers",
+                        lambda v: _parse_trend(v) is not None),
+        "level": Option(2.0, *_FINITE),
+    },
+}
+
+EXPERIMENTS = tuple(OPTIONS)
+
+# Rules on the run-config fields other than experiment, out and options.
+_FIELD_RULES = {
+    "hurst": ("a non-empty list of values in (0, 1)",
+              lambda hs: bool(hs) and all(0.0 < h < 1.0 for h in hs)),
+    "horizons": ("a list of finite values > 0",
+                 lambda ts: all(math.isfinite(t) and t > 0 for t in ts)),
+    "spacing": _POSITIVE,
+    "replicas": ("at least 1", lambda r: r >= 1),
+    "seed": _within(0, SEED_MAX),
+}
 
 
 @dataclass(frozen=True)
@@ -109,46 +186,41 @@ class RunConfig:
     options: dict = field(default_factory=dict)
 
     def validate(self) -> "RunConfig":
-        if self.experiment not in EXPERIMENTS:
+        """Checks every field and every option before any output is made;
+        raises ConfigError naming the first bad one."""
+        if self.experiment not in OPTIONS:
             raise ConfigError(f"experiment must be one of {EXPERIMENTS}, "
                               f"got {self.experiment!r}")
-        for h in self.hurst:
-            if not 0.0 < h < 1.0:
-                raise ConfigError(f"hurst values must lie in (0, 1), got {h}")
-        if not self.hurst:
-            raise ConfigError("hurst list must not be empty")
-        if not (math.isfinite(self.spacing) and self.spacing > 0):
-            raise ConfigError(f"spacing must be finite and > 0, "
-                              f"got {self.spacing}")
-        if self.replicas < 1:
-            raise ConfigError(f"replicas must be >= 1, got {self.replicas}")
-        if not 0 <= self.seed <= SEED_MAX:
-            raise ConfigError(f"seed must lie in [0, {SEED_MAX}], got {self.seed}")
-        if not all(math.isfinite(t) and t > 0 for t in self.horizons):
-            raise ConfigError(f"horizons must be finite and > 0, "
-                              f"got {self.horizons}")
+        for name, (allowed, ok) in _FIELD_RULES.items():
+            value = getattr(self, name)
+            if not ok(value):
+                raise ConfigError(f"{name} must be {allowed}, got {value!r}")
+        rows = self.option_rows()
+        for key in self.options:
+            if key not in rows:
+                raise ConfigError(f"unknown option {key} for "
+                                  f"{self.experiment}; its options are "
+                                  f"{', '.join(rows)}")
+        for key, row in rows.items():
+            value = self.opt(key)
+            if not row.ok(value):
+                raise ConfigError(f"option {key} must be {row.allowed}, "
+                                  f"got {value!r}")
+        # the checks that span several fields or options
+        if (self.experiment == "sample" and self.opt("method") == "exact"
+                and self.opt("points") >= EXACT_SAMPLER_MAX_POINTS):
+            raise ConfigError(f"option points must be at most "
+                              f"{EXACT_SAMPLER_MAX_POINTS - 1} for "
+                              f"method=exact, got {self.opt('points')}")
         if self.experiment == "persist":
             self._validate_persist()
-        if self.experiment == "chain" and self.opt("n", 64) < 2:
-            raise ConfigError(f"option n must be >= 2 for chain, "
-                              f"got {self.opt('n', 64)}")
-        if self.experiment in ("solve", "dim"):
-            t = self.opt("time", 1.0)
-            if not (math.isfinite(t) and t > 0):
-                raise ConfigError(f"option time must be finite and > 0, "
-                                  f"got {t}")
-        if self.experiment == "dim":
-            log2n = self.opt("grid-log2", 16)
-            if not 1 <= log2n <= DIM_GRID_LOG2_MAX:
-                raise ConfigError(f"option grid-log2 must lie in "
-                                  f"[1, {DIM_GRID_LOG2_MAX}], got {log2n}")
-            # read only after every replica has run
-            self.opt("slope-tol", 0.1)
-            for key in self.options:
-                if key.startswith("target-h"):
-                    self.opt(key, 0.0)
         if self.experiment == "rkhs-verify":
-            self._validate_rkhs()
+            kind, numbers = _parse_trend(self.opt("trend"))
+            if kind == "covcol@":
+                try:
+                    _rkhs_grid(self.opt("half-points")).index_of(numbers[0])
+                except ValueError as exc:
+                    raise ConfigError(f"option trend: {exc}") from None
         return self
 
     def _validate_persist(self) -> None:
@@ -170,32 +242,23 @@ class RunConfig:
                 raise ConfigError(f"horizons: {exc}") from None
         try:
             _persist_events(self)
-        except ConfigError:
-            raise
         except ValueError as exc:
             raise ConfigError(f"option events: {exc}") from None
-        self.opt("slope-tol", 0.1)
 
-    def _validate_rkhs(self) -> None:
-        """The grid, trend and level of rkhs-verify, checked before any
-        kernel space is built."""
-        half = self.opt("half-points", 16)
-        if not (2 <= half <= RKHS_HALF_POINTS_MAX and half % 2 == 0):
-            raise ConfigError(
-                f"option half-points must be an even integer in [2, "
-                f"{RKHS_HALF_POINTS_MAX}] (the grid holds x = +-1 and at most "
-                f"{SHIFT_MC_MAX_POINTS} points), got {half}")
-        kind, numbers = _parse_trend(self.opt("trend", "combined0"))
-        if kind == "covcol@":
-            try:
-                _rkhs_grid(half).index_of(numbers[0])
-            except ValueError as exc:
-                raise ConfigError(f"option trend: {exc}") from None
-        self.opt("level", 2.0)
+    def option_rows(self) -> dict:
+        """The experiment's option table; dim has one more row per Hurst
+        index, target-h<H>, whose default is H."""
+        rows = dict(OPTIONS[self.experiment])
+        if self.experiment == "dim":
+            rows.update({f"target-h{h:g}": Option(h, *_FINITE)
+                         for h in self.hurst})
+        return rows
 
-    def opt(self, key: str, default):
-        """Typed option lookup; option values arrive as strings."""
-        return parse_option(self.options, key, default)
+    def opt(self, key: str):
+        """Typed option lookup: the option's string parsed as the type of
+        its row's default, or that default when the option is not given."""
+        return parse_value(self.options.get(key),
+                           self.option_rows()[key].default, f"option {key}")
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
@@ -209,7 +272,7 @@ def config_from_dict(doc: dict) -> RunConfig:
     """Typed, validated config from raw values (the strings of flags and
     config files, or a manifest's typed values); each field parses as the
     type of its default."""
-    typed = {f.name: _parse_value(doc.get(f.name), f.default, f.name)
+    typed = {f.name: parse_value(doc.get(f.name), f.default, f.name)
              for f in fields(RunConfig) if f.name not in ("experiment", "options")}
     return RunConfig(experiment=doc.get("experiment"),
                      options=dict(doc.get("options", {})), **typed).validate()
@@ -242,12 +305,9 @@ def load_config_file(path) -> dict:
 # ---------------------------------------------------------------------------
 
 def run_sample(cfg: RunConfig, outdir: Path) -> dict:
-    points = cfg.opt("points", 256)
-    method = cfg.opt("method", "fast")
-    if method not in ("fast", "exact"):
-        raise ConfigError(f"option method must be fast or exact, got {method!r}")
-    sampler = sample_fbm_fast if method == "fast" else sample_fbm_exact
-    grid = SampleGrid.one_sided(cfg.spacing, points)
+    sampler = (sample_fbm_fast if cfg.opt("method") == "fast"
+               else sample_fbm_exact)
+    grid = SampleGrid.one_sided(cfg.spacing, cfg.opt("points"))
     index = []
     for h in cfg.hurst:
         for rep in range(cfg.replicas):
@@ -262,8 +322,8 @@ def run_sample(cfg: RunConfig, outdir: Path) -> dict:
 
 
 def run_solve(cfg: RunConfig, outdir: Path) -> dict:
-    half = cfg.opt("half-points", 512)
-    t = cfg.opt("time", 1.0)
+    half = cfg.opt("half-points")
+    t = cfg.opt("time")
     rows = []
     for h in cfg.hurst:
         grid = SampleGrid.anchored(cfg.spacing, half, half)
@@ -283,14 +343,13 @@ def run_solve(cfg: RunConfig, outdir: Path) -> dict:
 def _dim_replica(h: float, cfg: RunConfig, rep: int):
     """One replica's record, and its fit when it is replica 0's and not
     degenerate (else None)."""
-    log2n = cfg.opt("grid-log2", 16)
-    n = 2 ** log2n
+    n = 2 ** cfg.opt("grid-log2")
     scales = [2.0 ** -j for j in range(4, 11)]
     edge = 0.05
     grid = SampleGrid.anchored(2.0 / n, n // 2, n // 2)
     window = (-1.0 + edge, 1.0 - edge)
     u0 = sample_fbm_fast(h, grid, RandomnessSpec(cfg.seed, rep))
-    coords = solve(u0, cfg.opt("time", 1.0)).contact_coordinates
+    coords = solve(u0, cfg.opt("time")).contact_coordinates
     pts = coords[(coords >= window[0]) & (coords <= window[1])]
     if pts.size < 4:
         # total collapse happens at small grids; no dimension to fit
@@ -318,7 +377,7 @@ def _dim_cell(h: float, cfg: RunConfig):
                "slope_se": float(slopes.std(ddof=1) / np.sqrt(slopes.size))
                if slopes.size > 1 else 0.0,
                "valid_replicas": int(slopes.size),
-               "replicas": cfg.replicas, "grid_log2": cfg.opt("grid-log2", 16)}
+               "replicas": cfg.replicas, "grid_log2": cfg.opt("grid-log2")}
     return records, summary, first_fit
 
 
@@ -333,10 +392,10 @@ def run_dim(cfg: RunConfig, outdir: Path) -> dict:
         if fit is not None:
             fit.to_csv(outdir / f"fit_h{h:g}_scale_count.csv")
             write_json(outdir / f"fit_h{h:g}.json", fit.summary())
-    tol = cfg.opt("slope-tol", 0.1)
+    tol = cfg.opt("slope-tol")
     checks = []
     for s in summaries:
-        target = cfg.opt(f"target-h{s['h']:g}", s["h"])
+        target = cfg.opt(f"target-h{s['h']:g}")
         got = s["slope"]
         checks.append({"name": f"dim slope h={s['h']:g}",
                        "pass": bool(got is not None
@@ -348,6 +407,7 @@ def run_dim(cfg: RunConfig, outdir: Path) -> dict:
 
 _KNOWN_EXPONENTS = {"fbm_max": lambda h: 1.0 - h,
                     "ifbm_one_sided": lambda h: 0.25 if h == 0.5 else None}
+# the tolerances of persist --check when slope-tol is not given
 _EXPONENT_TOL = {"fbm_max": 0.07, "ifbm_one_sided": 0.08}
 
 
@@ -355,9 +415,9 @@ def _persist_events(cfg: RunConfig) -> list[tuple[str, list]]:
     """(name, one BarrierEvent per sorted horizon) for each event of a
     persist run; raises ValueError for an unknown event or a horizon or
     puncture radius that is no whole number of steps."""
-    level = cfg.opt("level", 1.0)
+    level = cfg.opt("level")
     events = []
-    for name in str(cfg.opt("events", "fbm_max")).split(","):
+    for name in cfg.opt("events").split(","):
         ladder = [BarrierEvent(name, level, t) for t in sorted(cfg.horizons)]
         for event in ladder:
             event.grid(cfg.spacing)
@@ -391,7 +451,9 @@ def run_persist(cfg: RunConfig, outdir: Path) -> dict:
             flagged = flagged or fit.degenerate or bool(fit.excluded)
             known = _KNOWN_EXPONENTS.get(ev, lambda _h: None)(h)
             if cfg.check and known is not None:
-                tol = cfg.opt("slope-tol", _EXPONENT_TOL.get(ev, 0.1))
+                tol = cfg.opt("slope-tol")
+                if "slope-tol" not in cfg.options:
+                    tol = _EXPONENT_TOL.get(ev, tol)
                 checks.append({"name": f"exponent {key}",
                                "pass": bool(abs(fit.slope - known) <= tol),
                                "got": fit.slope, "target": known, "tol": tol})
@@ -402,7 +464,7 @@ def run_persist(cfg: RunConfig, outdir: Path) -> dict:
 
 def run_chain(cfg: RunConfig, outdir: Path) -> dict:
     docs = [report.to_json() for report in
-            verify_chains(cfg.hurst, cfg.opt("n", 64), cfg.replicas, cfg.seed)]
+            verify_chains(cfg.hurst, cfg.opt("n"), cfg.replicas, cfg.seed)]
     merged = {f"h={h:g}": doc for h, doc in zip(cfg.hurst, docs)}
     write_json(outdir / "chain.json", merged)
     checks = [{"name": f"chain h={h:g}", "pass": doc["pass"]}
@@ -410,11 +472,11 @@ def run_chain(cfg: RunConfig, outdir: Path) -> dict:
     return {"chain": merged, "checks": checks}
 
 
-def _parse_trend(name: str) -> tuple[str, tuple[float, ...]]:
+def _parse_trend(name: str) -> tuple[str, tuple[float, ...]] | None:
     """(kind, numbers) of an rkhs trend name: combined0, combined1, psi,
     psi*<factor>, covcol@<x>[*<factor>] or zero; kind is the name up to its
-    numbers.  Raises ConfigError for an unknown name or a malformed or
-    non-finite number."""
+    numbers.  None for an unknown name or a malformed or non-finite
+    number."""
     kind, numbers = name, ()
     if name.startswith("psi*"):
         kind, numbers = "psi*", (name[len("psi*"):],)
@@ -422,17 +484,12 @@ def _parse_trend(name: str) -> tuple[str, tuple[float, ...]]:
         coord, _, factor = name[len("covcol@"):].partition("*")
         kind, numbers = "covcol@", (coord, factor or "1")
     if kind not in ("combined0", "combined1", "psi", "psi*", "covcol@", "zero"):
-        raise ConfigError(f"option trend must be combined0, combined1, psi, "
-                          f"psi*<factor>, covcol@<x>[*<factor>] or zero, "
-                          f"got {name!r}")
-    bad = ConfigError(f"option trend {name!r} needs finite numbers")
+        return None
     try:
         values = tuple(float(v) for v in numbers)
     except ValueError:
-        raise bad from None
-    if not all(map(math.isfinite, values)):
-        raise bad
-    return kind, values
+        return None
+    return (kind, values) if all(map(math.isfinite, values)) else None
 
 
 def _rkhs_grid(half: int) -> SampleGrid:
@@ -456,9 +513,9 @@ def _rkhs_trend(space, name: str):
 
 
 def run_rkhs_verify(cfg: RunConfig, outdir: Path) -> dict:
-    half = cfg.opt("half-points", 16)
-    trend_name = cfg.opt("trend", "combined0")
-    level = cfg.opt("level", 2.0)
+    half = cfg.opt("half-points")
+    trend_name = cfg.opt("trend")
+    level = cfg.opt("level")
     reports = {}
     checks = []
     flagged = False
@@ -494,11 +551,19 @@ def run_experiment(cfg: RunConfig) -> tuple[int, dict]:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     outdir = Path(cfg.out)
+    made = [p for p in (outdir, *outdir.parents) if not p.exists()]
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.time()
-    summary = _RUNNERS[cfg.experiment](cfg, outdir)
-    wall = time.time() - started
-    write_manifest(cfg, outdir, wall, workers)
+    try:
+        summary = _RUNNERS[cfg.experiment](cfg, outdir)
+        write_manifest(cfg, outdir, time.time() - started, workers)
+    except BaseException:
+        # a run that fails leaves no directory it made; one that existed
+        # before it is kept
+        if made:
+            import shutil
+            shutil.rmtree(made[-1], ignore_errors=True)
+        raise
     status = 0
     if summary.get("flagged"):
         status = 2
@@ -510,15 +575,18 @@ def run_experiment(cfg: RunConfig) -> tuple[int, dict]:
 def write_manifest(cfg: RunConfig, outdir: Path, wall_time_s: float,
                    workers: int) -> None:
     """Config, provenance and wall time; the only output that may differ
-    between re-runs of one config."""
+    between re-runs of one config.  Written last and replaced whole, so it
+    is never half written and never written for a run that failed."""
     provenance = {"rng": RNG_SCHEME, "rng_state_write": rng_state_write(),
                   "numpy": np.__version__,
                   # read from the package metadata: importing scipy is slow
                   "scipy": importlib.metadata.version("scipy"),
                   "hull": envelope_backend(), "workers": workers}
-    write_json(outdir / "manifest.json",
+    partial_path = outdir / "manifest.json.tmp"
+    write_json(partial_path,
                {"config": config_to_dict(cfg), "tool_version": __version__,
                 "provenance": provenance, "wall_time_s": wall_time_s})
+    partial_path.replace(outdir / "manifest.json")
 
 
 def rerun_from_manifest(manifest_path, out: str | None = None) -> tuple[int, dict]:

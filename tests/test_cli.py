@@ -12,14 +12,20 @@ import pytest
 import burgerslab
 from burgerslab.cli import main
 from burgerslab.grids import rng_state_write
-from burgerslab.acceptance import run_checks
+from burgerslab import experiments
+from burgerslab.acceptance import CHECKS, Check, run_checks
 from burgerslab.experiments import (
+    EXPERIMENTS,
+    OPTIONS,
     ConfigError,
     RunConfig,
     config_to_dict,
     load_config_file,
+    parse_value,
     run_experiment,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def read_bytes(path):
@@ -126,7 +132,19 @@ class TestBadValues:
         (["rkhs-verify", "--opt", "trend=bogus"], "option trend"),
         (["rkhs-verify", "--opt", "trend=psi*abc"], "option trend"),
         (["rkhs-verify", "--opt", "trend=covcol@0.3"], "option trend"),
-        (["rkhs-verify", "--opt", "level=abc"], "option level")])
+        (["rkhs-verify", "--opt", "level=abc"], "option level"),
+        # each case below fails at 177040a: it ran with the option ignored,
+        # or printed a traceback and left an empty directory
+        (["persist", "--hurst", "0.5", "--horizon", "4,8", "--opt",
+          "levle=2"], "levle"),
+        (["persist", "--hurst", "0.5", "--horizon", "4,8", "--opt",
+          "level=nan"], "option level"),
+        (["dim", "--hurst", "0.5", "--opt", "target-h0.4=0.1"], "target-h0.4"),
+        (["sample", "--opt", "points=0"], "option points"),
+        (["sample", "--opt", "method=exact", "--opt", "points=5000"],
+         "option points"),
+        (["solve", "--opt", "half-points=0"], "option half-points"),
+        (["sample", "--opt", "method=bogus"], "option method")])
     def test_bad_experiment_option(self, tmp_path, capsys, argv, field):
         out = tmp_path / "p"
         status = main(argv + ["--replicas", "100", "--out", str(out)])
@@ -146,6 +164,41 @@ class TestBadValues:
             with pytest.raises(ConfigError, match="option half-points"):
                 RunConfig("rkhs-verify", options={"half-points": half}).validate()
 
+    # the upper caps fail at 177040a, which accepted any larger value: chain
+    # n and solve half-points of 10^8 then ran out of memory
+    @pytest.mark.parametrize("experiment, key, good, bad, others", [
+        ("chain", "n", ["2", "262144"], ["1", "262145", "100000000"], {}),
+        ("solve", "half-points", ["1", "524288"],
+         ["0", "524289", "100000000"], {}),
+        ("sample", "points", ["1", "1048576"], ["0", "1048577"], {}),
+        ("sample", "points", ["4095"], ["4096", "5000"], {"method": "exact"})])
+    def test_option_cap(self, experiment, key, good, bad, others):
+        # through validate only: a grid this large is never built
+        for value in good:
+            RunConfig(experiment, options={**others, key: value}).validate()
+        for value in bad:
+            with pytest.raises(ConfigError, match=f"option {key}"):
+                RunConfig(experiment,
+                          options={**others, key: value}).validate()
+
+    # fails at 177040a: a misspelt --set key was ignored and the check ran
+    @pytest.mark.parametrize("key", ["telescoping.lenght", "dim.replicas"])
+    def test_undeclared_check_setting(self, capsys, monkeypatch, key):
+        calls = []
+        spy = Check(lambda ov: calls.append(ov) or {"pass": True},
+                    CHECKS["telescoping"].settings)
+        monkeypatch.setitem(CHECKS, "telescoping", spy)
+        status = main(["check", "--only", "telescoping", "--set", f"{key}=4"])
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert calls == []
+        # a declared key reaches the check typed, beside the defaults
+        assert main(["check", "--only", "telescoping",
+                     "--set", "telescoping.length=4"]) == 0
+        assert calls == [{"telescoping.sequences": 1000,
+                          "telescoping.length": 4}]
+
     def test_malformed_worker_cap(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BURGERSLAB_WORKERS", "two")
         out = tmp_path / "p"
@@ -161,11 +214,24 @@ class TestBadValues:
         self.assert_config_error(status, capsys, again, "manifest.json")
 
     def test_bad_config_file_value(self, tmp_path, capsys):
+        self.test_bad_config_file_line(tmp_path, capsys, "replicas = many",
+                                       "replicas")
+
+    # both fail at 177040a: 100 replicas ran, and check was False
+    @pytest.mark.parametrize("line, field", [
+        ("replicsa = 5", "replicsa"), ("check = ture", "check")])
+    def test_bad_config_file_line(self, tmp_path, capsys, line, field):
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("hurst = 0.5\nhorizons = 4,8\nreplicas = many\n")
+        cfg_file.write_text(f"hurst = 0.5\nhorizons = 4,8\n{line}\n")
         out = tmp_path / "p"
         status = main(["persist", "--config", str(cfg_file), "--out", str(out)])
-        self.assert_config_error(status, capsys, out, "replicas")
+        self.assert_config_error(status, capsys, out, field)
+
+    def test_bool_spellings(self):
+        for raw in ("true", "TRUE", "1", "yes", "Yes", True):
+            assert parse_value(raw, False, "check") is True
+        for raw in ("false", "False", "0", "no", "NO", False):
+            assert parse_value(raw, True, "check") is False
 
     def test_bad_manifest_value(self, tmp_path, capsys):
         assert main(self.ARGS + ["--out", str(tmp_path / "p")]) == 0
@@ -192,6 +258,96 @@ class TestBadValues:
         rerun = json.loads(read_bytes(again / "manifest.json"))["config"]
         assert json.dumps({**rerun, "out": str(out)}, sort_keys=True) == \
             json.dumps(want, sort_keys=True)
+
+
+def _raising_runner(cfg, outdir):
+    (outdir / "records.jsonl").write_text("half written\n")
+    raise RuntimeError("runner failed")
+
+
+class TestRunDirectory:
+    """A run that fails removes the directory it made, keeps one that
+    existed, and writes no manifest."""
+
+    def test_failed_run_removes_directory_it_made(self, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.setitem(experiments._RUNNERS, "sample", _raising_runner)
+        out = tmp_path / "new" / "p"
+        with pytest.raises(RuntimeError, match="runner failed"):
+            run_experiment(RunConfig("sample", out=str(out)))
+        assert not (tmp_path / "new").exists()
+
+    def test_failed_run_keeps_existing_directory(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(experiments._RUNNERS, "sample", _raising_runner)
+        out = tmp_path / "p"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+        with pytest.raises(RuntimeError, match="runner failed"):
+            run_experiment(RunConfig("sample", out=str(out)))
+        assert (out / "notes.txt").read_text() == "kept\n"
+        assert sorted(p.name for p in out.iterdir()) == ["notes.txt",
+                                                         "records.jsonl"]
+
+    def test_manifest_written_last_and_whole(self, tmp_path, monkeypatch):
+        names = []
+
+        def runner(cfg, outdir):
+            names.extend(p.name for p in outdir.iterdir())
+            return {"checks": []}
+        monkeypatch.setitem(experiments._RUNNERS, "sample", runner)
+        out = tmp_path / "p"
+        assert run_experiment(RunConfig("sample", out=str(out)))[0] == 0
+        assert names == []
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        json.loads((out / "manifest.json").read_text())
+
+
+class TestOptionDefaults:
+    """Defaults that reach no result file, read from the returned
+    summary."""
+
+    def test_dim_checks_carry_default_tol_and_target(self, tmp_path):
+        _, summary = run_experiment(RunConfig(
+            "dim", hurst=(0.3, 0.6), replicas=1, seed=1,
+            out=str(tmp_path / "d"), options={"grid-log2": "10"}))
+        assert [(c["tol"], c["target"]) for c in summary["checks"]] == \
+            [(0.1, 0.3), (0.1, 0.6)]
+
+    def test_persist_check_tolerance_per_event(self, tmp_path):
+        def tolerances(out, **options):
+            _, summary = run_experiment(RunConfig(
+                "persist", hurst=(0.5,), horizons=(4.0, 8.0, 16.0, 32.0),
+                replicas=100, seed=1, check=True, out=str(tmp_path / out),
+                options={"events": "fbm_max,ifbm_one_sided,ifbm_two_sided",
+                         **options}))
+            return {c["name"]: c["tol"] for c in summary["checks"]}
+        # ifbm_two_sided has no known exponent, so no check
+        assert tolerances("p") == {"exponent fbm_max h=0.5": 0.07,
+                                   "exponent ifbm_one_sided h=0.5": 0.08}
+        assert set(tolerances("q", **{"slope-tol": "0.2"}).values()) == {0.2}
+
+
+def _readme_tables() -> dict:
+    """{experiment or 'check': {key: default}} from README's option tables:
+    a line holding only `name`, then rows | `key` | `default` | ..."""
+    tables, current = {}, None
+    for line in (ROOT / "README.md").read_text().splitlines():
+        if line.startswith("`") and line.endswith("`") and line.count("`") == 2:
+            current = tables.setdefault(line.strip("`"), {})
+        cells = [cell.strip() for cell in line.split("|")]
+        if (current is not None and len(cells) > 3
+                and cells[1].startswith("`") and cells[2].startswith("`")):
+            current[cells[1].strip("`")] = cells[2].strip("`")
+    return tables
+
+
+def test_readme_lists_every_option_and_default():
+    want = {exp: {key: str(row.default) for key, row in OPTIONS[exp].items()}
+            for exp in EXPERIMENTS}
+    want["dim"]["target-h<H>"] = "H"
+    want["check"] = {key: str(default) for check in CHECKS.values()
+                     for key, default in check.settings.items()}
+    assert _readme_tables() == want
 
 
 class TestDeterminism:
