@@ -3,9 +3,9 @@
 Each check runs at its pinned desk scale and tolerance and returns a
 CheckResult; the CLI ``check`` subcommand and the acceptance test module
 both drive this registry.  Each check declares its scales and targets as
-settings with defaults; string overrides (e.g. {"dim.target-h0.5": "0.9"})
-parse as the type of the default, so a deliberately broken tolerance can be
-demonstrated and so tests can shrink scales.
+settings; string overrides (e.g. {"dim.target-h0.5": "0.9"}) parse as the
+type of the default and must meet the rule, so a deliberately broken
+tolerance can be demonstrated and so tests can shrink scales.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import math
 import tempfile
 import time
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,18 +23,25 @@ from scipy.stats import ks_2samp
 from .burgers import clusters_match, solve, sticky_shock_clusters
 from .envelopes import slope_functional_batch
 from .experiments import (
-    ConfigError,
+    OPTIONS,
+    Option,
     RunConfig,
-    parse_value,
+    parse_options,
     rerun_from_manifest,
     run_experiment,
+    _at_least,
     _dim_cell,
+    _FINITE,
+    _NON_NEGATIVE,
+    _within,
 )
-from .fbm import fbm_covariance, integrate_values, sample_fbm_exact_batch, \
-    sample_fbm_fast, sample_fbm_fast_batch
+from .fbm import EXACT_SAMPLER_MAX_POINTS, FastRows, fbm_covariance, \
+    integrate_values, sample_fbm_exact_batch, sample_fbm_fast, \
+    sample_fbm_fast_batch
 from .grids import RandomnessSpec, SampleGrid
 from .persistence import (
     BROWNIAN_MAX_MEAN,
+    MIN_REPLICAS,
     BarrierEvent,
     estimate_persistences,
     exponent_fit,
@@ -62,11 +68,6 @@ class CheckResult:
     passed: bool
     runtime_s: float
     details: dict
-
-
-def _ks_critical(n1: int, n2: int, alpha: float = 0.01) -> float:
-    c = math.sqrt(-math.log(alpha / 2.0) / 2.0)
-    return c * math.sqrt((n1 + n2) / (n1 * n2))
 
 
 # --- criterion 1 -----------------------------------------------------------
@@ -97,7 +98,9 @@ def check_sampler_equivalence(ov: dict) -> dict:
     replicas = ov["sampler-eq.replicas"]
     n = ov["sampler-eq.points"]
     grid = SampleGrid.one_sided(1.0, n)
-    crit = _ks_critical(replicas, replicas)
+    # the two-sample KS critical value at 1%
+    crit = (math.sqrt(-math.log(0.01 / 2.0) / 2.0)
+            * math.sqrt((replicas + replicas) / (replicas * replicas)))
     stats = {}
     for h in H_TRIPLE:
         mx_exact = sample_fbm_exact_batch(h, grid, 201,
@@ -108,38 +111,28 @@ def check_sampler_equivalence(ov: dict) -> dict:
             "ks": stats, "critical_1pct": crit}
 
 
-# --- criterion 3 -----------------------------------------------------------
+# --- criteria 3 and 4 -----------------------------------------------------
 
-def _telescoping_errors(h, grid, reps):
-    w = sample_fbm_fast_batch(h, grid, 301, reps)
-    return (slope_functional_batch(integrate_values(w, 1.0, 0)).rel_err,)
+def _slope_functional_checks(w):
+    """Per-row telescoping error and identity gap f - 2 right(0) of the
+    slope functional of the running integral of ``w``."""
+    sf = slope_functional_batch(integrate_values(w, 1.0, 0))
+    return sf.rel_err, sf.f - 2.0 * sf.right0
 
 
 def check_telescoping(ov: dict) -> dict:
-    sequences = ov["telescoping.sequences"]
-    length = ov["telescoping.length"]
-    grid = SampleGrid.one_sided(1.0, length - 1)
-    worst = 0.0
-    for h in H_TRIPLE:
-        (rel,) = replica_stats(partial(_telescoping_errors, h, grid),
-                               sequences)
-        worst = max(worst, float(rel.max()))
+    grid = SampleGrid.one_sided(1.0, ov["telescoping.length"] - 1)
+    stats = replica_stats([(FastRows(h, grid), _slope_functional_checks)
+                           for h in H_TRIPLE], 301, ov["telescoping.sequences"])
+    worst = max(float(rel.max()) for rel, _ in stats)
     return {"pass": worst <= 1e-9, "worst_rel_err": worst}
 
 
-# --- criterion 4 -----------------------------------------------------------
-
-def _identity_gaps(grid, reps):
-    w = sample_fbm_fast_batch(0.5, grid, 401, reps)
-    sf = slope_functional_batch(integrate_values(w, 1.0, 0))
-    return (sf.f - 2.0 * sf.right0,)
-
-
 def check_expectation_identity(ov: dict) -> dict:
-    replicas = ov["identity.replicas"]
-    n = ov["identity.n"]
-    grid = SampleGrid.one_sided(1.0, n)
-    (gap,) = replica_stats(partial(_identity_gaps, grid), replicas)
+    grid = SampleGrid.one_sided(1.0, ov["identity.n"])
+    [(_, gap)] = replica_stats([(FastRows(0.5, grid),
+                                 _slope_functional_checks)], 401,
+                               ov["identity.replicas"])
     mean, se = mean_se(gap)
     return {"pass": abs(mean) <= 4 * se, "mean_gap": mean, "se": se,
             "gap_sigma": abs(mean) / se if se > 0 else 0.0}
@@ -199,7 +192,9 @@ def check_dimension(ov: dict) -> dict:
                         seed=701, options={"grid-log2": str(log2n)})
         _, summary, _ = _dim_cell(h, cfg)
         target = ov[f"dim.target-h{h:g}"]
-        good = abs(summary["slope"] - target) <= tol
+        # None when every replica's window collapsed
+        good = (summary["slope"] is not None
+                and abs(summary["slope"] - target) <= tol)
         slopes[f"h={h:g}"] = {"slope": summary["slope"],
                               "se": summary["slope_se"], "target": target,
                               "pass": bool(good)}
@@ -240,6 +235,18 @@ def check_integral_exponent(ov: dict) -> dict:
             "se": fit.slope_se, "target": 0.25, "tol": tol}
 
 
+def _puncture_ordering(replicas: int, pair=("ifbm_two_sided",
+                                             "ifbm_punctured")) -> list:
+    """(p1, p2, p1 <= p2) per H of the pair's events on the same paths at
+    level 0 and spacing 0.25, where the two differ (at level 1 and spacing
+    1 they are equal pathwise)."""
+    ests = estimate_persistences([(BarrierEvent(process, 0.0, 128.0), h)
+                                  for h in H_TRIPLE for process in pair],
+                                 0.25, replicas, 1002)
+    return [(a.value, b.value, a.value <= b.value)
+            for a, b in zip(ests[0::2], ests[1::2])]
+
+
 def check_two_sided_bound(ov: dict) -> dict:
     replicas = ov["two-sided.replicas"]
     slack = ov["two-sided.slack"]
@@ -249,22 +256,16 @@ def check_two_sided_bound(ov: dict) -> dict:
     ests = estimate_persistences([(BarrierEvent("ifbm_two_sided", 1.0, t), h)
                                   for h in H_TRIPLE for t in ladder],
                                  1.0, replicas, 1001)
-    # both events share each H's paths at seed 1002
-    pairs = estimate_persistences([(BarrierEvent(process, 1.0, 128.0), h)
-                                   for h in H_TRIPLE for process
-                                   in ("ifbm_two_sided", "ifbm_punctured")],
-                                  1.0, replicas, 1002)
+    pairs = _puncture_ordering(replicas)
     for i, h in enumerate(H_TRIPLE):
         fit = exponent_fit(ests[i * len(ladder):(i + 1) * len(ladder)])
         floor = (1.0 - h) - slack
         good = fit.slope >= floor
         # full-domain event is included in the punctured one pathwise
-        p_two, p_punc = pairs[2 * i:2 * i + 2]
-        ordered = p_two.value <= p_punc.value
+        p_two, p_punc, ordered = pairs[i]
         out[f"h={h:g}"] = {"slope": fit.slope, "floor": floor,
-                           "pass": bool(good), "p_full": p_two.value,
-                           "p_punctured": p_punc.value,
-                           "ordering": bool(ordered)}
+                           "pass": bool(good), "p_full": p_two,
+                           "p_punctured": p_punc, "ordering": ordered}
         ok = ok and good and ordered
     return {"pass": ok, "fits": out}
 
@@ -278,10 +279,12 @@ def check_rkhs(ov: dict) -> dict:
     details: dict = {}
     ok = True
 
+    space = {(grid, h): build_space(grid, h) for grid in (grid33, grid17)
+             for h in H_TRIPLE}
     worst_repr = 0.0
     worst_comp = 0.0
     for h in H_TRIPLE:
-        sp = build_space(grid33, h)
+        sp = space[grid33, h]
         for i in range(sp.grid.count):
             target = math.sqrt(sp.cov[i, i])
             if target == 0.0:
@@ -310,20 +313,17 @@ def check_rkhs(ov: dict) -> dict:
          lambda sp: TrendFunction(0.2 * psi_trend(grid17).values, "psi*0.2"),
          1.0),
     ]
-    # configs sharing (grid, H) are tested on one pass of draws
-    groups: dict = {}
-    for name, grid, h, mk, level in configs:
-        groups.setdefault((grid, h), []).append((name, mk, level))
+    # every config on one pass of draws: grid17's rows take the first 17
+    # of the 33 normals that grid33's draw
+    reports = verify_shift_inequalities(
+        [(space[grid, h], mk(space[grid, h]), level)
+         for _, grid, h, mk, level in configs], replicas, 1101)
     shift = {}
-    for (grid, h), cases in groups.items():
-        sp = build_space(grid, h)
-        reports = verify_shift_inequalities(
-            sp, [(mk(sp), level) for _, mk, level in cases], replicas, 1101)
-        for (name, _, _), rep in zip(cases, reports):
-            shift[name] = {"pass": rep.passed, "inconclusive": rep.inconclusive,
-                           "lhs": rep.lhs, "rhs": rep.rhs,
-                           "slack_sigma": rep.slack_sigma}
-            ok = ok and rep.passed and not rep.inconclusive
+    for (name, *_), rep in zip(configs, reports):
+        shift[name] = {"pass": rep.passed, "inconclusive": rep.inconclusive,
+                       "lhs": rep.lhs, "rhs": rep.rhs,
+                       "slack_sigma": rep.slack_sigma}
+        ok = ok and rep.passed and not rep.inconclusive
     details["shift_configs"] = shift
     details["pass"] = ok
     return details
@@ -376,64 +376,68 @@ def check_determinism(ov: dict) -> dict:
 @dataclass(frozen=True)
 class Check:
     """One criterion: ``run`` maps the typed settings to its details, and
-    ``settings`` declares its ``--set`` keys and their defaults, whose type
-    a key's string parses as."""
+    ``settings`` declares its ``--set`` keys as ``experiments.Option``
+    rows: a default, whose type a key's string parses as, and a rule."""
     run: object
     settings: dict
 
 
 CHECKS = {
-    "sampler-covariance": Check(check_sampler_covariance,
-                                {"sampler-cov.replicas": 10_000}),
-    "sampler-equivalence": Check(check_sampler_equivalence,
-                                 {"sampler-eq.replicas": 10_000,
-                                  "sampler-eq.points": 64}),
-    "telescoping": Check(check_telescoping, {"telescoping.sequences": 1000,
-                                             "telescoping.length": 256}),
-    "expectation-identity": Check(check_expectation_identity,
-                                  {"identity.replicas": 10_000,
-                                   "identity.n": 64}),
-    "inequality-chain": Check(check_inequality_chain,
-                              {"chain.replicas": 10_000, "chain.n": 64}),
-    "burgers-oracle": Check(check_burgers_oracle, {"burgers.paths": 20,
-                                                   "burgers.particles": 128}),
-    "dimension": Check(check_dimension,
-                       {"dim.replicas": 50, "dim.grid-log2": 16,
-                        "dim.slope-tol": 0.1,
-                        **{f"dim.target-h{h:g}": h for h in H_TRIPLE}}),
-    "max-exponent": Check(check_max_exponent,
-                          {"max-exp.replicas": 20_000, "max-exp.level": 0.5,
-                           "max-exp.tol": 0.07}),
-    "integral-exponent": Check(check_integral_exponent,
-                               {"int-exp.replicas": 10_000,
-                                "int-exp.tol": 0.08}),
-    "two-sided-bound": Check(check_two_sided_bound,
-                             {"two-sided.replicas": 10_000,
-                              "two-sided.slack": 0.15}),
-    "rkhs": Check(check_rkhs, {"rkhs.replicas": 1_000_000}),
+    "sampler-covariance": Check(check_sampler_covariance, {
+        "sampler-cov.replicas": Option(10_000, *_at_least(1))}),
+    # the 1% KS critical value of two samples of n is below 1 from n = 6
+    "sampler-equivalence": Check(check_sampler_equivalence, {
+        "sampler-eq.replicas": Option(10_000, *_at_least(6)),
+        "sampler-eq.points": Option(
+            64, *_within(1, EXACT_SAMPLER_MAX_POINTS - 1))}),
+    # a sequence of two points has no slope gap to sum
+    "telescoping": Check(check_telescoping, {
+        "telescoping.sequences": Option(1000, *_at_least(1)),
+        "telescoping.length": Option(256, *_at_least(3))}),
+    "expectation-identity": Check(check_expectation_identity, {
+        "identity.replicas": Option(10_000, *_at_least(1)),
+        "identity.n": Option(64, *_at_least(1))}),
+    "inequality-chain": Check(check_inequality_chain, {
+        "chain.replicas": Option(10_000, *_at_least(1)),
+        "chain.n": OPTIONS["chain"]["n"]}),
+    "burgers-oracle": Check(check_burgers_oracle, {
+        "burgers.paths": Option(20, *_at_least(1)),
+        "burgers.particles": Option(128, *_at_least(2))}),
+    "dimension": Check(check_dimension, {
+        "dim.replicas": Option(50, *_at_least(1)),
+        "dim.grid-log2": OPTIONS["dim"]["grid-log2"],
+        "dim.slope-tol": OPTIONS["dim"]["slope-tol"],
+        **{f"dim.target-h{h:g}": Option(h, *_FINITE) for h in H_TRIPLE}}),
+    "max-exponent": Check(check_max_exponent, {
+        "max-exp.replicas": Option(20_000, *_at_least(MIN_REPLICAS)),
+        "max-exp.level": Option(0.5, *_FINITE),
+        "max-exp.tol": Option(0.07, *_NON_NEGATIVE)}),
+    "integral-exponent": Check(check_integral_exponent, {
+        "int-exp.replicas": Option(10_000, *_at_least(MIN_REPLICAS)),
+        "int-exp.tol": Option(0.08, *_NON_NEGATIVE)}),
+    "two-sided-bound": Check(check_two_sided_bound, {
+        "two-sided.replicas": Option(10_000, *_at_least(MIN_REPLICAS)),
+        "two-sided.slack": Option(0.15, *_FINITE)}),
+    "rkhs": Check(check_rkhs, {"rkhs.replicas": Option(1_000_000,
+                                                       *_at_least(1))}),
     "determinism": Check(check_determinism, {}),
 }
 
 
 def run_checks(names=None, overrides=None) -> list[CheckResult]:
     """Runs the named checks (all by default) with their settings; an
-    override of a key that no selected check declares, or one that does not
-    parse, raises ValueError before any check runs."""
+    override of a key that no selected check declares, one that does not
+    parse or one its rule refuses raises ValueError before any check
+    runs."""
     selected = list(CHECKS) if not names else list(names)
     unknown = [n for n in selected if n not in CHECKS]
     if unknown:
         raise ValueError(f"unknown check names {unknown}; "
                          f"available: {sorted(CHECKS)}")
-    declared = {key: default for name in selected
-                for key, default in CHECKS[name].settings.items()}
-    overrides = overrides or {}
-    for key in overrides:
-        if key not in declared:
-            raise ConfigError(f"unknown --set key {key} for checks "
-                              f"{', '.join(selected)}; their keys are "
-                              f"{', '.join(declared) or 'none'}")
-    settings = {key: parse_value(overrides.get(key), default, key)
-                for key, default in declared.items()}
+    settings = parse_options(
+        {key: row for name in selected
+         for key, row in CHECKS[name].settings.items()},
+        overrides or {}, "--set key", f"checks {', '.join(selected)}")
     results = []
     for name in selected:
         started = time.time()

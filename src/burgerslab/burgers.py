@@ -138,14 +138,6 @@ class ParticleSystem:
         object.__setattr__(self, "velocities", vel)
         object.__setattr__(self, "masses", mass)
 
-    @property
-    def total_mass(self) -> float:
-        return float(np.sum(self.masses))
-
-    @property
-    def total_momentum(self) -> float:
-        return float(np.sum(self.masses * self.velocities))
-
 
 def particles_from_path(u0: GridPath) -> ParticleSystem:
     """One particle per grid point: velocity from the path, mass = spacing."""

@@ -301,15 +301,6 @@ def windowed_slope_pair(values, k: int, window: int) -> SlopePair:
                      arg_left=int(p[il]), arg_right=int(p[ir]))
 
 
-def all_slope_pairs(values) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized left/right slopes at every index of one sequence.
-
-    Returns (gm, gp) with gm[k] defined for k >= 1 (nan at 0) and gp[k]
-    defined for k <= N-1 (nan at N).
-    """
-    gm, gp = all_slope_pairs_batch(np.asarray(values, dtype=float)[None, :])
-    return gm[0], gp[0]
-
 def all_slope_pairs_batch(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Left/right slopes at every index for a batch of sequences (R, N+1).
 
@@ -357,10 +348,6 @@ def functional_F(values) -> float:
     if values.size < 3:
         raise ValueError("need length >= 3")
     return math.fsum(slope_functional_batch(values[None, :]).terms[0])
-
-def functional_F_endpoint(values) -> float:
-    """Telescoped form right(0) - left(N) of the same functional."""
-    return right_slope(values, 0)[0] - left_slope(values, len(values) - 1)[0]
 
 
 def nodal_event(values, k: int) -> bool:

@@ -4,8 +4,8 @@ Every experiment consumes a RunConfig, writes machine-readable artifacts
 (JSON-lines records, CSV tables, JSON summaries) plus a manifest, and is
 bit-reproducible from that manifest: outputs depend only on the config.
 Cells (Hurst indices, horizons, events) run one after another, except that
-persist and chain estimate all their cells on one pass of draws per seed;
-the replicas are spread over the process's worker pool
+persist, chain and rkhs-verify estimate all their cells on one pass of
+draws per seed; the replicas are spread over the process's worker pool
 (``persistence.pool_map``, capped by BURGERSLAB_WORKERS), which cannot
 change results: every replica is deterministic and results are gathered in
 replica order.
@@ -48,7 +48,7 @@ from .rkhs import (
     covariance_column_trend,
     psi_trend,
     TrendFunction,
-    verify_shift_inequality,
+    verify_shift_inequalities,
 )
 
 # chain draws its max-mean constant at seed + 1, and every stream is keyed by
@@ -113,12 +113,34 @@ def _within(lo, hi) -> tuple:
     return f"in [{lo}, {hi}]", lambda v: lo <= v <= hi
 
 
+def _at_least(lo) -> tuple:
+    return f"at least {lo}", lambda v: v >= lo
+
+
 class Option:
-    """One row of an experiment's option table: the default, whose type
-    the option's string parses as, and the rule the parsed value meets."""
+    """One row of an option table (an experiment's options, a check's
+    ``--set`` keys): the default, whose type a string parses as, and a rule."""
 
     def __init__(self, default, allowed: str, ok):
         self.default, self.allowed, self.ok = default, allowed, ok
+
+
+def parse_options(rows: dict, given: dict, what: str, owner: str) -> dict:
+    """Every row's value: its string in ``given`` parsed as the type of its
+    default, or the default.  Raises ConfigError naming the first key that
+    no row declares, that does not parse or whose rule refuses it."""
+    for key in given:
+        if key not in rows:
+            raise ConfigError(f"unknown {what} {key} for {owner}; its "
+                              f"{what}s are {', '.join(rows) or 'none'}")
+    values = {}
+    for key, row in rows.items():
+        value = values[key] = parse_value(given.get(key), row.default,
+                                          f"{what} {key}")
+        if not row.ok(value):
+            raise ConfigError(f"{what} {key} must be {row.allowed}, "
+                              f"got {value!r}")
+    return values
 
 
 OPTIONS = {
@@ -168,7 +190,7 @@ _FIELD_RULES = {
     "horizons": ("a list of finite values > 0",
                  lambda ts: all(math.isfinite(t) and t > 0 for t in ts)),
     "spacing": _POSITIVE,
-    "replicas": ("at least 1", lambda r: r >= 1),
+    "replicas": _at_least(1),
     "seed": _within(0, SEED_MAX),
 }
 
@@ -195,17 +217,8 @@ class RunConfig:
             value = getattr(self, name)
             if not ok(value):
                 raise ConfigError(f"{name} must be {allowed}, got {value!r}")
-        rows = self.option_rows()
-        for key in self.options:
-            if key not in rows:
-                raise ConfigError(f"unknown option {key} for "
-                                  f"{self.experiment}; its options are "
-                                  f"{', '.join(rows)}")
-        for key, row in rows.items():
-            value = self.opt(key)
-            if not row.ok(value):
-                raise ConfigError(f"option {key} must be {row.allowed}, "
-                                  f"got {value!r}")
+        parse_options(self.option_rows(), self.options, "option",
+                      self.experiment)
         # the checks that span several fields or options
         if (self.experiment == "sample" and self.opt("method") == "exact"
                 and self.opt("points") >= EXACT_SAMPLER_MAX_POINTS):
@@ -513,17 +526,15 @@ def _rkhs_trend(space, name: str):
 
 
 def run_rkhs_verify(cfg: RunConfig, outdir: Path) -> dict:
-    half = cfg.opt("half-points")
     trend_name = cfg.opt("trend")
-    level = cfg.opt("level")
+    spaces = [build_space(_rkhs_grid(cfg.opt("half-points")), h)
+              for h in cfg.hurst]
     reports = {}
     checks = []
     flagged = False
-    for h in cfg.hurst:
-        space = build_space(_rkhs_grid(half), h)
-        trend = _rkhs_trend(space, trend_name)
-        rep = verify_shift_inequality(space, trend, level, cfg.replicas,
-                                      cfg.seed)
+    for h, rep in zip(cfg.hurst, verify_shift_inequalities(
+            [(space, _rkhs_trend(space, trend_name), cfg.opt("level"))
+             for space in spaces], cfg.replicas, cfg.seed)):
         key = f"h={h:g}"
         reports[key] = rep.to_json()
         flagged = flagged or rep.inconclusive

@@ -18,6 +18,7 @@ tests and for the kernel-space module.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -34,8 +35,7 @@ __all__ = [
     "sample_fbm_exact_batch",
     "sample_fbm_fast",
     "sample_fbm_fast_batch",
-    "fast_noise_length",
-    "fbm_fast_rows",
+    "FastRows",
     "RowBuffers",
     "integrate_path",
     "integrate_values",
@@ -244,12 +244,6 @@ def sample_fbm_fast(h: float, grid: SampleGrid, rand: RandomnessSpec) -> GridPat
     return GridPath(grid, values, "fbm", hurst=h)
 
 
-def fast_noise_length(h: float, grid: SampleGrid) -> int:
-    """Normals per replica the fast sampler draws on ``grid``: the length
-    2M of its circulant embedding, which may double with H."""
-    return _noise_length(check_hurst(h), grid.spacing, grid.count - 1)
-
-
 def sample_fbm_fast_batch(h: float, grid: SampleGrid, seed: int,
                           replicas: range) -> np.ndarray:
     """Rows of fast-sampler paths, one per replica index.
@@ -258,35 +252,47 @@ def sample_fbm_fast_batch(h: float, grid: SampleGrid, seed: int,
     and each row is transformed on its own, so batching and chunking cannot
     change results.
     """
-    noise = replica_normals(seed, replicas, fast_noise_length(h, grid))
-    return fbm_fast_rows(h, grid, noise)
+    source = FastRows(h, grid)
+    return source.rows(replica_normals(seed, replicas, source.noise_length))
 
 
-def fbm_fast_rows(h: float, grid: SampleGrid, noise: np.ndarray,
-                  buffers: RowBuffers | None = None) -> np.ndarray:
-    """Fast-sampler rows on ``grid`` from rows of replica noise.
+@dataclass(frozen=True)
+class FastRows:
+    """The fast sampler on (h, grid) as a map from rows of replica noise to
+    rows of paths; a source of ``persistence.replica_stats``."""
 
-    Each row uses the first ``fast_noise_length(h, grid)`` normals of its
-    noise row and ignores the rest.  The first l normals of a replica's
-    stream are its draw of length l, so a noise block drawn once at the
-    longest length serves every (h, grid) that shares its seed.  With
-    ``buffers`` the spectrum, the transform and the returned rows are views
-    of its arrays, valid until its next use; without, they are fresh.
-    """
-    h = check_hurst(h)
-    anchor = grid.anchor_index
-    n_inc = grid.count - 1
-    fgn = _fgn_rows(h, grid.spacing, n_inc,
-                    noise[:, :_noise_length(h, grid.spacing, n_inc)], buffers)
-    # summed and re-anchored in place: one row-sized array, not three
-    shape = (len(noise), grid.count)
-    values = np.empty(shape) if buffers is None else buffers.view("rows", shape)
-    values[:, 0] = 0.0
-    np.cumsum(fgn, axis=1, out=values[:, 1:])
-    del fgn
-    values -= values[:, anchor:anchor + 1].copy()
-    values[:, anchor] = 0.0
-    return values
+    h: float
+    grid: SampleGrid
+
+    @property
+    def noise_length(self) -> int:
+        """The length 2M of the circulant embedding; it may double with H."""
+        return _noise_length(check_hurst(self.h), self.grid.spacing,
+                             self.grid.count - 1)
+
+    def rows(self, noise: np.ndarray,
+             buffers: RowBuffers | None = None) -> np.ndarray:
+        """Rows of paths from the first ``noise_length`` normals of each
+        noise row.  With ``buffers`` the spectrum, the transform and the
+        rows are views of its arrays, valid until its next use; without,
+        they are fresh."""
+        h = check_hurst(self.h)
+        grid = self.grid
+        anchor = grid.anchor_index
+        n_inc = grid.count - 1
+        fgn = _fgn_rows(h, grid.spacing, n_inc,
+                        noise[:, :_noise_length(h, grid.spacing, n_inc)],
+                        buffers)
+        # summed and re-anchored in place: one row-sized array, not three
+        shape = (len(noise), grid.count)
+        values = (np.empty(shape) if buffers is None
+                  else buffers.view("rows", shape))
+        values[:, 0] = 0.0
+        np.cumsum(fgn, axis=1, out=values[:, 1:])
+        del fgn
+        values -= values[:, anchor:anchor + 1].copy()
+        values[:, anchor] = 0.0
+        return values
 
 
 # ---------------------------------------------------------------------------

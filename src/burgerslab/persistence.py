@@ -23,7 +23,7 @@ import numpy as np
 
 from .envelopes import slope_functional_batch
 from .fitting import ScalingFit, fit_scaling
-from .fbm import RowBuffers, fast_noise_length, fbm_fast_rows, integrate_values
+from .fbm import FastRows, RowBuffers, integrate_values
 from .grids import SampleGrid, check_hurst, replica_normals, rng_state_write
 
 __all__ = [
@@ -123,12 +123,10 @@ class BarrierEvent:
         stay-below check ``values[:, cols] <= thresholds``."""
         coords = grid.coordinates
         eps = 1e-9 * grid.spacing
-        if self.process == "fbm_max":
+        if self.process in ("fbm_max", "ifbm_one_sided"):
             mask = coords > eps
-            return np.flatnonzero(mask), np.full(mask.sum(), self.level), False
-        if self.process == "ifbm_one_sided":
-            mask = coords > eps
-            return np.flatnonzero(mask), np.full(mask.sum(), self.level), True
+            return (np.flatnonzero(mask), np.full(mask.sum(), self.level),
+                    self.process == "ifbm_one_sided")
         if self.process == "ifbm_two_sided":
             cols = np.arange(grid.count)
             return cols, np.full(grid.count, self.level), True
@@ -246,21 +244,27 @@ def pool_map(fn, items) -> list:
     return list(_POOL[0].map(fn, items))
 
 
-def replica_stats(stats, replicas: int) -> tuple[np.ndarray, ...]:
-    """Per-replica statistics of replicas 0..replicas-1.
+def replica_stats(cells, seed: int,
+                  replicas: int) -> list[tuple[np.ndarray, ...]]:
+    """Per-replica statistics of replicas 0..replicas-1 for each (source,
+    stat) cell, all on one pass of draws at ``seed`` (``_shared_pass``).
 
-    ``stats(range)`` returns a tuple of arrays with one row per replica of
-    the range; the reducer maps it over consecutive blocks of ``MC_BLOCK``
-    replicas with ``pool_map`` and concatenates each array over the blocks
-    in order.  Each row must be a function of its replica alone (every draw
-    is keyed by (seed, replica)); then neither the block size nor the
-    worker count can change results.
+    The reducer maps the pass over consecutive blocks of ``MC_BLOCK``
+    replicas with ``pool_map`` and returns, for each cell, its tuple of
+    arrays concatenated over the blocks in order.  Each row must be a
+    function of its replica alone (every draw is keyed by (seed, replica));
+    then neither the block size nor the worker count can change results.
     """
     if replicas < 1:
         raise ValueError(f"need at least 1 replica, got {replicas}")
-    blocks = pool_map(stats, [range(start, min(start + MC_BLOCK, replicas))
-                              for start in range(0, replicas, MC_BLOCK)])
-    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+    return _join(pool_map(partial(_shared_pass, tuple(cells), seed),
+                          [range(start, min(start + MC_BLOCK, replicas))
+                           for start in range(0, replicas, MC_BLOCK)]))
+
+
+def _join(parts) -> list[tuple]:
+    """Each cell's arrays concatenated over consecutive parts of replicas."""
+    return [tuple(map(np.concatenate, zip(*cell))) for cell in zip(*parts)]
 
 
 def mean_se(values: np.ndarray):
@@ -276,50 +280,41 @@ def mean_se(values: np.ndarray):
     return mean, se
 
 
-def _shared_pass(cells, seed: int, reps) -> tuple[np.ndarray, ...]:
+def _shared_pass(cells, seed: int, reps) -> list[tuple]:
     """Per-replica statistics of several cells on one draw of noise.
 
-    Each cell is (h, grid, stat): ``stat(rows)`` maps the block's fast-
-    sampler rows on (h, grid) to a tuple of per-replica arrays.  The block's
-    noise is drawn once, at the longest length among the cells, and each
-    distinct (h, grid) transforms its prefix once, however many cells share
-    it; this equals a draw per cell bit for bit.  A block whose noise
-    exceeds ``_PASS_BYTES`` is passed in parts of fewer replicas, which
-    cannot change its rows either.  Returns the cells' arrays, in cell
-    order, as one flat tuple; bound with ``functools.partial`` it is a
-    ``replica_stats`` callback.
+    Each cell is (source, stat).  A source (``fbm.FastRows``,
+    ``rkhs.KernelSpace``) is a hashable map from the first
+    ``source.noise_length`` normals of each noise row to a row,
+    ``source.rows(noise, buffers)``; ``stat(rows)`` maps a block's rows to
+    a tuple of per-replica arrays.  The noise is drawn once, at the longest
+    length among the cells, and each distinct source transforms its prefix
+    once; the first l normals of a replica's stream are its draw of length
+    l, so this equals a draw per cell bit for bit.  A block whose noise
+    exceeds ``_PASS_BYTES`` is passed in parts of fewer replicas.  Returns
+    one tuple of arrays per cell.
 
-    The noise, the spectra, the transforms and the rows live in one set of
-    buffers per process, reused by every part, cell and block it runs, so
-    once they are warm, drawing and transforming allocate no row-sized
-    array.  The rows handed to ``stat`` are overwritten by the next
-    (h, grid): a stat must not keep a reference to ``rows`` or return a
-    view of it.
+    The noise and the fast rows live in one set of buffers per process,
+    reused by every part, cell and block it runs: a stat must not keep a
+    reference to ``rows`` or return a view of it.
     """
-    lengths = {(h, grid): fast_noise_length(h, grid) for h, grid, _ in cells}
+    lengths = {source: source.noise_length for source, _ in cells}
     longest = max(lengths.values())
     step = max(1, _PASS_BYTES // (8 * longest))
     if len(reps) > step:
-        parts = [_shared_pass(cells, seed, reps[i:i + step])
-                 for i in range(0, len(reps), step)]
-        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+        return _join([_shared_pass(cells, seed, reps[i:i + step])
+                      for i in range(0, len(reps), step)])
     noise = replica_normals(seed, reps, longest,
                             out=_BUFFERS.view("noise", (len(reps), longest)))
     out = [()] * len(cells)
     # longest noise first: the first transform grows the buffers to the
     # pass's largest shapes
-    for key in sorted(lengths, key=lengths.get, reverse=True):
-        rows = fbm_fast_rows(*key, noise, _BUFFERS)
-        for i, (h, grid, stat) in enumerate(cells):
-            if (h, grid) == key:
+    for source in sorted(lengths, key=lengths.get, reverse=True):
+        rows = source.rows(noise, _BUFFERS)
+        for i, (cell_source, stat) in enumerate(cells):
+            if cell_source == source:
                 out[i] = stat(rows)
-    return tuple(a for arrays in out for a in arrays)
-
-
-def _split(flat, sizes) -> list[tuple]:
-    """Consecutive groups of ``sizes`` arrays from a flat tuple."""
-    parts = iter(flat)
-    return [tuple(next(parts) for _ in range(size)) for size in sizes]
+    return out
 
 
 def estimate_persistence(event: BarrierEvent, h: float, spacing: float,
@@ -394,7 +389,7 @@ def refinement_study(event: BarrierEvent, h: float, spacings, replicas: int,
 
 
 def _event_cell(event: BarrierEvent, h: float, spacings):
-    """The ``_shared_pass`` cell of one event on nested spacings: paths at
+    """The ``replica_stats`` cell of one event on nested spacings: paths at
     the finest spacing, one stay-below flag per spacing."""
     h = check_hurst(h)
     if any(b >= a for a, b in zip(spacings, spacings[1:])):
@@ -404,7 +399,7 @@ def _event_cell(event: BarrierEvent, h: float, spacings):
     subgrids = [event.grid(s) for s in spacings]
     checks = tuple(zip(subgrids, steps,
                        [event.thresholds(sub) for sub in subgrids]))
-    return h, event.grid(finest), partial(_stays_below, checks)
+    return FastRows(h, event.grid(finest)), partial(_stays_below, checks)
 
 
 def _refinement_studies(studies, replicas: int,
@@ -413,14 +408,13 @@ def _refinement_studies(studies, replicas: int,
     of draws."""
     studies = [(event, h, [float(s) for s in spacings])
                for event, h, spacings in studies]
-    cells = tuple(_event_cell(*study) for study in studies)
-    flags = replica_stats(partial(_shared_pass, cells, seed), replicas)
+    flags = replica_stats([_event_cell(*study) for study in studies], seed,
+                          replicas)
     return [[McEstimate.proportion(np.count_nonzero(below), replicas,
                                    seed=seed, spacing=s, horizon=event.horizon,
                                    label=f"{event.process}@{event.level:g}")
              for s, below in zip(spacings, group)]
-            for (event, _, spacings), group
-            in zip(studies, _split(flags, [len(s) for _, _, s in studies]))]
+            for (event, _, spacings), group in zip(studies, flags)]
 
 
 def _path_max(vals):
@@ -439,11 +433,11 @@ def _fbm_max_means(hs, spacing: float, replicas: int,
     """``estimate_fbm_max_mean`` for each H, all on one pass of draws."""
     n = _exact_steps(1.0, spacing, "unit interval")
     grid = SampleGrid.one_sided(spacing, n)
-    cells = tuple((check_hurst(h), grid, _path_max) for h in hs)
-    peaks = replica_stats(partial(_shared_pass, cells, seed), replicas)
+    peaks = replica_stats([(FastRows(check_hurst(h), grid), _path_max)
+                           for h in hs], seed, replicas)
     return [McEstimate(*mean_se(peak), replicas=replicas, seed=seed,
                        spacing=spacing, label="fbm_max_mean", kind="mean")
-            for peak in peaks]
+            for (peak,) in peaks]
 
 
 # ---------------------------------------------------------------------------
@@ -525,12 +519,11 @@ def verify_chains(hs, n: int, replicas: int, seed: int) -> list[ChainReport]:
         raise ValueError("need n >= 2")
     grid = SampleGrid.anchored(1.0, n, 2 * n)
     stat = partial(_slope_stats, n)
-    flat = replica_stats(
-        partial(_shared_pass, tuple((h, grid, stat) for h in hs), seed),
-        replicas)
+    stats = replica_stats([(FastRows(h, grid), stat) for h in hs], seed,
+                          replicas)
     m1s = _fbm_max_means(hs, 2.0 ** -10, replicas, seed + 1)
     return [_chain_report(h, n, replicas, seed, m1, stats)
-            for h, m1, stats in zip(hs, m1s, _split(flat, [7] * len(hs)))]
+            for h, m1, stats in zip(hs, m1s, stats)]
 
 
 def _chain_report(h, n, replicas, seed, m1, stats) -> ChainReport:

@@ -72,9 +72,11 @@ class TrendFunction:
                                                      self.values))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelSpace:
-    """Dense covariance of the integrated motion on a grid, factorized."""
+    """Dense covariance of the integrated motion on a grid, factorized; a
+    source of ``persistence.replica_stats`` (``rows``: exact Gaussian rows
+    ``noise @ factor.T``), compared and hashed by identity."""
 
     grid: SampleGrid
     hurst: float
@@ -83,25 +85,29 @@ class KernelSpace:
     eigvecs: np.ndarray
     cutoff: float
     regularized: bool
+    factor: np.ndarray
 
     def solve(self, phi: np.ndarray) -> tuple[np.ndarray, float]:
         """Pseudo-solve Sigma z = phi; returns (z, relative residual)."""
         phi = np.asarray(phi, dtype=float)
-        proj = self.eigvecs.T @ phi
-        keep = self.eigvals > self.cutoff
-        z = self.eigvecs @ np.where(keep, proj / np.where(keep, self.eigvals, 1.0),
-                                    0.0)
+        z = _pseudo_solve(self.eigvals, self.eigvecs, self.cutoff, phi)
         nrm = float(np.linalg.norm(phi))
         if nrm == 0.0:
             return z, 0.0
         residual = float(np.linalg.norm(self.cov @ z - phi)) / nrm
         return z, residual
 
+    @property
+    def noise_length(self) -> int:
+        return self.grid.count
+
+    def rows(self, noise: np.ndarray, buffers=None) -> np.ndarray:
+        return noise[:, :self.grid.count] @ self.factor.T
+
     def sample_batch(self, seed: int, replicas: range) -> np.ndarray:
         """Exact Gaussian draws with this covariance, one row per replica,
         deterministic per (seed, replica)."""
-        factor = self.eigvecs * np.sqrt(np.clip(self.eigvals, 0.0, None))
-        return replica_normals(seed, replicas, self.grid.count) @ factor.T
+        return self.rows(replica_normals(seed, replicas, self.grid.count))
 
 
 def build_space(grid: SampleGrid, h: float) -> KernelSpace:
@@ -122,7 +128,8 @@ def build_space(grid: SampleGrid, h: float) -> KernelSpace:
     cutoff = RIDGE_FACTOR * scale
     return KernelSpace(grid=grid, hurst=h, cov=cov, eigvals=eigvals,
                        eigvecs=eigvecs, cutoff=cutoff,
-                       regularized=bool(eigvals.min() < cutoff))
+                       regularized=bool(eigvals.min() < cutoff),
+                       factor=eigvecs * np.sqrt(np.clip(eigvals, 0.0, None)))
 
 
 def rkhs_norm(space: KernelSpace, trend: TrendFunction | np.ndarray) -> float:
@@ -161,13 +168,12 @@ def _trapezoid_matrix(grid: SampleGrid) -> np.ndarray:
     return t
 
 
-def _pseudo_solve_psd(mat: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
-    eigvals, eigvecs = np.linalg.eigh(0.5 * (mat + mat.T))
-    cutoff = RIDGE_FACTOR * float(np.trace(mat)) / mat.shape[0]
+def _pseudo_solve(eigvals, eigvecs, cutoff, rhs) -> np.ndarray:
+    """The solution of the eigen-decomposed system with the eigenvalues at
+    or below ``cutoff`` cut rather than inverted."""
     keep = eigvals > cutoff
     proj = eigvecs.T @ rhs
-    sol = eigvecs @ np.where(keep, proj / np.where(keep, eigvals, 1.0), 0.0)
-    return sol, bool(eigvals.min() < cutoff)
+    return eigvecs @ np.where(keep, proj / np.where(keep, eigvals, 1.0), 0.0)
 
 
 def localizer_trends(space: KernelSpace) -> tuple[TrendFunction, TrendFunction]:
@@ -195,7 +201,10 @@ def localizer_trends(space: KernelSpace) -> tuple[TrendFunction, TrendFunction]:
     outside = np.flatnonzero((x <= eps) | (x >= 1.0 - eps))
     b_full = tmat[idx1] @ cw                       # E I(1) w(x_j)
     a_mat = cw[np.ix_(outside, outside)]
-    beta, _ = _pseudo_solve_psd(a_mat, b_full[outside])
+    eigvals, eigvecs = np.linalg.eigh(0.5 * (a_mat + a_mat.T))
+    beta = _pseudo_solve(eigvals, eigvecs,
+                         RIDGE_FACTOR * float(np.trace(a_mat)) / len(a_mat),
+                         b_full[outside])
     alpha = tmat[idx1].copy()
     alpha[outside] -= beta                         # eta = alpha . w
     eta_w = cw @ alpha                             # E eta w(x_j)
@@ -265,15 +274,11 @@ class ShiftReport:
                 "pass": self.passed, "inconclusive": self.inconclusive}
 
 
-def _stays_below(space, cases, seed, reps):
-    """Per-replica stay-below flags of the draws without and with each
-    case's trend values added, two arrays per (trend values, level) case."""
-    draws = space.sample_batch(seed, reps)
-    flags = []
-    for phi, level in cases:
-        flags += [np.all(draws <= level, axis=1),
-                  np.all(draws + phi[None, :] <= level, axis=1)]
-    return tuple(flags)
+def _stays_below(phi, level, draws):
+    """Per-replica stay-below flags of the draws without and with the trend
+    values ``phi`` added."""
+    return (np.all(draws <= level, axis=1),
+            np.all(draws + phi[None, :] <= level, axis=1))
 
 
 def verify_shift_inequality(space: KernelSpace, trend: TrendFunction,
@@ -281,24 +286,25 @@ def verify_shift_inequality(space: KernelSpace, trend: TrendFunction,
                             seed: int) -> ShiftReport:
     """Estimate stay-below probabilities with and without the trend on
     common draws and test the norm-controlled shift bound at 4 sigma."""
-    return verify_shift_inequalities(space, [(trend, level)], replicas,
+    return verify_shift_inequalities([(space, trend, level)], replicas,
                                      seed)[0]
 
 
-def verify_shift_inequalities(space: KernelSpace, cases, replicas: int,
+def verify_shift_inequalities(cases, replicas: int,
                               seed: int) -> list[ShiftReport]:
-    """``verify_shift_inequality`` for each (trend, level) case, all on one
-    pass of draws; each report equals the one of a separate call."""
-    if space.grid.count > SHIFT_MC_MAX_POINTS:
+    """``verify_shift_inequality`` for each (space, trend, level) case, all
+    on one pass of draws, whatever their spaces; each report equals the one
+    of a separate call."""
+    if any(space.grid.count > SHIFT_MC_MAX_POINTS for space, _, _ in cases):
         raise ValueError(f"shift verification restricted to grids of at most "
                          f"{SHIFT_MC_MAX_POINTS} points (probabilities must "
                          "stay resolvable by plain MC)")
-    norms = [rkhs_norm(space, trend) for trend, _ in cases]
-    phis = tuple((trend.values, level) for trend, level in cases)
-    flags = replica_stats(partial(_stays_below, space, phis, seed), replicas)
+    norms = [rkhs_norm(space, trend) for space, trend, _ in cases]
+    flags = replica_stats([(space, partial(_stays_below, trend.values, level))
+                           for space, trend, level in cases], seed, replicas)
     return [_shift_report(space, trend, norm, plain, trended, replicas, seed)
-            for (trend, _), norm, plain, trended
-            in zip(cases, norms, flags[0::2], flags[1::2])]
+            for (space, trend, _), norm, (plain, trended)
+            in zip(cases, norms, flags)]
 
 
 def _shift_report(space, trend, norm, plain, trended, replicas, seed):

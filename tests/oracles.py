@@ -1,13 +1,14 @@
 """Independent oracles shared across test modules: quadrature covariances,
 the full complex-FFT and the hfft circulant maps, the one-path fast and
-exact samplers,
-the quotient-cube slope kernel and the plain monotone-chain hull."""
+exact samplers, the quotient-cube slope kernel, the one-row slope pairs and
+telescoped slope functional, and the plain monotone-chain hull."""
 
 import numpy as np
 from scipy.integrate import quad
 
 from burgerslab.fbm import (_embedding_amplitudes, _fgn_rows, _noise_length,
                             fbm_covariance)
+from burgerslab.envelopes import all_slope_pairs_batch, left_slope, right_slope
 from burgerslab.grids import check_hurst
 
 
@@ -143,3 +144,15 @@ def chain_hull_nodes(y, lower):
                     break
         push(k)
     return np.array(stack, dtype=np.int64)
+
+
+def all_slope_pairs(values):
+    """Left/right slopes at every index of one sequence, the batch kernel's
+    row: gm[k] for k >= 1 (nan at 0) and gp[k] for k <= N-1 (nan at N)."""
+    gm, gp = all_slope_pairs_batch(np.asarray(values, dtype=float)[None, :])
+    return gm[0], gp[0]
+
+
+def functional_F_endpoint(values) -> float:
+    """Telescoped form right(0) - left(N) of the slope functional."""
+    return right_slope(values, 0)[0] - left_slope(values, len(values) - 1)[0]

@@ -6,9 +6,12 @@ criterion.  The same checks back ``burgerslab check``.
 
 import json
 
+import numpy as np
 import pytest
 
-from burgerslab.acceptance import CHECKS, run_checks
+from burgerslab.acceptance import CHECKS, H_TRIPLE, _puncture_ordering, \
+    run_checks
+from burgerslab.persistence import BarrierEvent, _event_cell, replica_stats
 
 CRITERIA = [
     (1, "sampler-covariance",
@@ -50,3 +53,23 @@ def test_criterion(number, name, blurb):
     print(f"criterion {number:2d} {verdict} [{name}] {blurb} "
           f"({result.runtime_s:.1f}s)")
     assert result.passed, json.dumps(result.details, indent=2, default=str)
+
+
+class TestPunctureOrdering:
+    """Criterion 10's ordering check runs where its two events differ, so
+    it can fail."""
+
+    @pytest.mark.parametrize("h", H_TRIPLE)
+    def test_events_differ_on_some_replica(self, h):
+        # criterion 10's configuration: level 0, T = 128, spacing 0.25
+        [(two,), (punctured,)] = replica_stats(
+            [_event_cell(BarrierEvent(process, 0.0, 128.0), h, [0.25])
+             for process in ("ifbm_two_sided", "ifbm_punctured")], 1002, 1000)
+        assert np.all(two <= punctured)
+        assert np.any(two != punctured)
+
+    def test_swapped_pair_fails(self):
+        pair = ("ifbm_two_sided", "ifbm_punctured")
+        assert all(ordered for _, _, ordered in _puncture_ordering(1000, pair))
+        swapped = _puncture_ordering(1000, pair[::-1])
+        assert not any(ordered for _, _, ordered in swapped)

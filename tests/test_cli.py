@@ -345,8 +345,8 @@ def test_readme_lists_every_option_and_default():
     want = {exp: {key: str(row.default) for key, row in OPTIONS[exp].items()}
             for exp in EXPERIMENTS}
     want["dim"]["target-h<H>"] = "H"
-    want["check"] = {key: str(default) for check in CHECKS.values()
-                     for key, default in check.settings.items()}
+    want["check"] = {key: str(row.default) for check in CHECKS.values()
+                     for key, row in check.settings.items()}
     assert _readme_tables() == want
 
 
@@ -497,6 +497,20 @@ class TestCheckCommand:
         broken = run_checks(["dimension"],
                             {**base, "dim.target-h0.5": "0.9"})[0]
         assert not broken.passed
+
+    # each failed at 646da9d: a ZeroDivisionError traceback, a config error
+    # that named no key, and a PASS that the check could not have failed
+    @pytest.mark.parametrize("check, key, value", [
+        ("burgers-oracle", "burgers.particles", "0"),
+        ("telescoping", "telescoping.length", "1"),
+        ("sampler-equivalence", "sampler-eq.replicas", "1")])
+    def test_override_out_of_range_names_key(self, capsys, check, key,
+                                              value):
+        status = main(["check", "--only", check, "--set", f"{key}={value}"])
+        assert status == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:") and key in captured.err
+        assert "PASS" not in captured.out
 
     def test_bad_override_names_key(self, capsys):
         status = main(["check", "--only", "telescoping",

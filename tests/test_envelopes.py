@@ -10,10 +10,8 @@ from hypothesis import given, settings, strategies as st
 from burgerslab import envelopes
 from burgerslab.burgers import build_potential
 from burgerslab.envelopes import (
-    all_slope_pairs,
     all_slope_pairs_batch,
     functional_F,
-    functional_F_endpoint,
     left_slope,
     lower_envelope,
     nodal_event,
@@ -26,7 +24,8 @@ from burgerslab.envelopes import (
 from burgerslab.fbm import (integrate_values, sample_fbm_fast,
                             sample_fbm_fast_batch)
 from burgerslab.grids import RandomnessSpec, SampleGrid
-from oracles import chain_hull_nodes, cube_slope_pairs
+from oracles import (all_slope_pairs, chain_hull_nodes, cube_slope_pairs,
+                     functional_F_endpoint)
 
 
 def oracle_nodes(y, lower):

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 from scipy.stats import beta, ks_2samp, norm
 
-from burgerslab import persistence
+from burgerslab import persistence, rkhs
 from burgerslab.envelopes import windowed_slope_pair
 from burgerslab.experiments import RunConfig, _dim_cell
-from burgerslab.fbm import (RowBuffers, fast_noise_length, integrate_values,
+from burgerslab.fbm import (FastRows, RowBuffers, integrate_values,
                             sample_fbm_fast_batch)
 from burgerslab.grids import SampleGrid, write_json
 from burgerslab.persistence import (
@@ -283,11 +283,14 @@ class TestSharedPass:
     def test_rows_equal_separate_draws(self):
         grids = [SampleGrid.anchored(0.5, 8, 8), SampleGrid.one_sided(1.0, 64),
                  SampleGrid.anchored(1.0, 8, 16)]
-        cells = tuple((h, grid, _rows) for grid in grids for h in (0.3, 0.7))
+        cells = tuple((FastRows(h, grid), _rows) for grid in grids
+                      for h in (0.3, 0.7))
         reps = range(3, 40)
         got = persistence._shared_pass(cells, 17, reps)
-        for (h, grid, _), rows in zip(cells, got):
-            assert np.array_equal(rows, sample_fbm_fast_batch(h, grid, 17, reps))
+        assert len(got) == len(cells)
+        for (source, _), (rows,) in zip(cells, got):
+            assert np.array_equal(rows, sample_fbm_fast_batch(
+                source.h, source.grid, 17, reps))
 
     def test_back_to_back_passes_equal_fresh_draws(self, monkeypatch):
         # the second pass reuses the first one's buffers, here grown by the
@@ -297,11 +300,53 @@ class TestSharedPass:
                    (0.3, SampleGrid.anchored(1.0, 8, 16))),
                   ((0.5, SampleGrid.anchored(0.5, 8, 8)),)]
         for seed, keys in zip((23, 4), passes):
-            cells = tuple((h, grid, _rows) for h, grid in keys)
+            cells = tuple((FastRows(h, grid), _rows) for h, grid in keys)
             got = persistence._shared_pass(cells, seed, range(5, 31))
-            for (h, grid), rows in zip(keys, got):
+            for (h, grid), (rows,) in zip(keys, got):
                 assert np.array_equal(
                     rows, sample_fbm_fast_batch(h, grid, seed, range(5, 31)))
+
+    @pytest.mark.parametrize("reps, long_cell", [
+        (range(persistence.MC_BLOCK), False),
+        (range(10 ** 6 - 64, 10 ** 6), False),
+        (range(persistence.MC_BLOCK), True)], ids=["block", "tail", "split"])
+    def test_fast_and_kernel_cells_equal_separate_draws(self, reps,
+                                                        long_cell):
+        # kernel rows go through a BLAS product whose last bit may depend
+        # on the row count, so they are checked on a whole block, on the
+        # 64-row tail block of 10^6 replicas and on the parts of a pass
+        # that _PASS_BYTES splits because a fast cell draws 2048 normals
+        grid33, grid17 = (SampleGrid.anchored(0.125, 16, 16),
+                          SampleGrid.anchored(0.25, 8, 8))
+        spaces = [build_space(grid33, 0.5), build_space(grid17, 0.3),
+                  build_space(grid33, 0.7)]
+        fast = [FastRows(0.3, SampleGrid.anchored(1.0, 8, 16))]
+        if long_cell:
+            fast.append(FastRows(0.5, SampleGrid.one_sided(2.0 ** -10, 1024)))
+            assert persistence._PASS_BYTES // (8 * 2048) < len(reps)
+        cells = tuple((source, _rows) for source in spaces + fast)
+        got = persistence._shared_pass(cells, 1101, reps)
+        for space, (rows,) in zip(spaces, got):
+            assert np.array_equal(rows, space.sample_batch(1101, reps))
+        for source, (rows,) in zip(fast, got[len(spaces):]):
+            assert np.array_equal(rows, sample_fbm_fast_batch(
+                source.h, source.grid, 1101, reps))
+
+    def test_cells_on_one_source_share_its_rows(self, monkeypatch):
+        monkeypatch.setenv("BURGERSLAB_WORKERS", "1")
+        space = build_space(SampleGrid.anchored(0.25, 8, 8), 0.5)
+        calls = []
+        rows = rkhs.KernelSpace.rows
+        monkeypatch.setattr(rkhs.KernelSpace, "rows",
+                            lambda sp, noise, buffers=None:
+                            calls.append(len(noise)) or rows(sp, noise))
+        got = persistence.replica_stats(
+            [(space, _rows), (FastRows(0.5, space.grid), _rows),
+             (space, lambda w: (w.sum(axis=1),))], 7, 600)
+        assert calls == [persistence.MC_BLOCK, 600 - persistence.MC_BLOCK]
+        want = space.sample_batch(7, range(600))
+        assert np.array_equal(got[0][0], want)
+        assert np.array_equal(got[2][0], want.sum(axis=1))
 
     def test_plural_persistence_equals_singular(self):
         got = estimate_persistences(MIXED_CELLS, 0.5, 150, 11)
@@ -316,22 +361,22 @@ class TestSharedPass:
     def test_one_draw_per_block_at_longest_length(self, monkeypatch):
         monkeypatch.setenv("BURGERSLAB_WORKERS", "1")
         draws, built = [], []
-        normals, rows = persistence.replica_normals, persistence.fbm_fast_rows
+        normals, rows = persistence.replica_normals, FastRows.rows
 
         def spy_normals(seed, reps, length, out=None):
             draws.append((seed, len(reps), length))
             built.append([])
             return normals(seed, reps, length, out=out)
 
-        def spy_rows(h, grid, noise, buffers=None):
-            built[-1].append((fast_noise_length(h, grid), h, grid))
-            return rows(h, grid, noise, buffers)
+        def spy_rows(source, noise, buffers=None):
+            built[-1].append((source.noise_length, source.h, source.grid))
+            return rows(source, noise, buffers)
 
         monkeypatch.setattr(persistence, "replica_normals", spy_normals)
-        monkeypatch.setattr(persistence, "fbm_fast_rows", spy_rows)
+        monkeypatch.setattr(FastRows, "rows", spy_rows)
         r = persistence.MC_BLOCK + 88
         estimate_persistences(MIXED_CELLS, 0.5, r, 11)
-        longest = max(fast_noise_length(h, event.grid(0.5))
+        longest = max(FastRows(h, event.grid(0.5)).noise_length
                       for event, h in MIXED_CELLS)
         assert draws == [(11, persistence.MC_BLOCK, longest), (11, 88, longest)]
         for block in built:
@@ -342,8 +387,9 @@ class TestSharedPass:
                 (n for n, _, _ in block), reverse=True)
         draws.clear()
         verify_chains((0.3, 0.5, 0.7), 8, r, 5)
-        chain = fast_noise_length(0.5, SampleGrid.anchored(1.0, 8, 16))
-        peak = fast_noise_length(0.5, SampleGrid.one_sided(2.0 ** -10, 1024))
+        chain = FastRows(0.5, SampleGrid.anchored(1.0, 8, 16)).noise_length
+        peak = FastRows(0.5, SampleGrid.one_sided(2.0 ** -10,
+                                                  1024)).noise_length
         # the max-mean pass's long rows come in parts of _PASS_BYTES
         part = persistence._PASS_BYTES // (8 * peak)
         assert draws == [(5, persistence.MC_BLOCK, chain), (5, 88, chain)] + \

@@ -21,7 +21,8 @@ from burgerslab.rkhs import (
     verify_shift_inequalities,
     verify_shift_inequality,
 )
-from burgerslab import rkhs
+from burgerslab import persistence
+from burgerslab.acceptance import check_rkhs
 
 
 def symmetric_grid(spacing, n_half):
@@ -214,20 +215,40 @@ class TestShiftInequality:
     def test_cases_share_one_pass_of_draws(self, monkeypatch):
         monkeypatch.setenv("BURGERSLAB_WORKERS", "1")
         sp = build_space(symmetric_grid(0.125, 16), 0.5)
-        cases = [(combined_trend(sp, 0), 2.0), (combined_trend(sp, 1), 3.0),
-                 (covariance_column_trend(sp, 1.0, 0.1), 1.0)]
-        alone = [verify_shift_inequality(sp, trend, level, 3000, 1101)
-                 for trend, level in cases]
+        small = build_space(symmetric_grid(0.25, 8), 0.3)
+        cases = [(sp, combined_trend(sp, 0), 2.0),
+                 (sp, combined_trend(sp, 1), 3.0),
+                 (sp, covariance_column_trend(sp, 1.0, 0.1), 1.0),
+                 (small, covariance_column_trend(small, 1.0, 0.1), 1.0)]
+        alone = [verify_shift_inequality(*case, 3000, 1101) for case in cases]
         rows = []
-        sample_batch = rkhs.KernelSpace.sample_batch
-        monkeypatch.setattr(rkhs.KernelSpace, "sample_batch",
-                            lambda space, seed, reps: rows.append(len(reps))
-                            or sample_batch(space, seed, reps))
-        together = verify_shift_inequalities(sp, cases, 3000, 1101)
-        assert sum(rows) == 3000
+        normals = persistence.replica_normals
+        monkeypatch.setattr(persistence, "replica_normals",
+                            lambda seed, reps, length, out=None:
+                            rows.append((len(reps), length))
+                            or normals(seed, reps, length, out=out))
+        together = verify_shift_inequalities(cases, 3000, 1101)
+        # one draw of 33 normals per replica serves both spaces
+        assert sum(n for n, _ in rows) == 3000
+        assert {length for _, length in rows} == {33}
         assert [json.dumps(r.to_json()) for r in together] == \
             [json.dumps(r.to_json()) for r in alone]
         assert together == alone
+
+    def test_criterion_11_draws_each_replica_once(self, monkeypatch):
+        # its five configurations on four (grid, H) spaces share one pass:
+        # at the pinned 10^6 replicas that is 10^6 rows, not 4 * 10^6
+        monkeypatch.setenv("BURGERSLAB_WORKERS", "1")
+        rows = []
+        normals = persistence.replica_normals
+        monkeypatch.setattr(persistence, "replica_normals",
+                            lambda seed, reps, length, out=None:
+                            rows.append((seed, len(reps), length))
+                            or normals(seed, reps, length, out=out))
+        check_rkhs({"rkhs.replicas": 1200})
+        block = persistence.MC_BLOCK
+        assert rows == [(1101, block, 33)] * (1200 // block) + \
+            [(1101, 1200 % block, 33)]
 
     def test_grid_cap(self):
         sp = build_space(symmetric_grid(0.05, 40), 0.5)

@@ -392,14 +392,15 @@ class TestRowBuffers:
         doubled = 0
         for m in sizes + sizes[::-1]:
             for h in (0.3, 0.7, _DOUBLING_H):
-                grid = SampleGrid.anchored(0.5, m // 4, m - m // 4)
-                length = fbm.fast_noise_length(h, grid)
+                source = fbm.FastRows(h, SampleGrid.anchored(0.5, m // 4,
+                                                             m - m // 4))
+                length = source.noise_length
                 doubled += length > 2 * m
                 noise = replica_normals(m, range(m % 3 + 2), length + 3)
                 for flat in buffers._flat.values():
                     flat.view(float).fill(np.nan)
-                got = fbm.fbm_fast_rows(h, grid, noise, buffers)
-                want = fbm.fbm_fast_rows(h, grid, noise)
+                got = source.rows(noise, buffers)
+                want = source.rows(noise)
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), (m, h)
         assert doubled == 8

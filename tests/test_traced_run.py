@@ -26,10 +26,14 @@ def layer_names() -> set:
     (["persist", "--hurst", "0.5", "--horizon", "4,8", "--replicas", "200",
       "--opt", "events=fbm_max,ifbm_two_sided"], 0),
     (["chain", "--hurst", "0.3,0.7", "--replicas", "200", "--opt", "n=8"], 0),
+    # the kernel-space layers (sample_batch, verify_shift_inequality) must
+    # still resolve, though the shared pass calls neither
+    (["rkhs-verify", "--hurst", "0.3,0.7", "--replicas", "2000", "--opt",
+      "half-points=8", "--opt", "trend=covcol@1*0.1", "--opt", "level=1"], 0),
     # one minorant per replica and H
     (["dim", "--hurst", "0.3,0.7", "--replicas", "3", "--opt",
       "grid-log2=12"], 6)],
-    ids=["persist", "chain", "dim"])
+    ids=["persist", "chain", "rkhs-verify", "dim"])
 def test_traced_run_summarises_every_layer(tmp_path, argv, hulls):
     # spans recorded in pool workers would be lost
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
