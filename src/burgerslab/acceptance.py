@@ -18,13 +18,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from .burgers import clusters_match, solve, sticky_shock_clusters
 from .envelopes import slope_functional_batch
 from .experiments import (
     OPTIONS,
     Option,
+    REPLICAS_MAX,
     RunConfig,
     parse_options,
     rerun_from_manifest,
@@ -32,6 +32,7 @@ from .experiments import (
     _at_least,
     _dim_cell,
     _FINITE,
+    _KNOWN_EXPONENTS,
     _NON_NEGATIVE,
     _within,
 )
@@ -94,6 +95,19 @@ def check_sampler_covariance(ov: dict) -> dict:
 
 # --- criterion 2 -----------------------------------------------------------
 
+def _ks_statistic(a, b) -> float:
+    """The two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|.  The
+    gap is counted as an integer over lcm(len(a), len(b)) and divided
+    once, so the statistic is the nearest float to the exact fraction."""
+    a, b = np.sort(a), np.sort(b)
+    n1, n2 = len(a), len(b)
+    g = math.gcd(n1, n2)
+    pooled = np.concatenate([a, b])
+    gap = (np.searchsorted(a, pooled, side="right") * (n2 // g)
+           - np.searchsorted(b, pooled, side="right") * (n1 // g))
+    return int(np.abs(gap).max()) / ((n1 // g) * n2)
+
+
 def check_sampler_equivalence(ov: dict) -> dict:
     replicas = ov["sampler-eq.replicas"]
     n = ov["sampler-eq.points"]
@@ -106,7 +120,7 @@ def check_sampler_equivalence(ov: dict) -> dict:
         mx_exact = sample_fbm_exact_batch(h, grid, 201,
                                           range(replicas)).max(axis=1)
         mx_fast = sample_fbm_fast_batch(h, grid, 202, range(replicas)).max(axis=1)
-        stats[f"h={h:g}"] = float(ks_2samp(mx_exact, mx_fast).statistic)
+        stats[f"h={h:g}"] = _ks_statistic(mx_exact, mx_fast)
     return {"pass": all(s < crit for s in stats.values()),
             "ks": stats, "critical_1pct": crit}
 
@@ -179,49 +193,53 @@ def check_burgers_oracle(ov: dict) -> dict:
             "failures": failures}
 
 
-# --- criterion 7 -----------------------------------------------------------
+# --- criteria 7 to 10 ------------------------------------------------------
+
+def _margin_sigma(margin, se):
+    """A check's distance to its bound in standard errors, positive when
+    it passes; None when the distance or the SE is unknown or zero."""
+    return margin / se if margin is not None and se else None
+
 
 def check_dimension(ov: dict) -> dict:
     replicas = ov["dim.replicas"]
     log2n = ov["dim.grid-log2"]
     tol = ov["dim.slope-tol"]
     slopes = {}
-    ok = True
     for h in H_TRIPLE:
         cfg = RunConfig(experiment="dim", hurst=(h,), replicas=replicas,
                         seed=701, options={"grid-log2": str(log2n)})
         _, summary, _ = _dim_cell(h, cfg)
         target = ov[f"dim.target-h{h:g}"]
+        slope, se = summary["slope"], summary["slope_se"]
         # None when every replica's window collapsed
-        good = (summary["slope"] is not None
-                and abs(summary["slope"] - target) <= tol)
-        slopes[f"h={h:g}"] = {"slope": summary["slope"],
-                              "se": summary["slope_se"], "target": target,
-                              "pass": bool(good)}
-        ok = ok and good
-    return {"pass": ok, "slopes": slopes, "tol": tol}
+        margin = None if slope is None else tol - abs(slope - target)
+        slopes[f"h={h:g}"] = {"slope": slope, "se": se, "target": target,
+                              "pass": margin is not None and margin >= 0,
+                              "margin_sigma": _margin_sigma(margin, se)}
+    return {"pass": all(s["pass"] for s in slopes.values()),
+            "slopes": slopes, "tol": tol}
 
-
-# --- criteria 8, 9, 10 -----------------------------------------------------
 
 def check_max_exponent(ov: dict) -> dict:
     replicas = ov["max-exp.replicas"]
     level = ov["max-exp.level"]
     tol = ov["max-exp.tol"]
+    exponent, _ = _KNOWN_EXPONENTS["fbm_max"]
     ladder = (64.0, 128.0, 256.0, 512.0, 1024.0)
     out = {}
-    ok = True
     ests = estimate_persistences([(BarrierEvent("fbm_max", level, t), h)
                                   for h in H_TRIPLE for t in ladder],
                                  1.0, replicas, 801)
     for i, h in enumerate(H_TRIPLE):
         fit = exponent_fit(ests[i * len(ladder):(i + 1) * len(ladder)])
-        good = abs(fit.slope - (1.0 - h)) <= tol
+        margin = tol - abs(fit.slope - exponent(h))
         out[f"h={h:g}"] = {"slope": fit.slope, "se": fit.slope_se,
-                           "target": 1.0 - h, "pass": bool(good),
+                           "target": exponent(h), "pass": bool(margin >= 0),
+                           "margin_sigma": _margin_sigma(margin, fit.slope_se),
                            "excluded": list(fit.excluded)}
-        ok = ok and good
-    return {"pass": ok, "fits": out, "level": level, "tol": tol}
+    return {"pass": all(f["pass"] for f in out.values()), "fits": out,
+            "level": level, "tol": tol}
 
 
 def check_integral_exponent(ov: dict) -> dict:
@@ -231,8 +249,11 @@ def check_integral_exponent(ov: dict) -> dict:
                                   for t in (64.0, 128.0, 256.0, 512.0)],
                                  1.0, replicas, 901)
     fit = exponent_fit(ests)
-    return {"pass": abs(fit.slope - 0.25) <= tol, "slope": fit.slope,
-            "se": fit.slope_se, "target": 0.25, "tol": tol}
+    target = _KNOWN_EXPONENTS["ifbm_one_sided"][0](0.5)
+    margin = tol - abs(fit.slope - target)
+    return {"pass": margin >= 0, "slope": fit.slope, "se": fit.slope_se,
+            "margin_sigma": _margin_sigma(margin, fit.slope_se),
+            "target": target, "tol": tol}
 
 
 def _puncture_ordering(replicas: int, pair=("ifbm_two_sided",
@@ -252,7 +273,6 @@ def check_two_sided_bound(ov: dict) -> dict:
     slack = ov["two-sided.slack"]
     ladder = (32.0, 64.0, 128.0, 256.0, 512.0)
     out = {}
-    ok = True
     ests = estimate_persistences([(BarrierEvent("ifbm_two_sided", 1.0, t), h)
                                   for h in H_TRIPLE for t in ladder],
                                  1.0, replicas, 1001)
@@ -260,14 +280,15 @@ def check_two_sided_bound(ov: dict) -> dict:
     for i, h in enumerate(H_TRIPLE):
         fit = exponent_fit(ests[i * len(ladder):(i + 1) * len(ladder)])
         floor = (1.0 - h) - slack
-        good = fit.slope >= floor
         # full-domain event is included in the punctured one pathwise
         p_two, p_punc, ordered = pairs[i]
-        out[f"h={h:g}"] = {"slope": fit.slope, "floor": floor,
-                           "pass": bool(good), "p_full": p_two,
+        out[f"h={h:g}"] = {"slope": fit.slope, "se": fit.slope_se,
+                           "floor": floor, "margin_sigma": _margin_sigma(
+                               fit.slope - floor, fit.slope_se),
+                           "pass": bool(fit.slope >= floor), "p_full": p_two,
                            "p_punctured": p_punc, "ordering": ordered}
-        ok = ok and good and ordered
-    return {"pass": ok, "fits": out}
+    return {"pass": all(f["pass"] and f["ordering"] for f in out.values()),
+            "fits": out}
 
 
 # --- criterion 11 ----------------------------------------------------------
@@ -384,42 +405,44 @@ class Check:
 
 CHECKS = {
     "sampler-covariance": Check(check_sampler_covariance, {
-        "sampler-cov.replicas": Option(10_000, *_at_least(1))}),
+        "sampler-cov.replicas": Option(10_000, *_within(1, REPLICAS_MAX))}),
     # the 1% KS critical value of two samples of n is below 1 from n = 6
     "sampler-equivalence": Check(check_sampler_equivalence, {
-        "sampler-eq.replicas": Option(10_000, *_at_least(6)),
+        "sampler-eq.replicas": Option(10_000, *_within(6, REPLICAS_MAX)),
         "sampler-eq.points": Option(
             64, *_within(1, EXACT_SAMPLER_MAX_POINTS - 1))}),
     # a sequence of two points has no slope gap to sum
     "telescoping": Check(check_telescoping, {
-        "telescoping.sequences": Option(1000, *_at_least(1)),
+        "telescoping.sequences": Option(1000, *_within(1, REPLICAS_MAX)),
         "telescoping.length": Option(256, *_at_least(3))}),
     "expectation-identity": Check(check_expectation_identity, {
-        "identity.replicas": Option(10_000, *_at_least(1)),
+        "identity.replicas": Option(10_000, *_within(1, REPLICAS_MAX)),
         "identity.n": Option(64, *_at_least(1))}),
     "inequality-chain": Check(check_inequality_chain, {
-        "chain.replicas": Option(10_000, *_at_least(1)),
+        "chain.replicas": Option(10_000, *_within(1, REPLICAS_MAX)),
         "chain.n": OPTIONS["chain"]["n"]}),
     "burgers-oracle": Check(check_burgers_oracle, {
-        "burgers.paths": Option(20, *_at_least(1)),
+        "burgers.paths": Option(20, *_within(1, REPLICAS_MAX)),
         "burgers.particles": Option(128, *_at_least(2))}),
     "dimension": Check(check_dimension, {
-        "dim.replicas": Option(50, *_at_least(1)),
+        "dim.replicas": Option(50, *_within(1, REPLICAS_MAX)),
         "dim.grid-log2": OPTIONS["dim"]["grid-log2"],
         "dim.slope-tol": OPTIONS["dim"]["slope-tol"],
         **{f"dim.target-h{h:g}": Option(h, *_FINITE) for h in H_TRIPLE}}),
     "max-exponent": Check(check_max_exponent, {
-        "max-exp.replicas": Option(20_000, *_at_least(MIN_REPLICAS)),
+        "max-exp.replicas": Option(20_000, *_within(MIN_REPLICAS, REPLICAS_MAX)),
         "max-exp.level": Option(0.5, *_FINITE),
-        "max-exp.tol": Option(0.07, *_NON_NEGATIVE)}),
+        "max-exp.tol": Option(_KNOWN_EXPONENTS["fbm_max"][1],
+                              *_NON_NEGATIVE)}),
     "integral-exponent": Check(check_integral_exponent, {
-        "int-exp.replicas": Option(10_000, *_at_least(MIN_REPLICAS)),
-        "int-exp.tol": Option(0.08, *_NON_NEGATIVE)}),
+        "int-exp.replicas": Option(10_000, *_within(MIN_REPLICAS, REPLICAS_MAX)),
+        "int-exp.tol": Option(_KNOWN_EXPONENTS["ifbm_one_sided"][1],
+                              *_NON_NEGATIVE)}),
     "two-sided-bound": Check(check_two_sided_bound, {
-        "two-sided.replicas": Option(10_000, *_at_least(MIN_REPLICAS)),
+        "two-sided.replicas": Option(10_000, *_within(MIN_REPLICAS, REPLICAS_MAX)),
         "two-sided.slack": Option(0.15, *_FINITE)}),
-    "rkhs": Check(check_rkhs, {"rkhs.replicas": Option(1_000_000,
-                                                       *_at_least(1))}),
+    "rkhs": Check(check_rkhs, {"rkhs.replicas": Option(
+        1_000_000, *_within(1, REPLICAS_MAX))}),
     "determinism": Check(check_determinism, {}),
 }
 

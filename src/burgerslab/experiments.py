@@ -13,7 +13,6 @@ replica order.
 
 from __future__ import annotations
 
-import importlib.metadata
 import json
 import math
 import time
@@ -54,6 +53,7 @@ from .rkhs import (
 # chain draws its max-mean constant at seed + 1, and every stream is keyed by
 # (seed, replica) words below 2^32
 SEED_MAX = 2 ** 32 - 2
+REPLICAS_MAX = 2 ** 32
 
 # dim's largest grid, 2^20 points: about 200 MB per process
 DIM_GRID_LOG2_MAX = 20
@@ -61,6 +61,10 @@ DIM_GRID_LOG2_MAX = 20
 # sample's and solve's largest grids, 2^20 + 1 points like dim's
 SAMPLE_POINTS_MAX = 2 ** 20
 SOLVE_HALF_POINTS_MAX = 2 ** 19
+
+# persist's largest horizon / spacing: a two-sided grid of 2^20 + 1 points
+# like dim's, whose pass takes 185 MB above the import (measured)
+PERSIST_STEPS_MAX = 2 ** 19
 
 # chain's window holds 3n + 1 points, and a pass over one of its rows takes
 # about 600 bytes per unit of n (40 MB above the import at n = 2^16), so the
@@ -164,7 +168,7 @@ OPTIONS = {
                          + ", ".join(PROCESSES),
                          lambda v: set(v.split(",")) <= set(PROCESSES)),
         "level": Option(1.0, *_FINITE),
-        # unset, fbm_max and ifbm_one_sided check at _EXPONENT_TOL
+        # unset, fbm_max and ifbm_one_sided check at _KNOWN_EXPONENTS' tol
         "slope-tol": Option(0.1, *_NON_NEGATIVE),
     },
     "chain": {
@@ -190,7 +194,7 @@ _FIELD_RULES = {
     "horizons": ("a list of finite values > 0",
                  lambda ts: all(math.isfinite(t) and t > 0 for t in ts)),
     "spacing": _POSITIVE,
-    "replicas": _at_least(1),
+    "replicas": _within(1, REPLICAS_MAX),
     "seed": _within(0, SEED_MAX),
 }
 
@@ -249,6 +253,10 @@ class RunConfig:
         for t in self.horizons:
             if t < 1.0:
                 raise ConfigError(f"horizons must be >= 1, got {t}")
+            if t / self.spacing > PERSIST_STEPS_MAX:
+                raise ConfigError(f"horizons / spacing must be at most "
+                                  f"{PERSIST_STEPS_MAX}, got "
+                                  f"{t / self.spacing}")
             try:
                 _exact_steps(t, self.spacing, "horizon")
             except ValueError as exc:
@@ -418,10 +426,11 @@ def run_dim(cfg: RunConfig, outdir: Path) -> dict:
     return {"summaries": summaries, "checks": checks, "flagged": flagged}
 
 
-_KNOWN_EXPONENTS = {"fbm_max": lambda h: 1.0 - h,
-                    "ifbm_one_sided": lambda h: 0.25 if h == 0.5 else None}
-# the tolerances of persist --check when slope-tol is not given
-_EXPONENT_TOL = {"fbm_max": 0.07, "ifbm_one_sided": 0.08}
+# per event, its persistence exponent at H (None where unknown) and the
+# tolerance of persist --check and of criteria 08 and 09 when none is given
+_KNOWN_EXPONENTS = {"fbm_max": (lambda h: 1.0 - h, 0.07),
+                    "ifbm_one_sided": (lambda h: 0.25 if h == 0.5 else None,
+                                       0.08)}
 
 
 def _persist_events(cfg: RunConfig) -> list[tuple[str, list]]:
@@ -462,11 +471,10 @@ def run_persist(cfg: RunConfig, outdir: Path) -> dict:
             key = f"{ev} h={h:g}"
             fits[key] = fit.summary()
             flagged = flagged or fit.degenerate or bool(fit.excluded)
-            known = _KNOWN_EXPONENTS.get(ev, lambda _h: None)(h)
+            exponent, tol = _KNOWN_EXPONENTS.get(ev, (lambda _h: None, None))
+            known = exponent(h)
             if cfg.check and known is not None:
-                tol = cfg.opt("slope-tol")
-                if "slope-tol" not in cfg.options:
-                    tol = _EXPONENT_TOL.get(ev, tol)
+                tol = cfg.opt("slope-tol") if "slope-tol" in cfg.options else tol
                 checks.append({"name": f"exponent {key}",
                                "pass": bool(abs(fit.slope - known) <= tol),
                                "got": fit.slope, "target": known, "tol": tol})
@@ -590,8 +598,6 @@ def write_manifest(cfg: RunConfig, outdir: Path, wall_time_s: float,
     is never half written and never written for a run that failed."""
     provenance = {"rng": RNG_SCHEME, "rng_state_write": rng_state_write(),
                   "numpy": np.__version__,
-                  # read from the package metadata: importing scipy is slow
-                  "scipy": importlib.metadata.version("scipy"),
                   "hull": envelope_backend(), "workers": workers}
     partial_path = outdir / "manifest.json.tmp"
     write_json(partial_path,

@@ -202,10 +202,9 @@ class RowBuffers:
 
 
 def _fgn_rows(h: float, spacing: float, n_increments: int,
-              noise: np.ndarray,
-              buffers: RowBuffers | None = None) -> np.ndarray:
-    """Map standard-normal rows of length 2M to increment rows of length n;
-    the spectrum and the transform live in ``buffers`` when given."""
+              noise: np.ndarray, buffers: RowBuffers) -> np.ndarray:
+    """Map the first 2M normals of each noise row to an increment row of
+    length n; the spectrum and the transform live in ``buffers``."""
     m, amp = _embedding_amplitudes(h, spacing, n_increments)
     # the length-2M spectrum is Hermitian, so only its first M+1
     # coefficients are built, conjugated, and the inverse real FFT with
@@ -214,15 +213,14 @@ def _fgn_rows(h: float, spacing: float, n_increments: int,
     # division by sqrt(2) computes, so the coefficients are those of the
     # full form.
     shape = noise.shape[:-1] + (m + 1,)
-    v = (np.empty(shape, dtype=complex) if buffers is None
-         else buffers.view("spectrum", shape, complex))
+    v = buffers.view("spectrum", shape, complex)
     v[..., 0] = noise[..., 0]
     v[..., m] = noise[..., 1]
     np.multiply(noise[..., 2:m + 1], 1.0 / np.sqrt(2.0), out=v.real[..., 1:m])
     np.multiply(noise[..., m + 1:2 * m], -1.0 / np.sqrt(2.0),
                 out=v.imag[..., 1:m])
     v *= amp
-    out = None if buffers is None else buffers.view("fft", shape[:-1] + (2 * m,))
+    out = buffers.view("fft", shape[:-1] + (2 * m,))
     return np.fft.irfft(v, n=2 * m, norm="forward", out=out)[..., :n_increments]
 
 
@@ -250,10 +248,11 @@ def sample_fbm_fast_batch(h: float, grid: SampleGrid, seed: int,
 
     Row i's noise is that of ``RandomnessSpec(seed, replicas[i]).generator()``
     and each row is transformed on its own, so batching and chunking cannot
-    change results.
+    change results.  Its buffers are fresh, so the rows outlive the call.
     """
     source = FastRows(h, grid)
-    return source.rows(replica_normals(seed, replicas, source.noise_length))
+    return source.rows(replica_normals(seed, replicas, source.noise_length),
+                       RowBuffers())
 
 
 @dataclass(frozen=True)
@@ -270,23 +269,18 @@ class FastRows:
         return _noise_length(check_hurst(self.h), self.grid.spacing,
                              self.grid.count - 1)
 
-    def rows(self, noise: np.ndarray,
-             buffers: RowBuffers | None = None) -> np.ndarray:
+    def rows(self, noise: np.ndarray, buffers: RowBuffers) -> np.ndarray:
         """Rows of paths from the first ``noise_length`` normals of each
-        noise row.  With ``buffers`` the spectrum, the transform and the
-        rows are views of its arrays, valid until its next use; without,
-        they are fresh."""
+        noise row.  The spectrum, the transform and the rows are views of
+        the arrays of ``buffers``, valid until its next use."""
         h = check_hurst(self.h)
         grid = self.grid
         anchor = grid.anchor_index
         n_inc = grid.count - 1
-        fgn = _fgn_rows(h, grid.spacing, n_inc,
-                        noise[:, :_noise_length(h, grid.spacing, n_inc)],
-                        buffers)
+        fgn = _fgn_rows(h, grid.spacing, n_inc, noise, buffers)
         # summed and re-anchored in place: one row-sized array, not three
         shape = (len(noise), grid.count)
-        values = (np.empty(shape) if buffers is None
-                  else buffers.view("rows", shape))
+        values = buffers.view("rows", shape)
         values[:, 0] = 0.0
         np.cumsum(fgn, axis=1, out=values[:, 1:])
         del fgn

@@ -41,7 +41,6 @@ __all__ = [
     "estimate_fbm_max_mean",
     "verify_chain",
     "verify_chains",
-    "bm_max_below_prob",
     "BROWNIAN_MAX_MEAN",
 ]
 
@@ -77,14 +76,6 @@ _BUFFERS = RowBuffers()
 
 #: E max of Brownian motion on (0,1) — reflection principle oracle
 BROWNIAN_MAX_MEAN = math.sqrt(2.0 / math.pi)
-
-
-def bm_max_below_prob(level: float, horizon: float) -> float:
-    """P(max of Brownian motion on (0,T) <= level) = 2 Phi(level/sqrt(T)) - 1."""
-    if level <= 0:
-        return 0.0
-    z = level / math.sqrt(horizon)
-    return math.erf(z / math.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -466,17 +457,44 @@ class ChainReport:
                 "relations": self.relations, "pass": self.passed}
 
 
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """The continued fraction of the regularized incomplete beta
+    I_x(a, b), by the modified Lentz method; it converges fast for
+    x < (a + 1) / (a + b + 2)."""
+    tiny = 1e-300
+    c, d = 1.0, 1.0 / ((1.0 - (a + b) * x / (a + 1.0)) or tiny)
+    frac = d
+    for m in range(1, 100_000):
+        for num in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 / ((1.0 + num * d) or tiny)
+            c = (1.0 + num / c) or tiny
+            frac *= c * d
+        if abs(c * d - 1.0) < 1e-15:
+            break
+    return frac
+
+
 def _binom_upper(count: int, total: int, alpha: float = _ALPHA_4SIGMA) -> float:
     """One-sided Clopper-Pearson upper confidence bound: the 1 - alpha
-    quantile of Beta(count + 1, total - count)."""
+    quantile of Beta(count + 1, total - count), the p at which
+    P(Binomial(total, p) <= count) = alpha."""
     if count >= total:
         return 1.0
     if count == 0:
-        # Beta(1, n) has cdf 1 - (1 - x)^n; equals betaincinv bit for bit
+        # Beta(1, n) has cdf 1 - (1 - x)^n, solved in closed form
         return -math.expm1(math.log(alpha) / total)
-    # imported here: scipy.special costs ~0.2 s, and only chain needs it
-    from scipy.special import betaincinv
-    return float(betaincinv(count + 1, total - count, 1.0 - alpha))
+    # bisection on p of the binomial cdf I_{1-p}(total - count, count + 1),
+    # which falls from at least 1/2 at count / total (the median) to 0 at
+    # 1; the root lies above the mean, where the fraction converges fast
+    a, b = total - count, count + 1
+    log_norm = math.lgamma(total + 1) - math.lgamma(a) - math.lgamma(b)
+    lo, hi = count / total, 1.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        cdf = (math.exp(log_norm + a * math.log1p(-mid) + b * math.log(mid))
+               * _beta_cf(a, b, 1.0 - mid) / a)
+        lo, hi = (mid, hi) if cdf > alpha else (lo, mid)
+    return hi
 
 
 def _slope_stats(n, w):

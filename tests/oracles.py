@@ -1,13 +1,16 @@
 """Independent oracles shared across test modules: quadrature covariances,
 the full complex-FFT and the hfft circulant maps, the one-path fast and
 exact samplers, the quotient-cube slope kernel, the one-row slope pairs and
-telescoped slope functional, and the plain monotone-chain hull."""
+telescoped slope functional, the plain monotone-chain hull, and the
+reflection principle for the maximum of Brownian motion."""
+
+import math
 
 import numpy as np
 from scipy.integrate import quad
 
-from burgerslab.fbm import (_embedding_amplitudes, _fgn_rows, _noise_length,
-                            fbm_covariance)
+from burgerslab.fbm import (RowBuffers, _embedding_amplitudes, _fgn_rows,
+                            _noise_length, fbm_covariance)
 from burgerslab.envelopes import all_slope_pairs_batch, left_slope, right_slope
 from burgerslab.grids import check_hurst
 
@@ -71,8 +74,8 @@ def generator_fbm_fast(h, grid, rand):
     dimensional throughout; the package draws every path as a batch row."""
     n_inc = grid.count - 1
     noise = rand.generator().standard_normal(_noise_length(h, grid.spacing, n_inc))
-    levels = np.concatenate([[0.0], np.cumsum(_fgn_rows(h, grid.spacing, n_inc,
-                                                        noise))])
+    levels = np.concatenate([[0.0], np.cumsum(_fgn_rows(
+        h, grid.spacing, n_inc, noise, RowBuffers()))])
     values = levels - levels[grid.anchor_index]
     values[grid.anchor_index] = 0.0
     return values
@@ -156,3 +159,11 @@ def all_slope_pairs(values):
 def functional_F_endpoint(values) -> float:
     """Telescoped form right(0) - left(N) of the slope functional."""
     return right_slope(values, 0)[0] - left_slope(values, len(values) - 1)[0]
+
+
+def bm_max_below_prob(level, horizon):
+    """P(max of Brownian motion on (0, T) <= level) = 2 Phi(level / sqrt(T))
+    - 1, by the reflection principle."""
+    if level <= 0:
+        return 0.0
+    return math.erf(level / math.sqrt(horizon) / math.sqrt(2.0))

@@ -8,9 +8,11 @@ import json
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
-from burgerslab.acceptance import CHECKS, H_TRIPLE, _puncture_ordering, \
-    run_checks
+from burgerslab import acceptance
+from burgerslab.acceptance import CHECKS, H_TRIPLE, _ks_statistic, \
+    _puncture_ordering, run_checks
 from burgerslab.persistence import BarrierEvent, _event_cell, replica_stats
 
 CRITERIA = [
@@ -73,3 +75,61 @@ class TestPunctureOrdering:
         assert all(ordered for _, _, ordered in _puncture_ordering(1000, pair))
         swapped = _puncture_ordering(1000, pair[::-1])
         assert not any(ordered for _, _, ordered in swapped)
+
+
+class TestKsStatistic:
+    """Criterion 02's statistic equals scipy's ``ks_2samp`` in its exact
+    mode, which it takes for samples of up to 10 000."""
+
+    def test_criterion_02_samples(self, monkeypatch):
+        equal = []
+
+        def with_oracle(a, b):
+            equal.append(_ks_statistic(a, b) == ks_2samp(a, b).statistic)
+            return _ks_statistic(a, b)
+
+        monkeypatch.setattr(acceptance, "_ks_statistic", with_oracle)
+        result = run_checks(["sampler-equivalence"])[0]
+        assert equal == [True] * 3
+        # the details of the scipy implementation
+        assert result.details == {
+            "ks": {"h=0.3": 0.0106, "h=0.5": 0.0125, "h=0.7": 0.0118},
+            "critical_1pct": 0.023018074130013652}
+
+    @pytest.mark.parametrize("n1, n2", [(6, 6), (7, 13), (100, 250),
+                                        (999, 1000), (3000, 10_000),
+                                        (10_000, 10_000)])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_random_samples(self, n1, n2, ties):
+        rng = np.random.default_rng(n1 * n2 + ties)
+        for shift in (0.0, 0.05, 0.5):
+            a = rng.standard_normal(n1)
+            b = rng.standard_normal(n2) + shift
+            if ties:
+                a, b = np.round(a, 1), np.round(b, 1)
+            assert _ks_statistic(a, b) == ks_2samp(a, b).statistic
+            assert _ks_statistic(b, a) == ks_2samp(b, a).statistic
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("dimension", {"dim.replicas": "4", "dim.grid-log2": "13",
+                   "dim.slope-tol": "0.3"}),
+    ("max-exponent", {"max-exp.replicas": "1000"}),
+    ("integral-exponent", {"int-exp.replicas": "1000"}),
+    ("two-sided-bound", {"two-sided.replicas": "1000"})])
+def test_margins_in_se(name, overrides):
+    """Criteria 07-10 report each fit's SE and its distance to the bound
+    in SEs, positive exactly when the fit passes."""
+    result = run_checks([name], overrides)[0]
+    details = result.details
+    fits = details.get("slopes", details.get("fits",
+                                             {"": {**details,
+                                                   "pass": result.passed}}))
+    for fit in fits.values():
+        if "floor" in fit:
+            margin = fit["slope"] - fit["floor"]
+        else:
+            margin = details["tol"] - abs(fit["slope"] - fit["target"])
+        assert fit["se"] > 0
+        assert fit["margin_sigma"] == pytest.approx(margin / fit["se"])
+        assert (fit["margin_sigma"] >= 0) == fit["pass"]

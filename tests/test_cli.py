@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +150,25 @@ class TestBadValues:
         out = tmp_path / "p"
         status = main(argv + ["--replicas", "100", "--out", str(out)])
         self.assert_config_error(status, capsys, out, field)
+
+    # each once passed validation, and the run then asked for a spectrum of
+    # 2^41 points or more, or refused replica 2^32 mid-run; the runners are
+    # removed, so no run can start
+    @pytest.mark.parametrize("argv, field", [
+        (["--horizon", "64,128,256,1099511627776"], "horizons"),
+        (["--horizon", "64,128", "--spacing", str(2.0 ** -40)], "spacing"),
+        (["--horizon", "524289"], "horizons"),
+        (["--horizon", "64", "--replicas", str(2 ** 32 + 1)], "replicas")])
+    def test_oversized_run(self, tmp_path, capsys, monkeypatch, argv, field):
+        monkeypatch.setattr(experiments, "_RUNNERS", {})
+        out = tmp_path / "p"
+        status = main(["persist", "--hurst", "0.5", *argv, "--out", str(out)])
+        self.assert_config_error(status, capsys, out, field)
+
+    def test_largest_accepted_run(self):
+        # 2^19 steps per side and 2^32 replicas, through validate only
+        RunConfig("persist", horizons=(2.0 ** 19,), replicas=2 ** 32).validate()
+        RunConfig("persist", horizons=(1.0,), spacing=2.0 ** -19).validate()
 
     def test_dim_grid_cap(self):
         RunConfig("dim", options={"grid-log2": "20"}).validate()
@@ -464,7 +484,7 @@ class TestProvenance:
         assert prov["rng_state_write"] == rng_state_write()
         assert prov["rng_state_write"] in ("direct", "dict")
         assert prov["numpy"] == np.__version__
-        assert prov["scipy"].count(".") >= 1
+        assert "scipy" not in prov  # not a runtime dependency
         assert prov["hull"] == "numpy"
         assert prov["workers"] == 1
 
@@ -478,6 +498,41 @@ class TestProvenance:
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    def test_runs_with_scipy_unimportable(self, tmp_path):
+        """numpy is the only runtime dependency: with scipy blocked the
+        package imports, runs every experiment at a tiny scale and the
+        checks that once used scipy, and solves the Clopper-Pearson bound
+        for counts >= 1."""
+        src = str(Path(burgerslab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "BURGERSLAB_WORKERS": "1"}
+        code = textwrap.dedent(f"""\
+            import dataclasses, json, sys
+            sys.modules["scipy"] = None
+            import burgerslab, burgerslab.cli
+            from burgerslab.acceptance import _TINY_CONFIGS
+            from burgerslab.experiments import run_experiment
+            from burgerslab.persistence import _binom_upper
+            statuses = [run_experiment(dataclasses.replace(
+                cfg, out=r"{tmp_path}" + "/" + cfg.experiment))[0]
+                for cfg in _TINY_CONFIGS]
+            check = burgerslab.cli.main([
+                "check", "--only", "sampler-equivalence,inequality-chain",
+                "--set", "sampler-eq.replicas=200",
+                "--set", "sampler-eq.points=16",
+                "--set", "chain.replicas=400", "--set", "chain.n=8"])
+            print(json.dumps([statuses, check,
+                              [_binom_upper(k, 1000) for k in (1, 3, 999)]]))
+            """)
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        statuses, check, uppers = json.loads(done.stdout.splitlines()[-1])
+        # the statuses and bounds with scipy importable
+        assert statuses == [0] * 6 and check == 0
+        assert uppers == pytest.approx([0.012921398147702089,
+                                        0.01717479031684895,
+                                        0.9999999683282571], rel=1e-9)
 
 
 class TestCheckCommand:
@@ -511,6 +566,16 @@ class TestCheckCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("config error:") and key in captured.err
         assert "PASS" not in captured.out
+
+    def test_replica_settings_capped(self):
+        # through the rules only: 2^32 + 1 replicas once passed them, and
+        # the check ran until a replica index left [0, 2^32)
+        rows = {key: row for check in CHECKS.values()
+                for key, row in check.settings.items()
+                if key.endswith((".replicas", ".sequences", ".paths"))}
+        assert len(rows) == 11
+        for key, row in rows.items():
+            assert row.ok(2 ** 32) and not row.ok(2 ** 32 + 1), key
 
     def test_bad_override_names_key(self, capsys):
         status = main(["check", "--only", "telescoping",

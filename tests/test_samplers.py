@@ -348,7 +348,7 @@ class TestHalfSpectrumFft:
     def test_matches_complex_fft(self, h, n_inc):
         ln = fbm._noise_length(h, 0.5, n_inc)
         noise = np.random.default_rng(n_inc).standard_normal((64, ln))
-        got = fbm._fgn_rows(h, 0.5, n_inc, noise)
+        got = fbm._fgn_rows(h, 0.5, n_inc, noise, fbm.RowBuffers())
         want = complex_fft_fgn_rows(h, 0.5, n_inc, noise)
         assert got.shape == want.shape == (64, n_inc)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
@@ -358,7 +358,7 @@ class TestHalfSpectrumFft:
     @pytest.mark.parametrize("m", [64, 256, 1024, 2 ** 16])
     def test_irfft_equals_hfft_bit_for_bit(self, h, m):
         noise = np.random.default_rng(m).standard_normal((3, 2 * m))
-        got = fbm._fgn_rows(h, 1.0, m, noise)
+        got = fbm._fgn_rows(h, 1.0, m, noise, fbm.RowBuffers())
         assert got.tobytes() == hfft_fgn_rows(h, 1.0, m, noise).tobytes()
 
 
@@ -400,7 +400,7 @@ class TestRowBuffers:
                 for flat in buffers._flat.values():
                     flat.view(float).fill(np.nan)
                 got = source.rows(noise, buffers)
-                want = source.rows(noise)
+                want = source.rows(noise, fbm.RowBuffers())
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), (m, h)
         assert doubled == 8
