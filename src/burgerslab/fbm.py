@@ -284,8 +284,9 @@ class FastRows:
         values[:, 0] = 0.0
         np.cumsum(fgn, axis=1, out=values[:, 1:])
         del fgn
-        values -= values[:, anchor:anchor + 1].copy()
-        values[:, anchor] = 0.0
+        if anchor:   # at index 0 the re-anchoring would subtract +0.0
+            values -= values[:, anchor:anchor + 1].copy()
+            values[:, anchor] = 0.0
         return values
 
 
@@ -300,8 +301,9 @@ def integrate_values(values: np.ndarray, spacing: float, anchor: int) -> np.ndar
     inc = 0.5 * (values[..., :-1] + values[..., 1:]) * spacing
     levels = np.zeros(values.shape)
     np.cumsum(inc, axis=-1, out=levels[..., 1:])
-    levels -= levels[..., anchor:anchor + 1]
-    levels[..., anchor] = 0.0
+    if anchor:   # at index 0 the re-anchoring would subtract +0.0
+        levels -= levels[..., anchor:anchor + 1]
+        levels[..., anchor] = 0.0
     return levels
 
 def integrate_path(path: GridPath) -> GridPath:

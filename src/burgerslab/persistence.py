@@ -34,6 +34,7 @@ __all__ = [
     "pool_map",
     "worker_count",
     "mean_se",
+    "exact_sums",
     "estimate_persistence",
     "estimate_persistences",
     "exponent_fit",
@@ -69,6 +70,13 @@ MC_BLOCK = 512
 # chain's peak RSS read 64.7 or 69-70 MB by that alone.  It also bounds the
 # shared pass's buffers: noise, spectrum, transform and rows, about 7 MB.
 _PASS_BYTES = 2 ** 21
+
+# exact sums count in units of 2^-1074 on chunks of 16 bits; 2^1024 lies in
+# chunk 131.  A slice of _SUM_ROWS rows bounds the kernel's temporaries, and
+# its (column, chunk) sums, below 2^26, are exact in float64.
+_SUM_UNIT = 1 << 1074
+_CHUNKS = 132
+_SUM_ROWS = 1024
 
 # the shared passes' buffers, made on a process's first pass; a worker
 # forked later writes its own copy of the parent's
@@ -109,20 +117,20 @@ class BarrierEvent:
             return SampleGrid.anchored(spacing, n, n)
         return SampleGrid.one_sided(spacing, n)
 
-    def thresholds(self, grid: SampleGrid) -> tuple[np.ndarray, np.ndarray, bool]:
-        """(column indices, per-column thresholds, integrate?) for the
-        stay-below check ``values[:, cols] <= thresholds``."""
-        coords = grid.coordinates
-        eps = 1e-9 * grid.spacing
+    def thresholds(self, grid: SampleGrid) -> tuple:
+        """(columns, per-column thresholds, integrate?) for the stay-below
+        check ``values[:, cols] <= thresholds`` on the event's ``grid``;
+        the columns are a slice where they are contiguous, so the check
+        reads a view of the values."""
         if self.process in ("fbm_max", "ifbm_one_sided"):
-            mask = coords > eps
-            return (np.flatnonzero(mask), np.full(mask.sum(), self.level),
+            # every point of the one-sided grid but 0
+            return (slice(1, None), np.full(grid.count - 1, self.level),
                     self.process == "ifbm_one_sided")
         if self.process == "ifbm_two_sided":
-            cols = np.arange(grid.count)
-            return cols, np.full(grid.count, self.level), True
+            return slice(None), np.full(grid.count, self.level), True
         # punctured / trended
-        mask = np.abs(coords) >= 1.0 - eps
+        coords = grid.coordinates
+        mask = np.abs(coords) >= 1.0 - 1e-9 * grid.spacing
         cols = np.flatnonzero(mask)
         thr = np.full(cols.size, self.level)
         if self.process == "ifbm_trended":
@@ -237,14 +245,17 @@ def pool_map(fn, items) -> list:
 
 def replica_stats(cells, seed: int,
                   replicas: int) -> list[tuple[np.ndarray, ...]]:
-    """Per-replica statistics of replicas 0..replicas-1 for each (source,
-    stat) cell, all on one pass of draws at ``seed`` (``_shared_pass``).
+    """Statistics of replicas 0..replicas-1 for each (source, stat) cell,
+    all on one pass of draws at ``seed`` (``_shared_pass``).
 
     The reducer maps the pass over consecutive blocks of ``MC_BLOCK``
     replicas with ``pool_map`` and returns, for each cell, its tuple of
-    arrays concatenated over the blocks in order.  Each row must be a
-    function of its replica alone (every draw is keyed by (seed, replica));
-    then neither the block size nor the worker count can change results.
+    arrays concatenated over the blocks and their parts in order.  A stat's
+    output is a row per replica, or one row of exact sums (``exact_sums``)
+    per part, which the caller combines by integer addition.  Each must be
+    a function of its replicas alone (every draw is keyed by (seed,
+    replica)); then neither the block size nor the worker count can change
+    results.
     """
     if replicas < 1:
         raise ValueError(f"need at least 1 replica, got {replicas}")
@@ -258,14 +269,67 @@ def _join(parts) -> list[tuple]:
     return [tuple(map(np.concatenate, zip(*cell))) for cell in zip(*parts)]
 
 
+def exact_sums(values: np.ndarray) -> np.ndarray:
+    """Exact sums of values along axis 0 (column-wise for 2-D values), one
+    Python int per column in units of 2^-1074, the smallest subnormal.
+
+    ``sum / 2**1074`` rounds a sum correctly, as ``math.fsum`` does, and
+    integer addition combines the sums of consecutive parts exactly.  Each
+    value splits into at most five integer pieces on a grid of 16-bit
+    chunks of that unit; float64 ``bincount`` adds them per (column, chunk)
+    exactly, and the chunks fold into one int per column.  Raises
+    ValueError on non-finite values.
+    """
+    x = np.asarray(values, dtype=float)
+    x = x.reshape(len(x), -1)
+    if not np.isfinite(x).all():
+        raise ValueError("exact sums need finite values")
+    cols = x.shape[1]
+    bins = np.zeros(cols * _CHUNKS, np.int64)
+    base = np.arange(cols) * _CHUNKS
+    for start in range(0, len(x), _SUM_ROWS):
+        part = x[start:start + _SUM_ROWS]
+        # the chunk of each leading bit, at least 4 so that the five pieces
+        # below it stay on the grid
+        top = np.maximum((np.frexp(part)[1] + 1073) >> 4, 4)
+        # in units of the top chunk, so below 2^16 in magnitude; the
+        # scaling is exact, and so is each fraction times 2^16
+        scaled = np.ldexp(part, 1074 - 16 * top)
+        index = (top + base).ravel()
+        piece = np.empty_like(scaled)
+        for _ in range(5):    # 53 bits span at most five chunks
+            np.trunc(scaled, out=piece)
+            scaled -= piece
+            scaled *= 65536.0
+            bins += np.bincount(index, piece.ravel(),
+                                bins.size).astype(np.int64)
+            index -= 1
+    bins = bins.reshape(cols, _CHUNKS)
+    used = np.flatnonzero(bins.any(axis=0))
+    weights = np.array([1 << (16 * int(j)) for j in used], dtype=object)
+    return (bins[:, used].astype(object) * weights).sum(axis=1)
+
+
+def _means(sums, rows: int) -> np.ndarray:
+    """Means of ``rows`` values from their exact sums (``exact_sums``):
+    each sum rounded correctly, then divided."""
+    return (sums / _SUM_UNIT).astype(float) / rows
+
+
+def _moments(sums, square_sums, rows: int):
+    """Mean and standard error of ``rows`` values from the exact sums of
+    the values and of their squares."""
+    mean, meansq = _means(sums, rows), _means(square_sums, rows)
+    return mean, np.sqrt(np.maximum(meansq - mean ** 2, 0.0) / rows)
+
+
 def mean_se(values: np.ndarray):
     """Mean and standard error of per-replica values along axis 0 (column-
-    wise for 2-D values), from exactly rounded sums (``math.fsum``)."""
-    rows = len(values)
-    cols = np.reshape(values, (rows, -1)).T
-    mean = np.array([math.fsum(c) for c in cols.tolist()]) / rows
-    meansq = np.array([math.fsum(c) for c in np.square(cols).tolist()]) / rows
-    se = np.sqrt(np.maximum(meansq - mean ** 2, 0.0) / rows)
+    wise for 2-D values), from the exact sums of the values and of their
+    squares (``exact_sums``), so they are the correctly rounded sums over
+    all replicas whatever the blocks."""
+    mean, se = _moments(exact_sums(values), exact_sums(np.square(values)),
+                        len(values))
     if np.ndim(values) == 1:
         return float(mean[0]), float(se[0])
     return mean, se
@@ -500,20 +564,28 @@ def _binom_upper(count: int, total: int, alpha: float = _ALPHA_4SIGMA) -> float:
 def _slope_stats(n, w):
     """Per-replica slope functional, its telescoping error and the windowed
     slopes at 0 from rows ``w`` on the chain's window [-N, 2N] at unit
-    spacing."""
-    anchor = n
+    spacing; and, as (1, N-1) exact column sums (``exact_sums``), the slope
+    gaps at the interior k, their differences from the windowed gap xi and
+    the squares of those differences."""
     p = np.arange(1, n + 1)
-    ii = integrate_values(w, 1.0, anchor)
-    sf = slope_functional_batch(ii[:, anchor:anchor + n + 1])  # I(0..N)
-    left_cols = ii[:, anchor - p]               # I(-1), ..., I(-N)
-    right_cols = ii[:, anchor + p]              # I(1), ..., I(N)
+    ii = integrate_values(w, 1.0, n)
+    gaps, f, right0, _, rel_err = slope_functional_batch(ii[:, n:2 * n + 1])
+    left_cols = ii[:, n - 1::-1]                # I(-1), ..., I(-N)
+    right_cols = ii[:, n + 1:2 * n + 1]         # I(1), ..., I(N)
     g0m = (-left_cols / p).min(axis=1)          # windowed left slope at 0
     g0p = (right_cols / p).max(axis=1)          # windowed right slope at 0
     xi = np.clip(g0m - g0p, 0.0, None)
     corner = (g0m >= 2.0) & (g0p <= -2.0)       # slopes beyond +-2 at 0
     trended = (np.all(left_cols <= -2.0 * p, axis=1)   # path below -2|x|
                & np.all(right_cols <= -2.0 * p, axis=1))
-    return sf.f, sf.right0, sf.rel_err, sf.terms, xi, corner, trended
+    del ii, left_cols, right_cols
+    # one R x (N-1) array, rewritten in place once its sums are taken
+    gap_sums = exact_sums(gaps)
+    gaps -= xi[:, None]
+    diff_sums = exact_sums(gaps)
+    np.square(gaps, out=gaps)
+    return (f, right0, rel_err, xi, corner, trended, gap_sums[None],
+            diff_sums[None], exact_sums(gaps)[None])
 
 
 def verify_chain(h: float, n: int, replicas: int, seed: int) -> ChainReport:
@@ -547,7 +619,9 @@ def verify_chains(hs, n: int, replicas: int, seed: int) -> list[ChainReport]:
 def _chain_report(h, n, replicas, seed, m1, stats) -> ChainReport:
     """The report of one H from its per-replica slope statistics and its
     max-mean constant."""
-    f_rows, maxterm, rel, terms, xi, corner, trended = stats
+    f_rows, maxterm, rel, xi, corner, trended, *part_sums = stats
+    # the pass parts' exact sums, combined by integer addition
+    gap_sum, diff_sum, diff_square_sum = (s.sum(axis=0) for s in part_sums)
     r = replicas
     worst_telescope = float(rel.max())
     mean_f, se_f = mean_se(f_rows)
@@ -581,8 +655,8 @@ def _chain_report(h, n, replicas, seed, m1, stats) -> ChainReport:
         "margin_sigma": (bound11 - mean_f) / se11 if se11 > 0 else math.inf,
         "pass": bool(mean_f <= bound11 + 4.0 * se11),
     }
-    term_mean, _ = mean_se(terms)
-    diff_mean, diff_se = mean_se(terms - xi[:, None])
+    term_mean = _means(gap_sum, r)
+    diff_mean, diff_se = _moments(diff_sum, diff_square_sum, r)
     with np.errstate(divide="ignore", invalid="ignore"):
         margins = np.where(diff_se > 0, diff_mean / diff_se, np.inf)
     worst_k = int(np.argmin(margins)) + 1

@@ -1,8 +1,9 @@
 """Independent oracles shared across test modules: quadrature covariances,
 the full complex-FFT and the hfft circulant maps, the one-path fast and
 exact samplers, the quotient-cube slope kernel, the one-row slope pairs and
-telescoped slope functional, the plain monotone-chain hull, and the
-reflection principle for the maximum of Brownian motion."""
+telescoped slope functional, the plain monotone-chain hull, the
+reflection principle for the maximum of Brownian motion, and means and
+standard errors from ``math.fsum``."""
 
 import math
 
@@ -167,3 +168,17 @@ def bm_max_below_prob(level, horizon):
     if level <= 0:
         return 0.0
     return math.erf(level / math.sqrt(horizon) / math.sqrt(2.0))
+
+
+def fsum_mean_se(values):
+    """Mean and standard error along axis 0 (column-wise for 2-D values)
+    from ``math.fsum`` over each column and over its squares; the package
+    takes the same exactly rounded sums from integer chunks."""
+    rows = len(values)
+    cols = np.reshape(values, (rows, -1)).T
+    mean = np.array([math.fsum(c) for c in cols.tolist()]) / rows
+    meansq = np.array([math.fsum(c) for c in np.square(cols).tolist()]) / rows
+    se = np.sqrt(np.maximum(meansq - mean ** 2, 0.0) / rows)
+    if np.ndim(values) == 1:
+        return float(mean[0]), float(se[0])
+    return mean, se

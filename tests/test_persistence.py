@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import betaincinv
 from scipy.stats import beta, ks_2samp, norm
 
@@ -25,17 +26,20 @@ from burgerslab.persistence import (
     McEstimate,
     _ALPHA_4SIGMA,
     _binom_upper,
+    _slope_stats,
     estimate_fbm_max_mean,
     estimate_persistence,
     estimate_persistences,
+    exact_sums,
     exponent_fit,
+    mean_se,
     refinement_study,
     verify_chain,
     verify_chains,
 )
 from burgerslab.rkhs import (build_space, covariance_column_trend,
                              verify_shift_inequality)
-from oracles import bm_max_below_prob
+from oracles import bm_max_below_prob, fsum_mean_se
 
 
 class TestBarrierEvent:
@@ -195,6 +199,77 @@ class TestRefinementStudy:
         assert a == b
         with pytest.raises(ValueError):
             refinement_study(ev, 0.3, [0.5, 1.0], 500, 2)
+
+
+# zeros, subnormals of both signs, and normal magnitudes 1e-300 .. 1e300
+_SUM_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308]),
+    st.floats(min_value=-2.2e-308, max_value=2.2e-308),
+    st.builds(lambda sign, mag, exp: sign * mag * 10.0 ** exp,
+              st.sampled_from([1.0, -1.0]), st.floats(1.0, 10.0),
+              st.integers(-300, 299)))
+
+
+class TestExactSums:
+    """``exact_sums`` against ``math.fsum``, and ``mean_se`` against the
+    ``math.fsum`` formulation (``oracles.fsum_mean_se``)."""
+
+    @settings(max_examples=200, deadline=None)
+    # past the row slice, where a float sum of the column drops the ones
+    @example([2.0 ** 52, 1.0, -0.5], False, 2500, 2, False, 1)
+    @given(st.lists(_SUM_VALUES, min_size=1, max_size=40), st.booleans(),
+           st.integers(1, 3000), st.integers(1, 3), st.booleans(),
+           st.integers(0, 2 ** 32))
+    def test_equals_fsum_per_column(self, pool, cancel, rows, cols, flat,
+                                    seed):
+        # rows drawn from a small pool reach past the kernel's row slice;
+        # with ``cancel`` every value also comes with its negative
+        rng = np.random.default_rng(seed)
+        values = rng.choice(np.array(pool), size=(rows, cols))
+        if cancel:
+            values = rng.permuted(np.concatenate([values, -values]), axis=0)
+        if flat:
+            values = values[:, 0]
+        sums = exact_sums(values)
+        columns = values.reshape(len(values), -1).T.tolist()
+        assert sums.shape == (len(columns),)
+        assert all(isinstance(total, int) for total in sums)
+        assert [total / 2 ** 1074 for total in sums] == [
+            math.fsum(c) for c in columns]
+        if len(values) > 1:   # the sums of two parts add up to the whole's
+            cut = int(rng.integers(1, len(values)))
+            assert list(exact_sums(values[:cut])
+                        + exact_sums(values[cut:])) == list(sums)
+
+    @pytest.mark.parametrize("shape", [(1,), (2000,), (4097,), (512, 63),
+                                       (1500, 3)])
+    def test_mean_se_equals_fsum_formulation(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        values = np.clip(rng.standard_normal(shape), 0.0, None) * 1e3
+        got, want = mean_se(values), fsum_mean_se(values)
+        if len(shape) == 1:
+            assert got == want and all(isinstance(v, float) for v in got)
+        else:
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises(self, bad):
+        values = np.ones((5, 3))
+        values[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            exact_sums(values)
+        with pytest.raises(ValueError, match="finite"):
+            mean_se(values[:, 1])
+
+    def test_chain_parts_hold_no_gap_matrix(self):
+        # per replica, or one exact sum per interior k: nothing of
+        # R x (N-1) crosses from a pass part to the reducer
+        n, reps = 16, 40
+        grid = SampleGrid.anchored(1.0, n, 2 * n)
+        out = _slope_stats(n, sample_fbm_fast_batch(0.5, grid, 5,
+                                                    range(reps)))
+        assert [a.shape for a in out] == [(reps,)] * 6 + [(1, n - 1)] * 3
+        assert all(a.dtype == object for a in out[6:])
 
 
 class TestMaxMeanEstimate:
@@ -402,8 +477,9 @@ class TestSharedPass:
 
 
 class TestBlockSizeInvariance:
-    """Statistics are kept per replica and reduced once, so the reducer's
-    block size cannot change any result."""
+    """Statistics are per-replica rows or per-part exact sums, which
+    integer addition combines, so the reducer's block size cannot change
+    any result."""
 
     @staticmethod
     def estimates():
