@@ -30,7 +30,7 @@ from .experiments import (
     rerun_from_manifest,
     run_experiment,
     _at_least,
-    _dim_cell,
+    _dim_cells,
     _FINITE,
     _KNOWN_EXPONENTS,
     _NON_NEGATIVE,
@@ -202,14 +202,12 @@ def _margin_sigma(margin, se):
 
 
 def check_dimension(ov: dict) -> dict:
-    replicas = ov["dim.replicas"]
-    log2n = ov["dim.grid-log2"]
     tol = ov["dim.slope-tol"]
+    cfg = RunConfig(experiment="dim", hurst=H_TRIPLE,
+                    replicas=ov["dim.replicas"], seed=701,
+                    options={"grid-log2": str(ov["dim.grid-log2"])})
     slopes = {}
-    for h in H_TRIPLE:
-        cfg = RunConfig(experiment="dim", hurst=(h,), replicas=replicas,
-                        seed=701, options={"grid-log2": str(log2n)})
-        _, summary, _ = _dim_cell(h, cfg)
+    for h, (_, summary, _) in zip(H_TRIPLE, _dim_cells(cfg)):
         target = ov[f"dim.target-h{h:g}"]
         slope, se = summary["slope"], summary["slope_se"]
         # None when every replica's window collapsed

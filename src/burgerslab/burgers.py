@@ -97,10 +97,10 @@ def solve(u0: GridPath, t: float = 1.0) -> LagrangianSolution:
     potential = build_potential(u0, t)
     minorant = lower_envelope(potential.values)
     contacts = minorant.node_indices
-    clusters = []
-    for a, b in zip(contacts[:-1], contacts[1:]):
-        if b > a + 1:
-            clusters.append((int(a) + 1, int(b) - 1))
+    # the grid points strictly between two consecutive contacts, if any
+    gaps = np.flatnonzero(np.diff(contacts) > 1)
+    clusters = zip((contacts[gaps] + 1).tolist(),
+                   (contacts[gaps + 1] - 1).tolist())
     slopes = minorant.segment_slopes / potential.grid.spacing
     velocity = np.append(slopes, slopes[-1]) if slopes.size else np.zeros(1)
     return LagrangianSolution(potential=potential, minorant=minorant,

@@ -3,9 +3,11 @@
 Every experiment consumes a RunConfig, writes machine-readable artifacts
 (JSON-lines records, CSV tables, JSON summaries) plus a manifest, and is
 bit-reproducible from that manifest: outputs depend only on the config.
-Cells (Hurst indices, horizons, events) run one after another, except that
-persist, chain and rkhs-verify estimate all their cells on one pass of
-draws per seed; the replicas are spread over the process's worker pool
+sample and solve run their cells (Hurst indices, replicas) one after
+another.  dim, persist, chain and rkhs-verify estimate all their cells on
+one pass of draws per seed (``persistence.replica_stats``): each replica's
+noise is drawn once for every cell, and the replicas are spread over the
+process's worker pool in one contiguous span per worker
 (``persistence.pool_map``, capped by BURGERSLAB_WORKERS), which cannot
 change results: every replica is deterministic and results are gathered in
 replica order.
@@ -25,10 +27,12 @@ import numpy as np
 from . import __version__
 from .burgers import solve
 from .envelopes import envelope_backend
-from .fbm import EXACT_SAMPLER_MAX_POINTS, sample_fbm_exact, sample_fbm_fast
-from .fractal import dimension_estimate
-from .grids import (RNG_SCHEME, RandomnessSpec, SampleGrid, rng_state_write,
-                    write_json)
+from .fbm import (EXACT_SAMPLER_MAX_POINTS, FastRows, sample_fbm_exact,
+                  sample_fbm_fast)
+from .fitting import fit_scaling
+from .fractal import box_count
+from .grids import (RNG_SCHEME, GridPath, RandomnessSpec, SampleGrid,
+                    rng_state_write, write_json)
 from .persistence import (
     MIN_REPLICAS,
     PROCESSES,
@@ -36,7 +40,7 @@ from .persistence import (
     _exact_steps,
     estimate_persistences,
     exponent_fit,
-    pool_map,
+    replica_stats,
     verify_chains,
     worker_count,
 )
@@ -57,6 +61,11 @@ REPLICAS_MAX = 2 ** 32
 
 # dim's largest grid, 2^20 points: about 200 MB per process
 DIM_GRID_LOG2_MAX = 20
+
+# dim's and criterion 07's box ladder 2^-4..2^-10, and the edge cut from
+# each end of [-1, 1] to make their window
+DIM_SCALES = tuple(2.0 ** -j for j in range(4, 11))
+DIM_EDGE = 0.05
 
 # sample's and solve's largest grids, 2^20 + 1 points like dim's
 SAMPLE_POINTS_MAX = 2 ** 20
@@ -361,37 +370,49 @@ def run_solve(cfg: RunConfig, outdir: Path) -> dict:
     return {"solves": len(rows), "checks": []}
 
 
-def _dim_replica(h: float, cfg: RunConfig, rep: int):
-    """One replica's record, and its fit when it is replica 0's and not
-    degenerate (else None)."""
+def _dim_counts(grid: SampleGrid, t: float, rows):
+    """Per replica of ``rows`` (paths on ``grid``): its count of contacts in
+    dim's window at time t, and its box counts there on ``DIM_SCALES``,
+    zeros when the window holds fewer than 4 contacts."""
+    lo, hi = window = (-1.0 + DIM_EDGE, 1.0 - DIM_EDGE)
+    points = np.empty(len(rows), np.int64)
+    counts = np.zeros((len(rows), len(DIM_SCALES)), np.int64)
+    for i, row in enumerate(rows):
+        coords = solve(GridPath(grid, row, "fbm"), t).contact_coordinates
+        pts = coords[(coords >= lo) & (coords <= hi)]
+        points[i] = pts.size
+        if pts.size >= 4:
+            counts[i] = [box_count(pts, s, window) for s in DIM_SCALES]
+    return points, counts
+
+
+def _dim_cells(cfg: RunConfig) -> list[tuple]:
+    """(records, summary, replica 0's non-degenerate fit or None) for each
+    Hurst index of ``cfg``, all on one pass of draws
+    (``persistence.replica_stats``)."""
     n = 2 ** cfg.opt("grid-log2")
-    scales = [2.0 ** -j for j in range(4, 11)]
-    edge = 0.05
     grid = SampleGrid.anchored(2.0 / n, n // 2, n // 2)
-    window = (-1.0 + edge, 1.0 - edge)
-    u0 = sample_fbm_fast(h, grid, RandomnessSpec(cfg.seed, rep))
-    coords = solve(u0, cfg.opt("time")).contact_coordinates
-    pts = coords[(coords >= window[0]) & (coords <= window[1])]
-    if pts.size < 4:
+    stat = partial(_dim_counts, grid, cfg.opt("time"))
+    stats = replica_stats([(FastRows(h, grid), stat) for h in cfg.hurst],
+                          cfg.seed, cfg.replicas)
+    return [_dim_cell(h, cfg, *counts) for h, counts in zip(cfg.hurst, stats)]
+
+
+def _dim_cell(h: float, cfg: RunConfig, points, counts):
+    """One Hurst index's per-replica records, its summary and replica 0's
+    fit, from each replica's contacts in the window and its box counts."""
+    records, first_fit = [], None
+    for rep, (size, row) in enumerate(zip(points, counts)):
+        record = {"h": h, "replica": rep, "slope": None, "points": int(size)}
         # total collapse happens at small grids; no dimension to fit
-        return {"h": h, "replica": rep, "slope": None,
-                "points": int(pts.size)}, None
-    fit = dimension_estimate(pts, scales, window=window)
-    record = {"h": h, "replica": rep,
-              "slope": None if fit.degenerate else fit.slope,
-              "points": int(pts.size),
-              "max_residual": fit.max_residual,
-              "split_discrepancy": fit.split_discrepancy}
-    return record, fit if rep == 0 and not fit.degenerate else None
-
-
-def _dim_cell(h: float, cfg: RunConfig):
-    """All replicas of one Hurst index, spread over the worker pool:
-    per-replica records, the summary and replica 0's non-degenerate fit
-    (the plot-ready table), or None."""
-    results = pool_map(partial(_dim_replica, h, cfg), range(cfg.replicas))
-    records = [record for record, _ in results]
-    first_fit = results[0][1]
+        if size >= 4:
+            fit = fit_scaling(DIM_SCALES, row)
+            record.update(slope=None if fit.degenerate else fit.slope,
+                          max_residual=fit.max_residual,
+                          split_discrepancy=fit.split_discrepancy)
+            if rep == 0 and not fit.degenerate:
+                first_fit = fit
+        records.append(record)
     slopes = np.array([r["slope"] for r in records if r["slope"] is not None])
     summary = {"h": h,
                "slope": float(slopes.mean()) if slopes.size else None,
@@ -403,7 +424,7 @@ def _dim_cell(h: float, cfg: RunConfig):
 
 
 def run_dim(cfg: RunConfig, outdir: Path) -> dict:
-    results = [_dim_cell(h, cfg) for h in cfg.hurst]
+    results = _dim_cells(cfg)
     records = [r for cell, _, _ in results for r in cell]
     summaries = [s for _, s, _ in results]
     _write_jsonl(outdir / "records.jsonl", records)

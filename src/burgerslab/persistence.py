@@ -68,8 +68,9 @@ MC_BLOCK = 512
 # arrays of 8 MB, and whether glibc reuses its freed heap for them depends
 # on the heap's earlier layout, down to the length of the install path:
 # chain's peak RSS read 64.7 or 69-70 MB by that alone.  It also bounds the
-# shared pass's buffers: noise, spectrum, transform and rows, about 7 MB.
-_PASS_BYTES = 2 ** 21
+# shared pass's buffers: noise, spectrum, transform and rows, about 3.5 MB,
+# and a dim row of 2^17 normals runs through a pass alone.
+_PASS_BYTES = 2 ** 20
 
 # exact sums count in units of 2^-1074 on chunks of 16 bits; 2^1024 lies in
 # chunk 131.  A slice of _SUM_ROWS rows bounds the kernel's temporaries, and
@@ -248,9 +249,13 @@ def replica_stats(cells, seed: int,
     """Statistics of replicas 0..replicas-1 for each (source, stat) cell,
     all on one pass of draws at ``seed`` (``_shared_pass``).
 
-    The reducer maps the pass over consecutive blocks of ``MC_BLOCK``
-    replicas with ``pool_map`` and returns, for each cell, its tuple of
-    arrays concatenated over the blocks and their parts in order.  A stat's
+    The reducer splits the replicas into ``min(worker_count(), replicas)``
+    contiguous spans, one ``pool_map`` item each, and a span runs the pass
+    on consecutive blocks of ``MC_BLOCK`` replicas.  When there are at least
+    as many blocks of ``MC_BLOCK`` as spans, each span takes whole blocks,
+    so the blocks are those of a serial run; else the spans split the
+    replicas by count.  It returns, for each cell, its tuple of arrays
+    concatenated over the spans, blocks and their parts in order.  A stat's
     output is a row per replica, or one row of exact sums (``exact_sums``)
     per part, which the caller combines by integer addition.  Each must be
     a function of its replicas alone (every draw is keyed by (seed,
@@ -259,9 +264,22 @@ def replica_stats(cells, seed: int,
     """
     if replicas < 1:
         raise ValueError(f"need at least 1 replica, got {replicas}")
-    return _join(pool_map(partial(_shared_pass, tuple(cells), seed),
-                          [range(start, min(start + MC_BLOCK, replicas))
-                           for start in range(0, replicas, MC_BLOCK)]))
+    spans = min(worker_count(), replicas)
+    blocks = -(-replicas // MC_BLOCK)
+    # kernel-space rows come from a BLAS product whose last bit can depend
+    # on its row count, so spans of whole blocks keep them the serial ones
+    unit, units = (MC_BLOCK, blocks) if blocks >= spans else (1, replicas)
+    edges = [min(replicas, unit * (units * i // spans))
+             for i in range(spans + 1)]
+    return _join(pool_map(partial(_span_pass, tuple(cells), seed),
+                          [range(a, b) for a, b in zip(edges, edges[1:])]))
+
+
+def _span_pass(cells, seed: int, span: range) -> list[tuple]:
+    """``_shared_pass`` on consecutive blocks of ``MC_BLOCK`` replicas of a
+    span, joined in order."""
+    return _join([_shared_pass(cells, seed, span[i:i + MC_BLOCK])
+                  for i in range(0, len(span), MC_BLOCK)])
 
 
 def _join(parts) -> list[tuple]:

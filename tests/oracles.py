@@ -2,18 +2,22 @@
 the full complex-FFT and the hfft circulant maps, the one-path fast and
 exact samplers, the quotient-cube slope kernel, the one-row slope pairs and
 telescoped slope functional, the plain monotone-chain hull, the
-reflection principle for the maximum of Brownian motion, and means and
-standard errors from ``math.fsum``."""
+reflection principle for the maximum of Brownian motion, means and
+standard errors from ``math.fsum``, and the dim experiment one replica
+and one Hurst index at a time."""
 
+import json
 import math
 
 import numpy as np
 from scipy.integrate import quad
 
+from burgerslab.burgers import solve
 from burgerslab.fbm import (RowBuffers, _embedding_amplitudes, _fgn_rows,
-                            _noise_length, fbm_covariance)
+                            _noise_length, fbm_covariance, sample_fbm_fast)
 from burgerslab.envelopes import all_slope_pairs_batch, left_slope, right_slope
-from burgerslab.grids import check_hurst
+from burgerslab.fractal import dimension_estimate
+from burgerslab.grids import RandomnessSpec, SampleGrid, check_hurst, write_json
 
 
 def quad_ifbm_covariance(h, s, t):
@@ -182,3 +186,51 @@ def fsum_mean_se(values):
     if np.ndim(values) == 1:
         return float(mean[0]), float(se[0])
     return mean, se
+
+
+def dim_replica(h, cfg, rep):
+    """One dim replica's record, and its fit when it is replica 0's and not
+    degenerate (else None): its own path, solve and box-counting fit."""
+    n = 2 ** cfg.opt("grid-log2")
+    scales = [2.0 ** -j for j in range(4, 11)]
+    window = (-0.95, 0.95)
+    grid = SampleGrid.anchored(2.0 / n, n // 2, n // 2)
+    u0 = sample_fbm_fast(h, grid, RandomnessSpec(cfg.seed, rep))
+    coords = solve(u0, cfg.opt("time")).contact_coordinates
+    pts = coords[(coords >= window[0]) & (coords <= window[1])]
+    if pts.size < 4:
+        return {"h": h, "replica": rep, "slope": None,
+                "points": int(pts.size)}, None
+    fit = dimension_estimate(pts, scales, window=window)
+    record = {"h": h, "replica": rep,
+              "slope": None if fit.degenerate else fit.slope,
+              "points": int(pts.size),
+              "max_residual": fit.max_residual,
+              "split_discrepancy": fit.split_discrepancy}
+    return record, fit if rep == 0 and not fit.degenerate else None
+
+
+def dim_outputs(cfg, outdir):
+    """The result files of a dim run (records.jsonl, summary.json and
+    fit_h*.{csv,json}), written serially from ``dim_replica``."""
+    records, summaries = [], {}
+    for h in cfg.hurst:
+        results = [dim_replica(h, cfg, rep) for rep in range(cfg.replicas)]
+        cell = [record for record, _ in results]
+        records += cell
+        slopes = np.array([r["slope"] for r in cell
+                           if r["slope"] is not None])
+        summaries[f"h={h:g}"] = {
+            "h": h, "slope": float(slopes.mean()) if slopes.size else None,
+            "slope_se": float(slopes.std(ddof=1) / np.sqrt(slopes.size))
+            if slopes.size > 1 else 0.0,
+            "valid_replicas": int(slopes.size), "replicas": cfg.replicas,
+            "grid_log2": cfg.opt("grid-log2")}
+        fit = results[0][1]
+        if fit is not None:
+            fit.to_csv(outdir / f"fit_h{h:g}_scale_count.csv")
+            write_json(outdir / f"fit_h{h:g}.json", fit.summary())
+    with open(outdir / "records.jsonl", "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    write_json(outdir / "summary.json", summaries)

@@ -96,7 +96,9 @@ class TestSolve:
         u0 = sample_fbm_fast(0.4, grid, RandomnessSpec(55))
         sol = solve(u0, t=1.0)
         covered = set(sol.contact_indices.tolist())
+        assert sol.shock_clusters
         for a, b in sol.shock_clusters:
+            assert type(a) is int and type(b) is int
             cluster = set(range(a, b + 1))
             assert not cluster & covered
             covered |= cluster

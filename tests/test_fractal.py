@@ -1,11 +1,15 @@
-"""Box counting against exactly known sets."""
+"""Box counting against exactly known sets, and the dim experiment against
+its one-replica-at-a-time oracle."""
 
 import numpy as np
 import pytest
 
+from burgerslab import fbm, persistence
+from burgerslab.experiments import RunConfig, run_experiment
 from burgerslab.fractal import box_count, default_scale_ladder, dimension_estimate
 from burgerslab.fitting import fit_scaling
 from burgerslab.grids import write_json
+from oracles import dim_outputs
 
 
 def middle_thirds_points(depth: int) -> np.ndarray:
@@ -39,6 +43,16 @@ class TestBoxCount:
             if prev is not None:
                 assert prev <= n <= 2 * prev + 1
             prev = n
+
+    def test_equals_distinct_cells_in_any_order(self):
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(0, 1, 400) ** 3
+        pts[::7] = 1.0    # hi belongs to the last cell
+        for eps in (0.3, 2.0 ** -6, 2.0 ** -12):
+            cells = {min(int(p // eps), int(np.ceil(1 / eps)) - 1)
+                     for p in pts}
+            assert box_count(pts, eps, (0.0, 1.0)) == len(cells)
+            assert box_count(np.sort(pts), eps, (0.0, 1.0)) == len(cells)
 
     def test_rejects_outside_points(self):
         with pytest.raises(ValueError):
@@ -121,3 +135,56 @@ class TestFitScaling:
             fit_scaling([0.5, 0.5], [1.0, 2.0])
         with pytest.raises(ValueError):
             fit_scaling([0.5, 0.25], [1.0, -2.0])
+
+
+class TestDimExperiment:
+    """dim estimates every Hurst index on one pass of draws; its result
+    files equal those of the oracle's separate replicas, byte for byte."""
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("hurst, replicas, seed, fitted", [
+        # 5 replicas over 2 workers; replica 2 collapses at H 0.7
+        ((0.3, 0.7), 5, 4, ("0.3", "0.7")),
+        # replica 0 collapses at H 0.7, so it writes no fit files
+        ((0.3, 0.7), 3, 10, ("0.3",))])
+    def test_files_equal_oracle(self, tmp_path, monkeypatch, workers, hurst,
+                                replicas, seed, fitted):
+        monkeypatch.setenv("BURGERSLAB_WORKERS", workers)
+        cfg = RunConfig("dim", hurst=hurst, replicas=replicas, seed=seed,
+                        out=str(tmp_path / "run"),
+                        options={"grid-log2": "10"})
+        status, _ = run_experiment(cfg)
+        assert status == 2    # a collapsed window flags the run
+        want = tmp_path / "oracle"
+        want.mkdir()
+        dim_outputs(cfg, want)
+        names = sorted(p.name for p in want.iterdir())
+        records = (want / "records.jsonl").read_text().splitlines()
+        assert any('"slope": null' in line for line in records)
+        assert names == sorted(["records.jsonl", "summary.json"] + [
+            f"fit_h{h}{ext}" for h in fitted
+            for ext in ("_scale_count.csv", ".json")])
+        got = sorted(p.name for p in (tmp_path / "run").iterdir())
+        assert got == sorted(names + ["manifest.json"])
+        for name in names:
+            assert (tmp_path / "run" / name).read_bytes() == \
+                (want / name).read_bytes(), name
+
+    def test_one_noise_row_per_replica(self, tmp_path, monkeypatch):
+        # the replica's noise serves every H; no single-path sampler runs
+        monkeypatch.setenv("BURGERSLAB_WORKERS", "1")
+        rows = []
+        normals = persistence.replica_normals
+        monkeypatch.setattr(persistence, "replica_normals",
+                            lambda seed, reps, length, out=None:
+                            rows.append(len(reps))
+                            or normals(seed, reps, length, out=out))
+
+        def refused(*args, **kwargs):
+            raise AssertionError("noise drawn outside the shared pass")
+
+        monkeypatch.setattr(fbm, "replica_normals", refused)
+        run_experiment(RunConfig("dim", hurst=(0.3, 0.5, 0.7), replicas=5,
+                                 seed=4, out=str(tmp_path / "run"),
+                                 options={"grid-log2": "10"}))
+        assert sum(rows) == 5

@@ -16,7 +16,7 @@ from scipy.stats import beta, ks_2samp, norm
 
 from burgerslab import persistence, rkhs
 from burgerslab.envelopes import windowed_slope_pair
-from burgerslab.experiments import RunConfig, _dim_cell
+from burgerslab.experiments import RunConfig, _dim_cells
 from burgerslab.fbm import (FastRows, RowBuffers, integrate_values,
                             sample_fbm_fast_batch)
 from burgerslab.grids import SampleGrid, write_json
@@ -428,6 +428,49 @@ class TestSharedPass:
         assert np.array_equal(got[0][0], want)
         assert np.array_equal(got[2][0], want.sum(axis=1))
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("replicas", [1, 2, 5, 600, 1025, 1566])
+    def test_one_contiguous_span_per_worker(self, monkeypatch, workers,
+                                            replicas):
+        spans = []
+
+        def spy_map(fn, items):
+            spans.extend(items)
+            return [fn(item) for item in items]
+
+        monkeypatch.setattr(persistence, "worker_count", lambda: workers)
+        monkeypatch.setattr(persistence, "pool_map", spy_map)
+        cell = (FastRows(0.5, SampleGrid.anchored(1.0, 4, 4)), _rows)
+        (rows,), = persistence.replica_stats([cell], 3, replicas)
+        assert len(spans) == min(workers, replicas)
+        assert [r for span in spans for r in span] == list(range(replicas))
+        assert all(span.step == 1 for span in spans)
+        block = persistence.MC_BLOCK
+        if -(-replicas // block) >= len(spans):
+            # whole blocks, as even as they come
+            assert all(span.start % block == 0 for span in spans)
+            sizes = [-(-len(span) // block) for span in spans]
+            assert max(sizes) - min(sizes) <= 1
+        else:
+            # split by replica count
+            assert max(map(len, spans)) - min(map(len, spans)) <= 1
+        assert np.array_equal(rows, sample_fbm_fast_batch(
+            0.5, cell[0].grid, 3, range(replicas)))
+
+    def test_kernel_rows_equal_serial_with_more_workers(self, monkeypatch):
+        # 3 spans of 522 replicas would each end in a 10-row block, whose
+        # BLAS product can differ from the serial run's in the last bit;
+        # spans of whole blocks keep the serial blocks, 3 x 512 and 30
+        monkeypatch.setattr(persistence, "pool_map",
+                            lambda fn, items: [fn(item) for item in items])
+        space = build_space(SampleGrid.anchored(0.125, 16, 16), 0.5)
+        got = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(persistence, "worker_count", lambda: workers)
+            (rows,), = persistence.replica_stats([(space, _rows)], 1101, 1566)
+            got.append(rows)
+        assert all(np.array_equal(rows, got[0]) for rows in got[1:])
+
     def test_plural_persistence_equals_singular(self):
         got = estimate_persistences(MIXED_CELLS, 0.5, 150, 11)
         assert got == [estimate_persistence(event, h, 0.5, 150, 11)
@@ -470,10 +513,13 @@ class TestSharedPass:
         chain = FastRows(0.5, SampleGrid.anchored(1.0, 8, 16)).noise_length
         peak = FastRows(0.5, SampleGrid.one_sided(2.0 ** -10,
                                                   1024)).noise_length
-        # the max-mean pass's long rows come in parts of _PASS_BYTES
+        # the max-mean pass's long rows come in parts of _PASS_BYTES, so the
+        # 88-row tail splits 64 + 24
         part = persistence._PASS_BYTES // (8 * peak)
+        assert part == 64
         assert draws == [(5, persistence.MC_BLOCK, chain), (5, 88, chain)] + \
-            [(6, part, peak)] * (persistence.MC_BLOCK // part) + [(6, 88, peak)]
+            [(6, part, peak)] * (persistence.MC_BLOCK // part) + \
+            [(6, part, peak), (6, 88 - part, peak)]
 
 
 class TestBlockSizeInvariance:
@@ -511,7 +557,7 @@ class TestBlockSizeInvariance:
 
 
 class TestWorkerInvariance:
-    """Blocks and dim replicas spread over the worker pool give the serial
+    """Spans of replicas spread over the worker pool give the serial
     results exactly; a callback that does not pickle fails here."""
 
     REPLICAS = persistence.MC_BLOCK + 88
@@ -519,7 +565,7 @@ class TestWorkerInvariance:
     def results(self):
         space = build_space(SampleGrid.anchored(0.25, 8, 8), 0.5)
         trend = covariance_column_trend(space, 1.0, 0.1)
-        cfg = RunConfig("dim", replicas=6, seed=4,
+        cfg = RunConfig("dim", hurst=(0.4, 0.6), replicas=5, seed=4,
                         options={"grid-log2": "10"})
         r = self.REPLICAS
         return (
@@ -528,7 +574,7 @@ class TestWorkerInvariance:
             estimate_fbm_max_mean(0.3, 2.0 ** -6, r, 3),
             verify_chain(0.3, 8, r, 5).to_json(),
             verify_shift_inequality(space, trend, 1.0, r, 6),
-            _dim_cell(0.4, cfg),
+            _dim_cells(cfg),
             estimate_persistences(MIXED_CELLS, 0.5, r, 11),
             [report.to_json() for report in verify_chains((0.3, 0.7), 8, r, 5)],
         )
@@ -549,7 +595,7 @@ class TestWorkerInvariance:
         monkeypatch.setenv("BURGERSLAB_WORKERS", "2")
         pooled = self.results()
         # refinement_study, the max mean, the chain (twice), the shift
-        # check, the dim cell, the plural persistence and the plural chain
+        # check, the dim pass, the plural persistence and the plural chain
         # (twice) each map through the pool
         assert len(maps) == 9
         assert pooled == serial
