@@ -50,7 +50,9 @@ class LagrangianSolution:
 
     @property
     def contact_coordinates(self) -> np.ndarray:
-        return self.potential.coordinates[self.contact_indices]
+        # the entries of grid.coordinates, without building all of it
+        grid = self.potential.grid
+        return grid.left + grid.spacing * self.contact_indices
 
     def to_csv(self, path) -> None:
         grid = self.potential.grid
@@ -69,14 +71,15 @@ class LagrangianSolution:
 
     def clusters_to_jsonl(self, path, u0: GridPath) -> None:
         grid = self.potential.grid
+        coords = grid.coordinates
         with open(path, "w", encoding="utf-8") as fh:
             for left, right in self.shock_clusters:
                 count = right - left + 1
                 mass = count * grid.spacing
                 momentum = float(np.sum(u0.values[left:right + 1]) * grid.spacing)
                 fh.write(json.dumps({
-                    "left": grid.coordinates[left],
-                    "right": grid.coordinates[right],
+                    "left": coords[left],
+                    "right": coords[right],
                     "mass": mass,
                     "momentum": momentum,
                 }) + "\n")

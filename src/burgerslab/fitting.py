@@ -64,7 +64,8 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, np.ndarray]:
 def fit_scaling(scales, values, value_ses=None, excluded=()) -> ScalingFit:
     """Fit log(value) = slope*log(1/scale) + intercept.
 
-    Scales must be strictly decreasing and positive; values positive.
+    Scales must be strictly decreasing and positive; values positive and
+    finite.
     """
     scales = np.asarray(scales, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -72,10 +73,12 @@ def fit_scaling(scales, values, value_ses=None, excluded=()) -> ScalingFit:
         raise ValueError("need >= 2 matching (scale, value) pairs")
     if np.any(scales <= 0) or np.any(np.diff(scales) >= 0):
         raise ValueError("scales must be positive and strictly decreasing")
-    if np.any(values <= 0):
-        raise ValueError("values must be positive for a log-log fit")
+    if not (np.isfinite(values).all() and values.min() > 0):
+        raise ValueError("values must be positive and finite for a log-log "
+                         "fit")
 
-    if np.unique(values).size < 2:
+    # min == max rather than np.unique, which imports numpy.ma
+    if values.min() == values.max():
         return ScalingFit(tuple(scales), tuple(values), slope=math.nan,
                           intercept=math.nan, max_residual=math.nan,
                           degenerate=True, excluded=tuple(excluded))

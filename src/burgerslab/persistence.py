@@ -59,14 +59,10 @@ _ALPHA_4SIGMA = 3.167124183311998e-05
 # fewest replicas a persistence estimate accepts
 MIN_REPLICAS = 100
 
-# replicas per block of the Monte-Carlo reducer; bounds working memory only
-# (a block's noise rows, and O(N) slope floats per row)
-MC_BLOCK = 512
-
-# bytes of noise a shared pass draws and transforms at a time.  A whole
-# block of long rows (512 x 2048 normals in chain's max-mean pass) makes
-# arrays of 8 MB, and whether glibc reuses its freed heap for them depends
-# on the heap's earlier layout, down to the length of the install path:
+# bytes of noise a shared pass draws and transforms at a time; bounds
+# working memory only.  Larger parts (512 rows of chain's 2048-normal
+# max-mean pass make arrays of 8 MB) leave glibc's reuse of its freed heap
+# to the heap's earlier layout, down to the length of the install path:
 # chain's peak RSS read 64.7 or 69-70 MB by that alone.  It also bounds the
 # shared pass's buffers: noise, spectrum, transform and rows, about 3.5 MB,
 # and a dim row of 2^17 normals runs through a pass alone.
@@ -249,37 +245,21 @@ def replica_stats(cells, seed: int,
     """Statistics of replicas 0..replicas-1 for each (source, stat) cell,
     all on one pass of draws at ``seed`` (``_shared_pass``).
 
-    The reducer splits the replicas into ``min(worker_count(), replicas)``
-    contiguous spans, one ``pool_map`` item each, and a span runs the pass
-    on consecutive blocks of ``MC_BLOCK`` replicas.  When there are at least
-    as many blocks of ``MC_BLOCK`` as spans, each span takes whole blocks,
-    so the blocks are those of a serial run; else the spans split the
-    replicas by count.  It returns, for each cell, its tuple of arrays
-    concatenated over the spans, blocks and their parts in order.  A stat's
-    output is a row per replica, or one row of exact sums (``exact_sums``)
-    per part, which the caller combines by integer addition.  Each must be
-    a function of its replicas alone (every draw is keyed by (seed,
-    replica)); then neither the block size nor the worker count can change
-    results.
+    The reducer splits the replicas by count into ``min(worker_count(),
+    replicas)`` contiguous spans, one ``pool_map`` item each, and returns,
+    for each cell, its tuple of arrays concatenated over the spans and
+    their parts in order.  A stat's output is a row per replica, or one row
+    of exact sums (``exact_sums``) per part, which the caller combines by
+    integer addition.  Each must be a function of its replicas alone (every
+    draw is keyed by (seed, replica)); then neither the parts nor the
+    worker count can change results.
     """
     if replicas < 1:
         raise ValueError(f"need at least 1 replica, got {replicas}")
     spans = min(worker_count(), replicas)
-    blocks = -(-replicas // MC_BLOCK)
-    # kernel-space rows come from a BLAS product whose last bit can depend
-    # on its row count, so spans of whole blocks keep them the serial ones
-    unit, units = (MC_BLOCK, blocks) if blocks >= spans else (1, replicas)
-    edges = [min(replicas, unit * (units * i // spans))
-             for i in range(spans + 1)]
-    return _join(pool_map(partial(_span_pass, tuple(cells), seed),
+    edges = [replicas * i // spans for i in range(spans + 1)]
+    return _join(pool_map(partial(_shared_pass, tuple(cells), seed),
                           [range(a, b) for a, b in zip(edges, edges[1:])]))
-
-
-def _span_pass(cells, seed: int, span: range) -> list[tuple]:
-    """``_shared_pass`` on consecutive blocks of ``MC_BLOCK`` replicas of a
-    span, joined in order."""
-    return _join([_shared_pass(cells, seed, span[i:i + MC_BLOCK])
-                  for i in range(0, len(span), MC_BLOCK)])
 
 
 def _join(parts) -> list[tuple]:
@@ -345,7 +325,7 @@ def mean_se(values: np.ndarray):
     """Mean and standard error of per-replica values along axis 0 (column-
     wise for 2-D values), from the exact sums of the values and of their
     squares (``exact_sums``), so they are the correctly rounded sums over
-    all replicas whatever the blocks."""
+    all replicas whatever the parts."""
     mean, se = _moments(exact_sums(values), exact_sums(np.square(values)),
                         len(values))
     if np.ndim(values) == 1:
@@ -359,17 +339,17 @@ def _shared_pass(cells, seed: int, reps) -> list[tuple]:
     Each cell is (source, stat).  A source (``fbm.FastRows``,
     ``rkhs.KernelSpace``) is a hashable map from the first
     ``source.noise_length`` normals of each noise row to a row,
-    ``source.rows(noise, buffers)``; ``stat(rows)`` maps a block's rows to
-    a tuple of per-replica arrays.  The noise is drawn once, at the longest
-    length among the cells, and each distinct source transforms its prefix
-    once; the first l normals of a replica's stream are its draw of length
-    l, so this equals a draw per cell bit for bit.  A block whose noise
-    exceeds ``_PASS_BYTES`` is passed in parts of fewer replicas.  Returns
-    one tuple of arrays per cell.
+    ``source.rows(noise, buffers)``; ``stat(rows)`` maps a part's rows to
+    a tuple of per-replica arrays.  The replicas are passed in parts whose
+    noise fits in ``_PASS_BYTES``.  A part's noise is drawn once, at the
+    longest length among the cells, and each distinct source transforms
+    its prefix once; the first l normals of a replica's stream are its draw
+    of length l, so this equals a draw per cell bit for bit.  Returns one
+    tuple of arrays per cell.
 
     The noise and the fast rows live in one set of buffers per process,
-    reused by every part, cell and block it runs: a stat must not keep a
-    reference to ``rows`` or return a view of it.
+    reused by every part and cell it runs: a stat must not keep a reference
+    to ``rows`` or return a view of it.
     """
     lengths = {source: source.noise_length for source, _ in cells}
     longest = max(lengths.values())

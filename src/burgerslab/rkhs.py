@@ -49,6 +49,12 @@ SHIFT_MC_MAX_POINTS = 64
 RIDGE_FACTOR = 1e-12
 NORM_RESIDUAL_TOL = 1e-6
 
+# fewest rows a kernel-space product has: with the installed OpenBLAS a
+# product of 1-36 rows can give other last bits than the same rows in a
+# larger one, so shorter products are padded with zero rows.  Then a row is
+# a function of its noise alone, whatever the span or part it comes in.
+_MIN_PRODUCT_ROWS = 64
+
 
 class TrendRangeError(ValueError):
     """Trend lies outside the numerical range of the covariance."""
@@ -102,7 +108,13 @@ class KernelSpace:
         return self.grid.count
 
     def rows(self, noise: np.ndarray, buffers=None) -> np.ndarray:
-        return noise[:, :self.grid.count] @ self.factor.T
+        """``noise @ factor.T`` on the first ``grid.count`` normals of each
+        row, in a product of at least ``_MIN_PRODUCT_ROWS`` rows."""
+        x = noise[:, :self.grid.count]
+        pad = _MIN_PRODUCT_ROWS - len(x)
+        if pad > 0:
+            x = np.concatenate([x, np.zeros((pad, x.shape[1]))])
+        return (x @ self.factor.T)[:len(noise)]
 
     def sample_batch(self, seed: int, replicas: range) -> np.ndarray:
         """Exact Gaussian draws with this covariance, one row per replica,

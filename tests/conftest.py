@@ -1,8 +1,8 @@
 """One BLAS thread per test process, as perfbench runs the package.
 
 The pool's forked workers inherit the BLAS thread count, and on a small
-host their threads oversubscribe the cores: criterion 11's 512 x 33 block
-products run several times slower with two workers than serially.  This
+host their threads oversubscribe the cores: criterion 11's kernel products
+of 33 columns ran several times slower with two workers than serially.  This
 file is loaded before any test module imports numpy, which reads the
 variables once; a value already set in the environment is kept.
 """

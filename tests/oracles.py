@@ -3,8 +3,9 @@ the full complex-FFT and the hfft circulant maps, the one-path fast and
 exact samplers, the quotient-cube slope kernel, the one-row slope pairs and
 telescoped slope functional, the plain monotone-chain hull, the
 reflection principle for the maximum of Brownian motion, means and
-standard errors from ``math.fsum``, and the dim experiment one replica
-and one Hurst index at a time."""
+standard errors from ``math.fsum``, solve's clusters file and the dim
+experiment one replica and one Hurst index at a time, both on the whole
+grid's coordinates."""
 
 import json
 import math
@@ -196,7 +197,7 @@ def dim_replica(h, cfg, rep):
     window = (-0.95, 0.95)
     grid = SampleGrid.anchored(2.0 / n, n // 2, n // 2)
     u0 = sample_fbm_fast(h, grid, RandomnessSpec(cfg.seed, rep))
-    coords = solve(u0, cfg.opt("time")).contact_coordinates
+    coords = grid.coordinates[solve(u0, cfg.opt("time")).contact_indices]
     pts = coords[(coords >= window[0]) & (coords <= window[1])]
     if pts.size < 4:
         return {"h": h, "replica": rep, "slope": None,
@@ -208,6 +209,18 @@ def dim_replica(h, cfg, rep):
               "max_residual": fit.max_residual,
               "split_discrepancy": fit.split_discrepancy}
     return record, fit if rep == 0 and not fit.degenerate else None
+
+
+def solve_clusters_jsonl(sol, u0) -> str:
+    """The text of ``sol.clusters_to_jsonl``, each coordinate read from
+    the whole ``grid.coordinates`` array."""
+    grid = u0.grid
+    coords = grid.coordinates
+    return "".join(json.dumps({
+        "left": coords[left], "right": coords[right],
+        "mass": (right - left + 1) * grid.spacing,
+        "momentum": float(np.sum(u0.values[left:right + 1]) * grid.spacing),
+    }) + "\n" for left, right in sol.shock_clusters)
 
 
 def dim_outputs(cfg, outdir):

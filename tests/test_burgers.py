@@ -14,8 +14,10 @@ from burgerslab.burgers import (
     solve,
     sticky_simulate,
 )
+from burgerslab.experiments import RunConfig, run_experiment
 from burgerslab.fbm import sample_fbm_fast
 from burgerslab.grids import GridPath, RandomnessSpec, SampleGrid
+from oracles import solve_clusters_jsonl
 
 
 def zero_velocity(grid):
@@ -139,6 +141,22 @@ class TestSolve:
         assert len(rows) == len(sol.shock_clusters)
         for row in rows:
             assert set(row) == {"left", "right", "mass", "momentum"}
+
+    @pytest.mark.parametrize("h", [0.3, 0.7])
+    def test_solve_run_files_equal_oracle(self, tmp_path, h):
+        # contacts and clusters read single entries of the grid's
+        # coordinates, bit for bit those of the whole array
+        cfg = RunConfig("solve", hurst=(h,), replicas=2, seed=5,
+                        spacing=2.0 ** -9, out=str(tmp_path / "run"))
+        assert run_experiment(cfg)[0] == 0
+        grid = SampleGrid.anchored(cfg.spacing, 512, 512)
+        for rep in range(cfg.replicas):
+            u0 = sample_fbm_fast(h, grid, RandomnessSpec(cfg.seed, rep))
+            sol = solve(u0)
+            assert sol.contact_coordinates.tobytes() == \
+                grid.coordinates[sol.contact_indices].tobytes()
+            got = tmp_path / "run" / f"clusters_h{h:g}_r{rep}.jsonl"
+            assert got.read_text() == solve_clusters_jsonl(sol, u0)
 
 
 class TestStickyParticles:

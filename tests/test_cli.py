@@ -491,9 +491,13 @@ class TestProvenance:
     def test_cli_import_skips_scipy_stats_and_special(self):
         src = str(Path(burgerslab.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
+        # nor does a fit, degenerate or not, import numpy.ma
         code = ("import sys, burgerslab.cli; "
-                "print(sorted(m for m in ('scipy.stats', 'scipy.special') "
-                "if m in sys.modules))")
+                "from burgerslab.fitting import fit_scaling; "
+                "fit_scaling([0.5, 0.25, 0.125], [2.0, 4.0, 8.0]); "
+                "fit_scaling([0.5, 0.25], [3.0, 3.0]); "
+                "print(sorted(m for m in ('scipy.stats', 'scipy.special', "
+                "'numpy.ma') if m in sys.modules))")
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr

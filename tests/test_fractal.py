@@ -135,6 +135,15 @@ class TestFitScaling:
             fit_scaling([0.5, 0.5], [1.0, 2.0])
         with pytest.raises(ValueError):
             fit_scaling([0.5, 0.25], [1.0, -2.0])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                fit_scaling([0.5, 0.25, 0.125], [1.0, bad, 2.0])
+
+    def test_degenerate_only_when_all_values_equal(self):
+        assert fit_scaling([0.5, 0.25, 0.125], [3.0] * 3).degenerate
+        # values one ulp apart fit
+        assert not fit_scaling([0.5, 0.25],
+                               [3.0, np.nextafter(3.0, 4.0)]).degenerate
 
 
 class TestDimExperiment:

@@ -357,7 +357,7 @@ def _rows(vals):
 
 
 class TestSharedPass:
-    """One noise draw per block serves every cell of one seed, and each
+    """One noise draw per part serves every cell of one seed, and each
     cell's result equals that of its own pass."""
 
     def test_rows_equal_separate_draws(self):
@@ -387,15 +387,14 @@ class TestSharedPass:
                     rows, sample_fbm_fast_batch(h, grid, seed, range(5, 31)))
 
     @pytest.mark.parametrize("reps, long_cell", [
-        (range(persistence.MC_BLOCK), False),
+        (range(512), False),
         (range(10 ** 6 - 64, 10 ** 6), False),
-        (range(persistence.MC_BLOCK), True)], ids=["block", "tail", "split"])
+        (range(512), True)], ids=["block", "tail", "split"])
     def test_fast_and_kernel_cells_equal_separate_draws(self, reps,
                                                         long_cell):
-        # kernel rows go through a BLAS product whose last bit may depend
-        # on the row count, so they are checked on a whole block, on the
-        # 64-row tail block of 10^6 replicas and on the parts of a pass
-        # that _PASS_BYTES splits because a fast cell draws 2048 normals
+        # checked on 512 rows, on the last 64 of 10^6 replicas and on the
+        # parts of a pass that _PASS_BYTES splits because a fast cell draws
+        # 2048 normals
         grid33, grid17 = (SampleGrid.anchored(0.125, 16, 16),
                           SampleGrid.anchored(0.25, 8, 8))
         spaces = [build_space(grid33, 0.5), build_space(grid17, 0.3),
@@ -415,15 +414,19 @@ class TestSharedPass:
     def test_cells_on_one_source_share_its_rows(self, monkeypatch):
         monkeypatch.setenv("BURGERSLAB_WORKERS", "1")
         space = build_space(SampleGrid.anchored(0.25, 8, 8), 0.5)
+        fast = FastRows(0.5, space.grid)
+        # parts of 256 rows of the fast cell's 32 normals
+        monkeypatch.setattr(persistence, "_PASS_BYTES",
+                            8 * fast.noise_length * 256)
         calls = []
         rows = rkhs.KernelSpace.rows
         monkeypatch.setattr(rkhs.KernelSpace, "rows",
                             lambda sp, noise, buffers=None:
                             calls.append(len(noise)) or rows(sp, noise))
         got = persistence.replica_stats(
-            [(space, _rows), (FastRows(0.5, space.grid), _rows),
+            [(space, _rows), (fast, _rows),
              (space, lambda w: (w.sum(axis=1),))], 7, 600)
-        assert calls == [persistence.MC_BLOCK, 600 - persistence.MC_BLOCK]
+        assert calls == [256, 256, 88]
         want = space.sample_batch(7, range(600))
         assert np.array_equal(got[0][0], want)
         assert np.array_equal(got[2][0], want.sum(axis=1))
@@ -445,29 +448,24 @@ class TestSharedPass:
         assert len(spans) == min(workers, replicas)
         assert [r for span in spans for r in span] == list(range(replicas))
         assert all(span.step == 1 for span in spans)
-        block = persistence.MC_BLOCK
-        if -(-replicas // block) >= len(spans):
-            # whole blocks, as even as they come
-            assert all(span.start % block == 0 for span in spans)
-            sizes = [-(-len(span) // block) for span in spans]
-            assert max(sizes) - min(sizes) <= 1
-        else:
-            # split by replica count
-            assert max(map(len, spans)) - min(map(len, spans)) <= 1
+        # split by replica count
+        assert max(map(len, spans)) - min(map(len, spans)) <= 1
         assert np.array_equal(rows, sample_fbm_fast_batch(
             0.5, cell[0].grid, 3, range(replicas)))
 
-    def test_kernel_rows_equal_serial_with_more_workers(self, monkeypatch):
-        # 3 spans of 522 replicas would each end in a 10-row block, whose
-        # BLAS product can differ from the serial run's in the last bit;
-        # spans of whole blocks keep the serial blocks, 3 x 512 and 30
+    @pytest.mark.parametrize("replicas", [1, 36, 37, 60, 1566])
+    def test_kernel_rows_equal_for_any_worker_count(self, monkeypatch,
+                                                    replicas):
+        # an unpadded BLAS product of 1-36 rows gives other last bits than
+        # a larger one, which made 2 spans of 30 differ from 1 span of 60
         monkeypatch.setattr(persistence, "pool_map",
                             lambda fn, items: [fn(item) for item in items])
         space = build_space(SampleGrid.anchored(0.125, 16, 16), 0.5)
         got = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(persistence, "worker_count", lambda: workers)
-            (rows,), = persistence.replica_stats([(space, _rows)], 1101, 1566)
+            (rows,), = persistence.replica_stats([(space, _rows)], 1101,
+                                                 replicas)
             got.append(rows)
         assert all(np.array_equal(rows, got[0]) for rows in got[1:])
 
@@ -497,34 +495,35 @@ class TestSharedPass:
 
         monkeypatch.setattr(persistence, "replica_normals", spy_normals)
         monkeypatch.setattr(FastRows, "rows", spy_rows)
-        r = persistence.MC_BLOCK + 88
+        r = 600
         estimate_persistences(MIXED_CELLS, 0.5, r, 11)
         longest = max(FastRows(h, event.grid(0.5)).noise_length
                       for event, h in MIXED_CELLS)
-        assert draws == [(11, persistence.MC_BLOCK, longest), (11, 88, longest)]
-        for block in built:
+        # the whole span fits in one part
+        assert persistence._PASS_BYTES // (8 * longest) >= r
+        assert draws == [(11, r, longest)]
+        for part in built:
             # one transform per distinct (h, grid), longest noise first
-            assert len(block) == len(MIXED_CELLS) - 1
-            assert len(set(block)) == len(block)
-            assert [n for n, _, _ in block] == sorted(
-                (n for n, _, _ in block), reverse=True)
+            assert len(part) == len(MIXED_CELLS) - 1
+            assert len(set(part)) == len(part)
+            assert [n for n, _, _ in part] == sorted(
+                (n for n, _, _ in part), reverse=True)
         draws.clear()
         verify_chains((0.3, 0.5, 0.7), 8, r, 5)
         chain = FastRows(0.5, SampleGrid.anchored(1.0, 8, 16)).noise_length
         peak = FastRows(0.5, SampleGrid.one_sided(2.0 ** -10,
                                                   1024)).noise_length
-        # the max-mean pass's long rows come in parts of _PASS_BYTES, so the
-        # 88-row tail splits 64 + 24
+        # the max-mean pass's long rows come in parts of _PASS_BYTES, so
+        # 600 rows split 9 x 64 + 24
         part = persistence._PASS_BYTES // (8 * peak)
         assert part == 64
-        assert draws == [(5, persistence.MC_BLOCK, chain), (5, 88, chain)] + \
-            [(6, part, peak)] * (persistence.MC_BLOCK // part) + \
-            [(6, part, peak), (6, 88 - part, peak)]
+        assert draws == [(5, r, chain)] + [(6, part, peak)] * 9 + \
+            [(6, r - 9 * part, peak)]
 
 
 class TestBlockSizeInvariance:
     """Statistics are per-replica rows or per-part exact sums, which
-    integer addition combines, so the reducer's block size cannot change
+    integer addition combines, so the reducer's part size cannot change
     any result."""
 
     @staticmethod
@@ -539,14 +538,6 @@ class TestBlockSizeInvariance:
             estimate_persistences(MIXED_CELLS, 0.5, 150, 11),
         )
 
-    @pytest.mark.parametrize("block", [1, 7])
-    def test_results_equal_default_block(self, monkeypatch, block):
-        # pool workers would not see the patched block size
-        monkeypatch.setenv("BURGERSLAB_WORKERS", "1")
-        want = self.estimates()
-        monkeypatch.setattr(persistence, "MC_BLOCK", block)
-        assert self.estimates() == want
-
     @pytest.mark.parametrize("pass_bytes", [1, 8 * 300])
     def test_results_equal_whole_pass(self, monkeypatch, pass_bytes):
         # a shared pass split into parts of one row, or of a few rows
@@ -560,7 +551,7 @@ class TestWorkerInvariance:
     """Spans of replicas spread over the worker pool give the serial
     results exactly; a callback that does not pickle fails here."""
 
-    REPLICAS = persistence.MC_BLOCK + 88
+    REPLICAS = 600
 
     def results(self):
         space = build_space(SampleGrid.anchored(0.25, 8, 8), 0.5)

@@ -8,7 +8,8 @@ import pytest
 
 from oracles import quad_ifbm_covariance
 
-from burgerslab.grids import RandomnessSpec, SampleGrid, write_json
+from burgerslab.grids import (RandomnessSpec, SampleGrid, replica_normals,
+                              write_json)
 from burgerslab.rkhs import (
     TrendFunction,
     TrendRangeError,
@@ -77,6 +78,18 @@ class TestBuildSpace:
         z = np.stack([RandomnessSpec(8, r).generator().standard_normal(7)
                       for r in range(90, 96)])
         assert np.array_equal(sp.sample_batch(8, range(90, 96)), z @ factor.T)
+
+    @pytest.mark.parametrize("offset", [0, 17, 333])
+    def test_rows_equal_one_large_product(self, offset):
+        # with the installed OpenBLAS a product of 1-36 rows can give other
+        # last bits than the same rows in a larger one
+        noise = replica_normals(1101, range(600), 33)
+        for sp in (build_space(symmetric_grid(0.125, 16), 0.5),
+                   build_space(symmetric_grid(0.25, 8), 0.3)):
+            big = noise[:, :sp.grid.count] @ sp.factor.T
+            for n in range(1, 130):
+                rows = noise[offset:offset + n]
+                assert np.array_equal(sp.rows(rows), big[offset:offset + n])
 
 
 class TestNorm:
@@ -245,10 +258,10 @@ class TestShiftInequality:
                             lambda seed, reps, length, out=None:
                             rows.append((seed, len(reps), length))
                             or normals(seed, reps, length, out=out))
-        check_rkhs({"rkhs.replicas": 1200})
-        block = persistence.MC_BLOCK
-        assert rows == [(1101, block, 33)] * (1200 // block) + \
-            [(1101, 1200 % block, 33)]
+        check_rkhs({"rkhs.replicas": 5000})
+        part = persistence._PASS_BYTES // (8 * 33)
+        assert part == 3971
+        assert rows == [(1101, part, 33), (1101, 5000 - part, 33)]
 
     def test_grid_cap(self):
         sp = build_space(symmetric_grid(0.05, 40), 0.5)

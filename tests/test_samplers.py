@@ -275,7 +275,7 @@ class TestReplicaNormals:
 
     @pytest.mark.parametrize("seed", [0, 1101, 2 ** 32 - 1])
     def test_prefix_equals_shorter_draw(self, seed):
-        # what lets one noise block serve cells of several lengths
+        # what lets one noise draw serve cells of several lengths
         reps = range(1000)
         long = replica_normals(seed, reps, 2048)
         for length in (1, 2, 33, 128, 2047):
