@@ -7,32 +7,23 @@ from .fbm import (
     fbm_covariance,
     fgn_autocovariance,
     ifbm_covariance,
-    fbm_ifbm_cross_covariance,
     sample_fbm_exact,
     sample_fbm_fast,
-    integrate_path,
 )
 from .envelopes import (
     ConvexEnvelope,
-    SlopePair,
     envelope_backend,
     lower_envelope,
-    upper_envelope,
-    slope_pair,
-    windowed_slope_pair,
     functional_F,
-    nodal_event,
 )
 from .burgers import (
     LagrangianSolution,
     ParticleSystem,
     build_potential,
     solve,
-    particles_from_path,
     midpoint_particles,
     sticky_simulate,
     sticky_shock_clusters,
-    holder_check,
 )
 from .fractal import box_count, dimension_estimate
 from .fitting import ScalingFit

@@ -27,11 +27,9 @@ __all__ = [
     "ParticleSystem",
     "build_potential",
     "solve",
-    "particles_from_path",
     "sticky_simulate",
     "merged_intervals",
     "clusters_match",
-    "holder_check",
 ]
 
 # collision times closer than this (relative) count as simultaneous
@@ -140,15 +138,6 @@ class ParticleSystem:
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "velocities", vel)
         object.__setattr__(self, "masses", mass)
-
-
-def particles_from_path(u0: GridPath) -> ParticleSystem:
-    """One particle per grid point: velocity from the path, mass = spacing."""
-    grid = u0.grid
-    return ParticleSystem(positions=grid.coordinates.copy(),
-                          velocities=u0.values.copy(),
-                          masses=np.full(grid.count, grid.spacing),
-                          members=tuple((i, i) for i in range(grid.count)))
 
 
 def midpoint_particles(u0: GridPath) -> ParticleSystem:
@@ -266,27 +255,3 @@ def clusters_match(minorant_clusters, sticky_intervals, tol_cells: int = 1) -> b
         if abs(a - c) > tol_cells or abs(b - d) > tol_cells:
             return False
     return True
-
-
-def holder_check(solution: LagrangianSolution, gamma: float,
-                 window: tuple[float, float]) -> float:
-    """Smallest constant K with |dC'| <= K |dx|^gamma over contact pairs in
-    the window; 0 when fewer than two contacts fall inside."""
-    hurst = solution.potential.hurst
-    if hurst is not None and not gamma < hurst:
-        raise ValueError(f"gamma must be < driving Hurst index {hurst}")
-    if not 0 < gamma < 1:
-        raise ValueError("gamma must lie in (0, 1)")
-    lo, hi = window
-    coords = solution.contact_coordinates
-    mask = (coords >= lo) & (coords <= hi)
-    x = coords[mask]
-    v = solution.lagrangian_velocity[mask]
-    if x.size < 2:
-        return 0.0
-    best = 0.0
-    for i in range(x.size - 1):
-        dx = x[i + 1:] - x[i]
-        dv = np.abs(v[i + 1:] - v[i])
-        best = max(best, float(np.max(dv / dx ** gamma)))
-    return best

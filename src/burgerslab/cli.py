@@ -16,6 +16,7 @@ from .experiments import (
     RunConfig,
     config_from_dict,
     load_config_file,
+    path_errors,
     rerun_from_manifest,
     run_experiment,
 )
@@ -111,7 +112,8 @@ def _run_check(args) -> int:
     if args.out:
         report = {res.name: {"pass": res.passed, "runtime_s": res.runtime_s,
                              "details": res.details} for res in results}
-        write_json(args.out, report)
+        with path_errors("out", args.out):
+            write_json(args.out, report)
     return 0 if all(res.passed for res in results) else 3
 
 
@@ -131,9 +133,6 @@ def main(argv=None) -> int:
             print(f"wrote {cfg.out}/manifest.json (exit {status})")
         return status
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

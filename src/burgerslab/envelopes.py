@@ -1,13 +1,13 @@
-"""Convex minorants/majorants of discrete sequences and one-sided slopes.
+"""Convex minorants of discrete sequences and one-sided slopes.
 
 For a sequence I(0..N) the left/right extremal difference quotients at k are
 
     left(k)  = min over p in 1..k   of (I(k) - I(k-p)) / p
     right(k) = max over p in 1..N-k of (I(k+p) - I(k)) / p
 
-k is a nodal point of the concave majorant exactly when left(k) >= right(k);
-summing the positive parts of left - right over interior k telescopes to
-right(0) - left(N).
+k is a nodal point of the concave majorant, a node of the minorant of -I,
+exactly when left(k) >= right(k); summing the positive parts of left - right
+over interior k telescopes to right(0) - left(N).
 
 Node extraction is Andrew's monotone chain, carried to its fixed point in
 numpy.  Each stage drops, all at once, points that are not nodes:
@@ -20,10 +20,10 @@ numpy.  Each stage drops, all at once, points that are not nodes:
   surviving neighbours, each followed by the chords from a survivor's
   neighbour to the first survivor across the nearest gap that test opened.
 
-The long chords drop a point only when it lies off the hull's side of the
-chord by a clear margin (``_CHORD_MARGIN``), far outside rounding and the
-chain's 1e-12 collinearity tolerance: such a point is no node of the exact
-hull, so it is none of the chain's nodes either.  The pop test uses the
+The long chords drop a point only when it lies above the chord by a clear
+margin (``_CHORD_MARGIN``), far outside rounding and the chain's 1e-12
+collinearity tolerance: such a point is no node of the exact hull, so it is
+none of the chain's nodes either.  The pop test uses the
 chain's float expressions and tolerance.  Once a round drops nothing, every
 consecutive survivor triple passes that test, so the chain would pop
 nothing and the survivors are its nodes; only after ``_ROUND_CAP`` rounds
@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 # A long chord drops a point only this far (relative to the cross product's
-# magnitude) off the hull's side, far outside the chain's 1e-12 band.
+# magnitude) above it, far outside the chain's 1e-12 band.
 _CHORD_MARGIN = 1e-9
 # Pop-test rounds before the chain finishes the survivors; each of dim's
 # 2^16-point potentials reaches its fixed point within 4.
@@ -55,18 +55,18 @@ def envelope_backend() -> str:
     return "numpy"
 
 
-def _clearance(x0, x1, xk, y0, y1, yk, lower: bool):
+def _clearance(x0, x1, xk, y0, y1, yk):
     """The chain's cross product of each middle point against the chord of
-    its outer points, signed to be > 0 strictly on the hull's side (below
-    for the minorant), and the magnitude max(|t1|, |t2|) it is judged by."""
+    its outer points, > 0 strictly below the chord, and the magnitude
+    max(|t1|, |t2|) it is judged by."""
     t1 = (x1 - x0) * (yk - y0)
     t2 = (xk - x0) * (y1 - y0)
-    return t1 - t2 if lower else t2 - t1, np.maximum(np.abs(t1), np.abs(t2))
+    return t1 - t2, np.maximum(np.abs(t1), np.abs(t2))
 
 
-def _grid_sweep(y: np.ndarray, lower: bool) -> np.ndarray:
-    """Indices left after dropping each point that lies clearly off the
-    hull's side of a grid chord (k - s, k + s), s = 1, 2, 4, ...
+def _grid_sweep(y: np.ndarray) -> np.ndarray:
+    """Indices left after dropping each point that lies clearly above a
+    grid chord (k - s, k + s), s = 1, 2, 4, ...
 
     On the grid the cross product is s (y[k-s] + y[k+s] - 2 y[k]) and its
     magnitude at most 4 s max|y|, so one margin of 4 max|y| times
@@ -82,16 +82,13 @@ def _grid_sweep(y: np.ndarray, lower: bool) -> np.ndarray:
         d = np.add(y[:m], y[2 * s:], out=buf[:m])
         d -= y[s:-s]
         d -= y[s:-s]
-        if lower:
-            np.less(d, -margin, out=off[:m])
-        else:
-            np.greater(d, margin, out=off[:m])
+        np.less(d, -margin, out=off[:m])
         drop[s:-s] |= off[:m]
         s *= 2
     return np.flatnonzero(~drop)
 
 
-def _drop_middles(xs, ys, s: int, lower: bool):
+def _drop_middles(xs, ys, s: int):
     """Survivors after testing each triple (i - s, i, i + s) of survivor
     positions: at s = 1 the chain's pop test, at s > 1 the clear margin.
     Returns (xs, ys, kept), kept the mask over the input, None when
@@ -99,7 +96,7 @@ def _drop_middles(xs, ys, s: int, lower: bool):
     if xs.size <= 2 * s:
         return xs, ys, None
     c, scale = _clearance(xs[:-2 * s], xs[s:-s], xs[2 * s:],
-                          ys[:-2 * s], ys[s:-s], ys[2 * s:], lower)
+                          ys[:-2 * s], ys[s:-s], ys[2 * s:])
     drop = c <= 1e-12 * scale if s == 1 else c < -_CHORD_MARGIN * scale
     if not drop.any():
         return xs, ys, None
@@ -108,7 +105,7 @@ def _drop_middles(xs, ys, s: int, lower: bool):
     return xs[kept], ys[kept], kept
 
 
-def _gap_chords(xs, ys, kept, lower: bool):
+def _gap_chords(xs, ys, kept):
     """Survivors after testing each survivor i, with the clear margin,
     against the chords (i - 1, a) and (b, i + 1) that reach across the gaps
     the last pop test opened (``kept`` is its mask): a is the first survivor
@@ -131,20 +128,19 @@ def _gap_chords(xs, ys, kept, lower: bool):
     b = before[j[j >= 0]]
     drop = np.zeros(xs.size, dtype=bool)
     c, scale = _clearance(xs[right - 1], xs[right], xs[a],
-                          ys[right - 1], ys[right], ys[a], lower)
+                          ys[right - 1], ys[right], ys[a])
     drop[right] = c < -_CHORD_MARGIN * scale
     c, scale = _clearance(xs[b], xs[left], xs[left + 1],
-                          ys[b], ys[left], ys[left + 1], lower)
+                          ys[b], ys[left], ys[left + 1])
     drop[left] |= c < -_CHORD_MARGIN * scale
     if not drop.any():
         return xs, ys
     return xs[~drop], ys[~drop]
 
 
-def _hull_nodes(y: np.ndarray, lower: bool) -> np.ndarray:
-    """Node indices of the greatest convex minorant (lower=True) or least
-    concave majorant (lower=False) of the points (k, y[k])."""
-    xs = _grid_sweep(y, lower)
+def _hull_nodes(y: np.ndarray) -> np.ndarray:
+    """Node indices of the greatest convex minorant of the points (k, y[k])."""
+    xs = _grid_sweep(y)
     ys = y[xs]
     # integer-valued floats: the products below equal the chain's int * float
     xs = xs.astype(float)
@@ -152,23 +148,22 @@ def _hull_nodes(y: np.ndarray, lower: bool) -> np.ndarray:
     while 4 * s < xs.size:
         s *= 2
     while s > 1:
-        xs, ys, _ = _drop_middles(xs, ys, s, lower)
+        xs, ys, _ = _drop_middles(xs, ys, s)
         s //= 2
     for _ in range(_ROUND_CAP):
-        xs, ys, kept = _drop_middles(xs, ys, 1, lower)
+        xs, ys, kept = _drop_middles(xs, ys, 1)
         if kept is None:
             return xs.astype(np.int64)
-        xs, ys = _gap_chords(xs, ys, kept, lower)
-    return _chain(xs.astype(np.int64).tolist(), ys.tolist(), lower)
+        xs, ys = _gap_chords(xs, ys, kept)
+    return _chain(xs.astype(np.int64).tolist(), ys.tolist())
 
 
-def _chain(xs: list, ys: list, lower: bool) -> np.ndarray:
+def _chain(xs: list, ys: list) -> np.ndarray:
     """Monotone chain over points with strictly increasing integer xs.
 
-    The top of the stack is popped unless it lies strictly outside (below
-    for the minorant, above for the majorant) the chord from the point
-    under it to the new point, by more than 1e-12 of the cross product's
-    own magnitude.
+    The top of the stack is popped unless it lies strictly below the chord
+    from the point under it to the new point, by more than 1e-12 of the
+    cross product's own magnitude.
     """
     sx = [xs[0]]
     sy = [ys[0]]
@@ -178,9 +173,7 @@ def _chain(xs: list, ys: list, lower: bool) -> np.ndarray:
             y0 = sy[-2]
             t1 = (sx[-1] - x0) * (yk - y0)
             t2 = (xk - x0) * (sy[-1] - y0)
-            cross = t1 - t2
-            tol = 1e-12 * max(abs(t1), abs(t2))
-            if (cross <= tol) if lower else (cross >= -tol):
+            if t1 - t2 <= 1e-12 * max(abs(t1), abs(t2)):
                 sx.pop()
                 sy.pop()
             else:
@@ -192,9 +185,8 @@ def _chain(xs: list, ys: list, lower: bool) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConvexEnvelope:
-    """Piecewise-linear envelope touching the sequence at its nodes."""
+    """Piecewise-linear minorant touching the sequence at its nodes."""
 
-    side: str                   # "minorant" or "majorant"
     count: int                  # length of the underlying sequence
     node_indices: np.ndarray    # strictly increasing, starts 0, ends count-1
     node_values: np.ndarray
@@ -206,100 +198,26 @@ class ConvexEnvelope:
             indices = np.arange(self.count)
         return np.interp(indices, self.node_indices, self.node_values)
 
-    def to_csv(self, path) -> None:
-        from .grids import write_csv
-        slopes = list(self.segment_slopes) + [None]
-        write_csv(path, ("node_index", "node_value", "slope_after"),
-                  zip(self.node_indices, self.node_values, slopes))
 
-
-def _build(values: np.ndarray, lower: bool) -> ConvexEnvelope:
+def lower_envelope(values) -> ConvexEnvelope:
+    """Greatest convex minorant; collinear interior points are not nodes.
+    Negation is exact, so ``lower_envelope(-y)`` is the least concave
+    majorant of y, negated."""
     values = np.ascontiguousarray(values, dtype=float)
     if values.ndim != 1 or values.size < 2:
         raise ValueError("need a 1-d sequence of length >= 2")
     if not np.all(np.isfinite(values)):
         raise ValueError("sequence contains non-finite values")
-    nodes = _hull_nodes(values, lower)
+    nodes = _hull_nodes(values)
     node_values = values[nodes]
     slopes = np.diff(node_values) / np.diff(nodes)
-    return ConvexEnvelope(side="minorant" if lower else "majorant",
-                          count=values.size, node_indices=nodes,
+    return ConvexEnvelope(count=values.size, node_indices=nodes,
                           node_values=node_values, segment_slopes=slopes)
-
-def lower_envelope(values) -> ConvexEnvelope:
-    """Greatest convex minorant; collinear interior points are not nodes."""
-    return _build(np.asarray(values), lower=True)
-
-def upper_envelope(values) -> ConvexEnvelope:
-    """Least concave majorant; collinear interior points are not nodes."""
-    return _build(np.asarray(values), lower=False)
 
 
 # ---------------------------------------------------------------------------
 # one-sided slopes
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SlopePair:
-    """Extremal one-sided difference quotients at an index.
-
-    ``arg_left``/``arg_right`` report the smallest attaining p (diagnostics
-    only; the values are unambiguous under ties).
-    """
-
-    index: int
-    left: float
-    right: float
-    arg_left: int
-    arg_right: int
-
-
-def left_slope(values, k: int) -> tuple[float, int]:
-    """min over p in 1..k of (values[k] - values[k-p]) / p, with smallest
-    attaining p."""
-    values = np.asarray(values, dtype=float)
-    n = values.size - 1
-    if not 1 <= k <= n:
-        raise IndexError(f"left slope needs 1 <= k <= {n}, got {k}")
-    p = np.arange(1, k + 1)
-    q = (values[k] - values[k - p]) / p
-    i = int(np.argmin(q))
-    return float(q[i]), int(p[i])
-
-def right_slope(values, k: int) -> tuple[float, int]:
-    """max over p in 1..N-k of (values[k+p] - values[k]) / p, with smallest
-    attaining p."""
-    values = np.asarray(values, dtype=float)
-    n = values.size - 1
-    if not 0 <= k <= n - 1:
-        raise IndexError(f"right slope needs 0 <= k <= {n - 1}, got {k}")
-    p = np.arange(1, n - k + 1)
-    q = (values[k + p] - values[k]) / p
-    i = int(np.argmax(q))
-    return float(q[i]), int(p[i])
-
-def slope_pair(values, k: int) -> SlopePair:
-    """Both one-sided slopes at an interior index (1 <= k <= N-1)."""
-    left, pl = left_slope(values, k)
-    right, pr = right_slope(values, k)
-    return SlopePair(index=k, left=left, right=right, arg_left=pl, arg_right=pr)
-
-def windowed_slope_pair(values, k: int, window: int) -> SlopePair:
-    """Slopes with the widened range p in 1..window on both sides; the
-    sequence must extend over k-window .. k+window."""
-    values = np.asarray(values, dtype=float)
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if k - window < 0 or k + window > values.size - 1:
-        raise IndexError(f"sequence does not cover k={k} +- window={window}")
-    p = np.arange(1, window + 1)
-    ql = (values[k] - values[k - p]) / p
-    qr = (values[k + p] - values[k]) / p
-    il = int(np.argmin(ql))
-    ir = int(np.argmax(qr))
-    return SlopePair(index=k, left=float(ql[il]), right=float(qr[ir]),
-                     arg_left=int(p[il]), arg_right=int(p[ir]))
-
 
 def all_slope_pairs_batch(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Left/right slopes at every index for a batch of sequences (R, N+1).
@@ -348,21 +266,3 @@ def functional_F(values) -> float:
     if values.size < 3:
         raise ValueError("need length >= 3")
     return math.fsum(slope_functional_batch(values[None, :]).terms[0])
-
-
-def nodal_event(values, k: int) -> bool:
-    """Whether k is a nodal point: left(k) >= right(k) together with the two
-    one-sided barrier conditions (which hold by construction of the extremal
-    slopes; they are checked explicitly all the same)."""
-    values = np.asarray(values, dtype=float)
-    n = values.size - 1
-    if not 1 <= k <= n - 1:
-        raise IndexError(f"nodal_event needs interior k, got {k}")
-    pair = slope_pair(values, k)
-    p_left = np.arange(1, k + 1)
-    p_right = np.arange(1, n - k + 1)
-    # the barrier conditions compared in quotient form, which reproduces the
-    # slope computation exactly and so cannot be broken by rounding
-    below_left = np.all((values[k] - values[k - p_left]) / p_left >= pair.left)
-    below_right = np.all((values[k + p_right] - values[k]) / p_right <= pair.right)
-    return bool(pair.left >= pair.right) and bool(below_left) and bool(below_right)

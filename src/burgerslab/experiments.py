@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
@@ -87,6 +88,17 @@ RKHS_HALF_POINTS_MAX = (SHIFT_MC_MAX_POINTS - 1) // 2
 
 class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending field."""
+
+
+@contextmanager
+def path_errors(field: str, path):
+    """Raise a failure to open, make or decode ``path`` inside the block as
+    a ConfigError naming ``field``."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"{field} {path}: {reason}") from None
 
 
 _BOOLS = {"true": True, "1": True, "yes": True,
@@ -314,7 +326,7 @@ def load_config_file(path) -> dict:
     """
     known = {f.name for f in fields(RunConfig)} - {"options"}
     doc: dict = {"options": {}}
-    with open(path, "r", encoding="utf-8") as fh:
+    with path_errors("config", path), open(path, "r", encoding="utf-8") as fh:
         for ln, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -592,7 +604,8 @@ def run_experiment(cfg: RunConfig) -> tuple[int, dict]:
         raise ConfigError(str(exc)) from None
     outdir = Path(cfg.out)
     made = [p for p in (outdir, *outdir.parents) if not p.exists()]
-    outdir.mkdir(parents=True, exist_ok=True)
+    with path_errors("out", outdir):
+        outdir.mkdir(parents=True, exist_ok=True)
     started = time.time()
     try:
         summary = _RUNNERS[cfg.experiment](cfg, outdir)
@@ -628,7 +641,8 @@ def write_manifest(cfg: RunConfig, outdir: Path, wall_time_s: float,
 
 
 def rerun_from_manifest(manifest_path, out: str | None = None) -> tuple[int, dict]:
-    with open(manifest_path, "r", encoding="utf-8") as fh:
+    with path_errors("manifest", manifest_path), \
+            open(manifest_path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:

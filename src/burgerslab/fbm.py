@@ -11,9 +11,8 @@ Two samplers are provided:
   increment sequence and are therefore dependent, as they must be for any
   Hurst index other than 1/2.
 
-Closed-form covariances of the motion, of its increments, of its running
-integral and the motion/integral cross-covariance are exposed as oracles for
-tests and for the kernel-space module.
+Closed-form covariances of the motion, of its increments and of its running
+integral are exposed as oracles for tests and for the kernel-space module.
 """
 
 from __future__ import annotations
@@ -30,14 +29,12 @@ __all__ = [
     "fbm_covariance",
     "fgn_autocovariance",
     "ifbm_covariance",
-    "fbm_ifbm_cross_covariance",
     "sample_fbm_exact",
     "sample_fbm_exact_batch",
     "sample_fbm_fast",
     "sample_fbm_fast_batch",
     "FastRows",
     "RowBuffers",
-    "integrate_path",
     "integrate_values",
     "FactorizationError",
     "EmbeddingError",
@@ -97,22 +94,6 @@ def ifbm_covariance(h: float, s, t):
     term2 = (np.abs(s) ** (b + 2.0) + np.abs(t) ** (b + 2.0)
              - np.abs(s - t) ** (b + 2.0)) / ((b + 1.0) * (b + 2.0))
     out = 0.5 * (term1 - term2)
-    return out if out.ndim else float(out)
-
-def fbm_ifbm_cross_covariance(h: float, x, t):
-    """E w(x) I(t): single signed integral of the motion covariance.
-
-        0.5 [ |x|^2H t + (sgn(t)|t|^a - sgn(x)|x|^a + sgn(x-t)|x-t|^a) / a ],
-        a = 2H+1.
-    """
-    b = 2.0 * check_hurst(h)
-    a = b + 1.0
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    out = 0.5 * (np.abs(x) ** b * t
-                 + (np.sign(t) * np.abs(t) ** a
-                    - np.sign(x) * np.abs(x) ** a
-                    + np.sign(x - t) * np.abs(x - t) ** a) / a)
     return out if out.ndim else float(out)
 
 
@@ -305,11 +286,3 @@ def integrate_values(values: np.ndarray, spacing: float, anchor: int) -> np.ndar
         levels -= levels[..., anchor:anchor + 1]
         levels[..., anchor] = 0.0
     return levels
-
-def integrate_path(path: GridPath) -> GridPath:
-    """Running integral I(x) of an fbm-kind path, I(0) = 0 exactly."""
-    if path.kind != "fbm":
-        raise ValueError(f"integrate_path expects an fbm path, got {path.kind!r}")
-    levels = integrate_values(path.values, path.grid.spacing,
-                              path.grid.anchor_index)
-    return GridPath(path.grid, levels, "integrated", hurst=path.hurst)

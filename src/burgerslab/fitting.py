@@ -31,10 +31,6 @@ class ScalingFit:
     degenerate: bool = False
     excluded: tuple = ()
 
-    @property
-    def pairs(self):
-        return tuple(zip(self.scales, self.values))
-
     def to_csv(self, path, value_name: str = "count") -> None:
         write_csv(path, ("scale", value_name), zip(self.scales, self.values))
 

@@ -239,45 +239,36 @@ def _direct_setter(bit_gen, states: np.ndarray):
             [raw[k:k + 32] for k in range(0, len(raw), 32)])
 
 
-def _dict_setter(bit_gen, states: np.ndarray):
-    """Setter and per-row keys that go through the ``state`` dict."""
-    doc = bit_gen.state
-
-    def set_row(limbs):
-        s_lo, s_hi, i_lo, i_hi = limbs
-        doc["state"]["state"] = (s_hi << 64) | s_lo
-        doc["state"]["inc"] = (i_hi << 64) | i_lo
-        bit_gen.state = doc
-    return set_row, states.tolist()
-
-
-_SETTERS = {"direct": _direct_setter, "dict": _dict_setter}
-
-
 def _draw_rows(seed: int, replicas, length: int, write: str,
                out: np.ndarray | None = None) -> np.ndarray:
-    """Rows of ``replica_normals`` with the state setter ``write``, written
-    into ``out`` when it is given."""
+    """Rows of ``replica_normals`` with the state write ``write``, written
+    into ``out`` when it is given: "direct" sets one reused PCG64 to each
+    replica's state, "generator" builds each replica's own generator."""
+    if out is None:
+        out = np.empty((len(replicas), length))
+    if write == "generator":
+        for replica, row in zip(np.asarray(replicas).tolist(), out):
+            RandomnessSpec(seed, replica).generator().standard_normal(out=row)
+        return out
     states = _pcg64_seeded_states(seed, np.asarray(replicas, dtype=np.uint32))
     bit_gen = np.random.PCG64(0)
     gen = np.random.Generator(bit_gen)
-    set_state, keys = _SETTERS[write](bit_gen, states)
-    if out is None:
-        out = np.empty((len(keys), length))
+    set_state, keys = _direct_setter(bit_gen, states)
     for key, row in zip(keys, out):
         set_state(key)
         gen.standard_normal(out=row)
     return out
 
 
-# "direct" or "dict" once rng_state_write() has probed
+# "direct" or "generator" once rng_state_write() has probed
 _STATE_WRITE = None
 
 
 def rng_state_write() -> str:
     """How ``replica_normals`` sets each row's state: "direct" when 32-byte
     writes into the PCG64 struct reproduce the per-replica generators on a
-    probe, else "dict".  Probed once per process; recorded in manifests."""
+    probe, else "generator", one generator per replica.  Probed once per
+    process; recorded in manifests."""
     global _STATE_WRITE
     if _STATE_WRITE is None:
         seed, reps = _MASK32, [0, 1, 2 ** 31, _MASK32]
@@ -286,9 +277,9 @@ def rng_state_write() -> str:
                 for r in reps]
         try:
             direct = np.array_equal(_draw_rows(seed, reps, 5, "direct"), want)
-        except Exception:  # any failure of the direct path selects the dict
+        except Exception:  # any failure of the direct path selects generators
             direct = False
-        _STATE_WRITE = "direct" if direct else "dict"
+        _STATE_WRITE = "direct" if direct else "generator"
     return _STATE_WRITE
 
 
@@ -299,11 +290,11 @@ def replica_normals(seed: int, replicas, length: int,
 
     The seed hashing and the seeded PCG64 states are computed for the whole
     replica range at once; each row is drawn by one reused PCG64 whose
-    state is overwritten with that replica's (``rng_state_write``), so no
-    generator is built per replica.  Seed and replicas must lie in
-    [0, 2^32), where each contributes one entropy word.  With ``out``, a
-    float array of shape (replicas, length), the rows are written into it
-    and it is returned.
+    state is overwritten with that replica's, so no generator is built per
+    replica, unless the probe of ``rng_state_write`` refuses such writes.
+    Seed and replicas must lie in [0, 2^32), where each contributes one
+    entropy word.  With ``out``, a float array of shape (replicas, length),
+    the rows are written into it and it is returned.
     """
     reps = np.asarray(replicas, dtype=np.int64)
     if not 0 <= seed <= _MASK32 or (

@@ -26,7 +26,7 @@ from functools import partial
 import numpy as np
 
 from .fbm import fbm_covariance, ifbm_covariance
-from .grids import SampleGrid, check_hurst, replica_normals, write_csv
+from .grids import SampleGrid, check_hurst, replica_normals
 from .persistence import McEstimate, RELIABILITY_FLOOR, replica_stats
 
 __all__ = [
@@ -70,12 +70,7 @@ class TrendFunction:
 
     values: np.ndarray
     label: str
-    offset_a: float | None = None
     norm_sq: float | None = None
-
-    def to_csv(self, path, grid: SampleGrid) -> None:
-        write_csv(path, ("coordinate", "value"), zip(grid.coordinates,
-                                                     self.values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,7 +242,7 @@ def combined_trend(space: KernelSpace, a: int) -> TrendFunction:
     psi = psi_trend(space.grid)
     values = psi.values + (1.0 + a) * (phi1.values / phi1.values[idx1]
                                        + phi2.values / phi2.values[idxm1])
-    return TrendFunction(values=values, label="combined", offset_a=float(a))
+    return TrendFunction(values=values, label="combined")
 
 
 def covariance_column_trend(space: KernelSpace, coordinate: float,

@@ -16,19 +16,22 @@ from scipy.integrate import quad
 from burgerslab.burgers import solve
 from burgerslab.fbm import (RowBuffers, _embedding_amplitudes, _fgn_rows,
                             _noise_length, fbm_covariance, sample_fbm_fast)
-from burgerslab.envelopes import all_slope_pairs_batch, left_slope, right_slope
+from burgerslab.envelopes import all_slope_pairs_batch
 from burgerslab.fractal import dimension_estimate
 from burgerslab.grids import RandomnessSpec, SampleGrid, check_hurst, write_json
 
 
 def quad_ifbm_covariance(h, s, t):
     """E I(s)I(t) by nested adaptive quadrature of the motion covariance
-    (signed rectangle); the inner integral is split at the |u - v| kink."""
+    0.5 (|u|^2H + |v|^2H - |u - v|^2H), in scalar float arithmetic (signed
+    rectangle); the inner integral is split at the |u - v| kink."""
+    h2 = 2.0 * h
     lo_t, hi_t = min(0.0, t), max(0.0, t)
 
     def inner(u):
         pts = [u] if lo_t < u < hi_t else None
-        val, _ = quad(lambda v: fbm_covariance(h, u, v), lo_t, hi_t,
+        val, _ = quad(lambda v: 0.5 * (abs(u) ** h2 + abs(v) ** h2
+                                       - abs(u - v) ** h2), lo_t, hi_t,
                       points=pts, epsabs=1e-14, epsrel=1e-13, limit=300)
         return val
 
@@ -36,14 +39,6 @@ def quad_ifbm_covariance(h, s, t):
                     epsabs=1e-13, epsrel=1e-12, limit=300)
     sign = (1 if s >= 0 else -1) * (1 if t >= 0 else -1)
     return sign * val
-
-
-def quad_cross_covariance(h, x, t):
-    """E w(x)I(t) by adaptive quadrature (signed interval)."""
-    val, err = quad(lambda v: fbm_covariance(h, x, v),
-                    min(0.0, t), max(0.0, t), epsabs=1e-13, epsrel=1e-12,
-                    limit=200)
-    return (1 if t >= 0 else -1) * val
 
 
 def complex_fft_fgn_rows(h, spacing, n_increments, noise):
@@ -163,8 +158,10 @@ def all_slope_pairs(values):
 
 
 def functional_F_endpoint(values) -> float:
-    """Telescoped form right(0) - left(N) of the slope functional."""
-    return right_slope(values, 0)[0] - left_slope(values, len(values) - 1)[0]
+    """Telescoped form right(0) - left(N) of the slope functional, from the
+    quotient cube."""
+    gm, gp = cube_slope_pairs(np.asarray(values, dtype=float)[None, :])
+    return gp[0, 0] - gm[0, -1]
 
 
 def bm_max_below_prob(level, horizon):

@@ -5,12 +5,11 @@ import pytest
 
 from burgerslab.burgers import (
     sticky_shock_clusters,
+    LagrangianSolution,
     ParticleSystem,
     build_potential,
     clusters_match,
-    holder_check,
     merged_intervals,
-    particles_from_path,
     solve,
     sticky_simulate,
 )
@@ -22,6 +21,39 @@ from oracles import solve_clusters_jsonl
 
 def zero_velocity(grid):
     return GridPath(grid, np.zeros(grid.count), "fbm", hurst=0.5)
+
+
+def particles_from_path(u0: GridPath) -> ParticleSystem:
+    """One particle per grid point: velocity from the path, mass = spacing."""
+    grid = u0.grid
+    return ParticleSystem(positions=grid.coordinates.copy(),
+                          velocities=u0.values.copy(),
+                          masses=np.full(grid.count, grid.spacing),
+                          members=tuple((i, i) for i in range(grid.count)))
+
+
+def holder_check(solution: LagrangianSolution, gamma: float,
+                 window: tuple[float, float]) -> float:
+    """Smallest constant K with |dC'| <= K |dx|^gamma over contact pairs in
+    the window; 0 when fewer than two contacts fall inside."""
+    hurst = solution.potential.hurst
+    if hurst is not None and not gamma < hurst:
+        raise ValueError(f"gamma must be < driving Hurst index {hurst}")
+    if not 0 < gamma < 1:
+        raise ValueError("gamma must lie in (0, 1)")
+    lo, hi = window
+    coords = solution.contact_coordinates
+    mask = (coords >= lo) & (coords <= hi)
+    x = coords[mask]
+    v = solution.lagrangian_velocity[mask]
+    if x.size < 2:
+        return 0.0
+    best = 0.0
+    for i in range(x.size - 1):
+        dx = x[i + 1:] - x[i]
+        dv = np.abs(v[i + 1:] - v[i])
+        best = max(best, float(np.max(dv / dx ** gamma)))
+    return best
 
 
 class TestPotential:

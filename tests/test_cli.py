@@ -1,7 +1,9 @@
 """Front-door behavior: exit statuses, manifests, reproducibility."""
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -247,6 +249,40 @@ class TestBadValues:
         status = main(["persist", "--config", str(cfg_file), "--out", str(out)])
         self.assert_config_error(status, capsys, out, field)
 
+    # each printed a traceback before the paths were checked where they are
+    # opened: IsADirectoryError, UnicodeDecodeError, FileExistsError and
+    # NotADirectoryError
+    @pytest.mark.parametrize("argv, field", [
+        (["rerun", "{dir}"], "manifest"),
+        (["rerun", "{latin1}"], "manifest"),
+        (["persist", "--config", "{dir}"], "config"),
+        (["persist", "--config", "{latin1}"], "config"),
+        (ARGS + ["--out", "{file}"], "out"),
+        (ARGS + ["--out", "{file}/p"], "out")])
+    def test_unusable_path(self, tmp_path, capsys, argv, field):
+        paths = {"dir": tmp_path / "dir", "latin1": tmp_path / "latin1",
+                 "file": tmp_path / "file"}
+        paths["dir"].mkdir()
+        paths["latin1"].write_bytes("hurst = 0.5  # café\n".encode("latin-1"))
+        paths["file"].write_text("kept\n")
+        argv = [arg.format(**paths) for arg in argv]
+        if "--out" not in argv:
+            argv += ["--out", str(tmp_path / "p")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {field} ")
+        # no directory made, and the paths named are as they were
+        assert sorted(os.listdir(tmp_path)) == ["dir", "file", "latin1"]
+        assert os.listdir(paths["dir"]) == []
+        assert paths["file"].read_text() == "kept\n"
+
+    def test_check_report_into_directory(self, tmp_path, capsys):
+        status = main(["check", "--only", "telescoping",
+                       "--set", "telescoping.sequences=50",
+                       "--out", str(tmp_path)])
+        assert status == 1
+        assert capsys.readouterr().err.startswith("config error: out ")
+        assert os.listdir(tmp_path) == []
+
     def test_bool_spellings(self):
         for raw in ("true", "TRUE", "1", "yes", "Yes", True):
             assert parse_value(raw, False, "check") is True
@@ -370,6 +406,30 @@ def test_readme_lists_every_option_and_default():
     assert _readme_tables() == want
 
 
+def test_every_export_is_used_or_documented():
+    """Each name ``burgerslab`` exports is used in the package outside its
+    own definition and the export lists, or named in README."""
+    package = Path(burgerslab.__file__).parent
+    exported = [alias.asname or alias.name
+                for node in ast.parse((package / "__init__.py").read_text()).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            own = getattr(top, "name", None)
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name) else
+                        node.attr if isinstance(node, ast.Attribute) else None)
+                if name is not None and name != own:
+                    used.add(name)
+    readme = (ROOT / "README.md").read_text()
+    named = set(re.findall(r"`[\w.]*?(\w+)`", readme))
+    assert len(exported) > 30
+    assert sorted(set(exported) - used - named) == []
+
+
 class TestDeterminism:
     def test_same_config_same_bytes(self, tmp_path):
         args = ["persist", "--hurst", "0.4", "--horizon", "4,8,16,32",
@@ -482,7 +542,7 @@ class TestProvenance:
         prov = json.loads(read_bytes(out / "manifest.json"))["provenance"]
         assert prov["rng"].startswith("numpy PCG64, SeedSequence((seed, replica))")
         assert prov["rng_state_write"] == rng_state_write()
-        assert prov["rng_state_write"] in ("direct", "dict")
+        assert prov["rng_state_write"] in ("direct", "generator")
         assert prov["numpy"] == np.__version__
         assert "scipy" not in prov  # not a runtime dependency
         assert prov["hull"] == "numpy"

@@ -2,14 +2,9 @@
 
 import numpy as np
 import pytest
-from oracles import quad_cross_covariance, quad_ifbm_covariance
+from oracles import quad_ifbm_covariance
 
-from burgerslab.fbm import (
-    fbm_covariance,
-    fgn_autocovariance,
-    ifbm_covariance,
-    fbm_ifbm_cross_covariance,
-)
+from burgerslab.fbm import fbm_covariance, fgn_autocovariance, ifbm_covariance
 
 
 class TestMotionCovariance:
@@ -99,24 +94,3 @@ class TestIntegralCovariance:
             np.testing.assert_allclose(cov, cov.T, rtol=1e-13)
             eig = np.linalg.eigvalsh(cov)
             assert eig.min() >= -1e-10 * eig.max()
-
-
-class TestCrossCovariance:
-    def test_brownian_values(self):
-        assert fbm_ifbm_cross_covariance(0.5, 1.0, 1.0) == pytest.approx(0.5)
-        assert fbm_ifbm_cross_covariance(0.5, 2.0, 1.0) == pytest.approx(0.5)
-        # independent halves at H = 1/2
-        assert fbm_ifbm_cross_covariance(0.5, -1.0, 1.0) == pytest.approx(
-            0.0, abs=1e-14)
-
-    @pytest.mark.parametrize("h,x,t", [
-        (0.3, 0.6, 1.4),
-        (0.5, 1.3, 0.7),
-        (0.7, -0.9, 1.8),
-        (0.6, 0.4, -1.2),
-        (0.45, 2.0, 2.0),
-    ])
-    def test_against_quadrature(self, h, x, t):
-        expected = quad_cross_covariance(h, x, t)
-        got = fbm_ifbm_cross_covariance(h, x, t)
-        assert got == pytest.approx(expected, rel=1e-8, abs=1e-12)

@@ -12,14 +12,8 @@ from burgerslab.burgers import build_potential
 from burgerslab.envelopes import (
     all_slope_pairs_batch,
     functional_F,
-    left_slope,
     lower_envelope,
-    nodal_event,
-    right_slope,
     slope_functional_batch,
-    slope_pair,
-    upper_envelope,
-    windowed_slope_pair,
 )
 from burgerslab.fbm import (integrate_values, sample_fbm_fast,
                             sample_fbm_fast_batch)
@@ -64,12 +58,13 @@ quantized_sequences = st.lists(
 
 class TestEnvelopeNodes:
     def test_peak_is_majorant_node(self):
-        env = upper_envelope([0.0, 1.0, 0.0])
+        # the majorant of y is the minorant of -y, negated
+        env = lower_envelope(-np.array([0.0, 1.0, 0.0]))
         assert env.node_indices.tolist() == [0, 1, 2]
-        assert env.segment_slopes.tolist() == [1.0, -1.0]
+        assert env.segment_slopes.tolist() == [-1.0, 1.0]
 
     def test_collinear_interior_dropped(self):
-        env = upper_envelope([0.0, 1.0, 2.0])
+        env = lower_envelope([0.0, 1.0, 2.0])
         assert env.node_indices.tolist() == [0, 2]
         assert env.segment_slopes.tolist() == [1.0]
 
@@ -80,41 +75,31 @@ class TestEnvelopeNodes:
     @pytest.mark.parametrize("lower", [True, False])
     def test_random_sequences_match_oracle(self, lower):
         rng = np.random.default_rng(42)
-        build = lower_envelope if lower else upper_envelope
+        sign = 1.0 if lower else -1.0
         for _ in range(200):
             y = rng.standard_normal(16)
-            env = build(y)
+            env = lower_envelope(sign * y)
             assert np.array_equal(env.node_indices, oracle_nodes(y, lower))
 
     @settings(max_examples=150, deadline=None)
     @given(quantized_sequences)
     def test_hypothesis_matches_oracle(self, y):
+        y = np.array(y)
         env = lower_envelope(y)
         assert np.array_equal(env.node_indices, oracle_nodes(y, True))
-        env = upper_envelope(y)
+        env = lower_envelope(-y)
         assert np.array_equal(env.node_indices, oracle_nodes(y, False))
 
     def test_envelope_invariants_random(self):
         rng = np.random.default_rng(3)
         y = np.cumsum(rng.standard_normal(257))
         scale = np.abs(y).max()
-        lo = lower_envelope(y)
-        assert np.all(np.diff(lo.segment_slopes) > 0)
-        assert np.all(lo.evaluate() <= y + 1e-12 * scale)
-        assert np.array_equal(lo.evaluate(lo.node_indices), y[lo.node_indices])
-        hi = upper_envelope(y)
-        assert np.all(np.diff(hi.segment_slopes) < 0)
-        assert np.all(hi.evaluate() >= y - 1e-12 * scale)
-        assert np.array_equal(hi.evaluate(hi.node_indices), y[hi.node_indices])
-
-    def test_csv_export(self, tmp_path):
-        env = upper_envelope([0.0, 1.0, 0.0])
-        f = tmp_path / "env.csv"
-        env.to_csv(f)
-        lines = f.read_text().splitlines()
-        assert lines[0] == "node_index,node_value,slope_after"
-        assert lines[1] == "0,0.0,1.0"
-        assert lines[-1] == "2,0.0,"
+        for v in (y, -y):
+            lo = lower_envelope(v)
+            assert np.all(np.diff(lo.segment_slopes) > 0)
+            assert np.all(lo.evaluate() <= v + 1e-12 * scale)
+            assert np.array_equal(lo.evaluate(lo.node_indices),
+                                  v[lo.node_indices])
 
 
 # Sequences full of exact and rounding-level ties: every pop test on them is
@@ -176,9 +161,10 @@ class TestHullKernelMatchesChain:
 
     @staticmethod
     def assert_same_nodes(y):
+        # the minorant of -y against the chain's majorant of y
         y = np.asarray(y, dtype=float)
-        for lower in (True, False):
-            env = lower_envelope(y) if lower else upper_envelope(y)
+        for sign, lower in ((1.0, True), (-1.0, False)):
+            env = lower_envelope(sign * y)
             assert np.array_equal(env.node_indices, chain_hull_nodes(y, lower))
 
     @pytest.fixture
@@ -187,8 +173,8 @@ class TestHullKernelMatchesChain:
         calls = []
         chain = envelopes._chain
 
-        def spy(xs, ys, lower):
-            nodes = chain(xs, ys, lower)
+        def spy(xs, ys):
+            nodes = chain(xs, ys)
             calls.append((len(xs), nodes.size))
             return nodes
 
@@ -243,45 +229,39 @@ class TestHullKernelMatchesChain:
         y = a * x + b
         y = y + np.array(bumps) * max(np.abs(y).max(), 1.0)
         scale = max(np.abs(y).max(), 1.0)
-        for lower in (True, False):
-            env = lower_envelope(y) if lower else upper_envelope(y)
+        for sign, lower in ((1.0, True), (-1.0, False)):
+            env = lower_envelope(sign * y)
             ref = chain_hull_nodes(y, lower)
-            gap = np.abs(env.evaluate() - np.interp(x, ref, y[ref])).max()
+            gap = np.abs(sign * env.evaluate()
+                         - np.interp(x, ref, y[ref])).max()
             assert gap <= 1e-11 * scale
 
 
 class TestSlopePairs:
     def test_peak_values(self):
-        pair = slope_pair([0.0, 1.0, 0.0], 1)
-        assert (pair.left, pair.right) == (1.0, -1.0)
+        gm, gp = all_slope_pairs([0.0, 1.0, 0.0])
+        assert (gm[1], gp[1]) == (1.0, -1.0)
 
     def test_convex_point_not_nodal(self):
-        pair = slope_pair([0.0, 0.0, 1.0], 1)
-        assert (pair.left, pair.right) == (0.0, 1.0)
-        assert pair.left < pair.right
+        gm, gp = all_slope_pairs([0.0, 0.0, 1.0])
+        assert (gm[1], gp[1]) == (0.0, 1.0)
+        assert gm[1] < gp[1]
 
     def test_linear_sequence_common_slope(self):
-        y = 0.7 * np.arange(9) - 2.0
-        for k in range(1, 8):
-            pair = slope_pair(y, k)
-            assert pair.left == pytest.approx(0.7, rel=1e-12)
-            assert pair.right == pytest.approx(0.7, rel=1e-12)
-
-    def test_index_range_errors(self):
-        y = [0.0, 1.0, 0.0]
-        with pytest.raises(IndexError):
-            left_slope(y, 0)
-        with pytest.raises(IndexError):
-            right_slope(y, 2)
-        with pytest.raises(IndexError):
-            slope_pair(y, 3)
+        gm, gp = all_slope_pairs(0.7 * np.arange(9) - 2.0)
+        np.testing.assert_allclose(gm[1:], 0.7, rtol=1e-12)
+        np.testing.assert_allclose(gp[:-1], 0.7, rtol=1e-12)
 
     def test_windowed_coincides_at_center(self):
+        # the kernel on the window k-n..k+n of a longer sequence gives, at
+        # the window's centre, the extremal quotients over p in 1..n alone
         rng = np.random.default_rng(5)
-        y = np.cumsum(rng.standard_normal(17))  # indices 0..16, center 8
-        pair = slope_pair(y, 8)
-        wide = windowed_slope_pair(y, 8, 8)
-        assert (wide.left, wide.right) == (pair.left, pair.right)
+        y = np.cumsum(rng.standard_normal(41))
+        k, n = 20, 8
+        gm, gp = all_slope_pairs(y[k - n:k + n + 1])
+        p = np.arange(1, n + 1)
+        assert gm[n] == ((y[k] - y[k - p]) / p).min()
+        assert gp[n] == ((y[k + p] - y[k]) / p).max()
 
     def test_windowed_widening_direction(self):
         # left(k) >= windowed-left(k), right(k) <= windowed-right(k)
@@ -289,36 +269,30 @@ class TestSlopePairs:
         n = 16
         for _ in range(100):
             ext = np.cumsum(rng.standard_normal(3 * n + 1))  # I on [-n, 2n]
-            base = ext[n:2 * n + 1]
+            gm, gp = all_slope_pairs(ext[n:2 * n + 1])
             for k in (1, n // 2, n - 1):
-                pair = slope_pair(base, k)
-                wide = windowed_slope_pair(ext, n + k, n)
-                assert pair.left >= wide.left
-                assert pair.right <= wide.right
+                wide_gm, wide_gp = all_slope_pairs(ext[k:k + 2 * n + 1])
+                assert gm[k] >= wide_gm[n]
+                assert gp[k] <= wide_gp[n]
 
     def test_symmetric_sequence_antisymmetry(self):
         rng = np.random.default_rng(7)
         half = rng.standard_normal(6)
         y = np.concatenate([half[::-1], [0.3], half])  # y[c-p] == y[c+p]
-        c = 6
-        wide = windowed_slope_pair(y, c, 6)
-        assert wide.left == -wide.right
-
-    def test_insufficient_extension(self):
-        with pytest.raises(IndexError):
-            windowed_slope_pair(np.zeros(10), 2, 5)
+        gm, gp = all_slope_pairs(y)
+        assert gm[6] == -gp[6]
 
     def test_all_slope_pairs_match_pointwise(self):
         rng = np.random.default_rng(8)
         y = np.cumsum(rng.standard_normal(33))
         gm, gp = all_slope_pairs(y)
         assert math.isnan(gm[0]) and math.isnan(gp[-1])
-        for k in range(1, 32):
-            pair = slope_pair(y, k)
-            assert gm[k] == pair.left
-            assert gp[k] == pair.right
-        assert gp[0] == right_slope(y, 0)[0]
-        assert gm[32] == left_slope(y, 32)[0]
+        for k in range(1, 33):
+            p = np.arange(1, k + 1)
+            assert gm[k] == ((y[k] - y[k - p]) / p).min()
+        for k in range(32):
+            p = np.arange(1, 33 - k)
+            assert gp[k] == ((y[k + p] - y[k]) / p).max()
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(9)
@@ -365,7 +339,7 @@ class TestLagKernelMatchesCube:
             endpoint = gp[r, 0] - gm[r, -1]
             assert np.array_equal(sf.terms[r], terms)
             assert sf.f[r] == terms.sum()
-            assert sf.right0[r] == gp[r, 0] == right_slope(rows[r], 0)[0]
+            assert sf.right0[r] == gp[r, 0]
             assert sf.endpoint[r] == endpoint
             assert sf.rel_err[r] == abs(sf.f[r] - endpoint) / max(
                 abs(sf.f[r]), abs(endpoint), 1e-30)
@@ -398,14 +372,20 @@ class TestFunctionalF:
 
 
 class TestNodalEvent:
+    """k is a node of the majorant, the minorant of -y, exactly when
+    left(k) >= right(k)."""
+
     def test_peak_and_convex(self):
-        assert nodal_event([0.0, 1.0, 0.0], 1) is True
-        assert nodal_event([0.0, 0.0, 1.0], 1) is False
+        gm, gp = all_slope_pairs([0.0, 1.0, 0.0])
+        assert gm[1] >= gp[1]
+        gm, gp = all_slope_pairs([0.0, 0.0, 1.0])
+        assert gm[1] < gp[1]
 
     def test_matches_majorant_nodes(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             y = np.cumsum(rng.standard_normal(32))
-            nodes = set(upper_envelope(y).node_indices.tolist())
+            nodes = set(lower_envelope(-y).node_indices.tolist())
+            gm, gp = all_slope_pairs(y)
             for k in range(1, 31):
-                assert nodal_event(y, k) == (k in nodes), f"k={k}"
+                assert (gm[k] >= gp[k]) == (k in nodes), f"k={k}"

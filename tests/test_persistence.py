@@ -15,7 +15,7 @@ from scipy.special import betaincinv
 from scipy.stats import beta, ks_2samp, norm
 
 from burgerslab import persistence, rkhs
-from burgerslab.envelopes import windowed_slope_pair
+from burgerslab.envelopes import all_slope_pairs_batch
 from burgerslab.experiments import RunConfig, _dim_cells
 from burgerslab.fbm import (FastRows, RowBuffers, integrate_values,
                             sample_fbm_fast_batch)
@@ -595,7 +595,6 @@ class TestWorkerInvariance:
 class TestSlopeSymmetryInExpectation:
     def test_endpoint_slope_means_agree(self):
         # E(-left(N)) equals E(right(0)) over integrated paths
-        from burgerslab.envelopes import all_slope_pairs_batch
         h, n, reps = 0.6, 32, 10_000
         grid = SampleGrid.one_sided(1.0, n)
         w = sample_fbm_fast_batch(h, grid, 71, range(reps))
@@ -614,13 +613,11 @@ class TestWindowedSlopeDistributionalIdentity:
         grid = SampleGrid.anchored(1.0, n, 2 * n)
 
         def gaps(seed, center):
+            # slopes over p in 1..n: the window's kernel at its centre
             rows = sample_fbm_fast_batch(h, grid, seed, range(reps))
             ii = integrate_values(rows, 1.0, n)
-            out = np.empty(reps)
-            for r in range(reps):
-                pair = windowed_slope_pair(ii[r], center, n)
-                out[r] = pair.left - pair.right
-            return out
+            gm, gp = all_slope_pairs_batch(ii[:, center - n:center + n + 1])
+            return gm[:, n] - gp[:, n]
 
         at_origin = gaps(100, n)
         at_interior = gaps(200, n + n // 2)

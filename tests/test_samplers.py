@@ -11,14 +11,12 @@ from burgerslab.fbm import (
     EmbeddingError,
     FactorizationError,
     ifbm_covariance,
-    integrate_path,
     sample_fbm_exact,
     sample_fbm_exact_batch,
     sample_fbm_fast,
     sample_fbm_fast_batch,
 )
 from burgerslab.grids import (
-    GridPath,
     RandomnessSpec,
     SampleGrid,
     read_path_csv,
@@ -252,9 +250,9 @@ class TestFastSampler:
         fbm._embedding_amplitudes.cache_clear()
 
 
-def _swapped_limbs(bit_gen, states):
+def _swapped_limbs(bit_gen, states, setter=grids._direct_setter):
     """A direct setter for a struct that keeps the high word first."""
-    return grids._direct_setter(bit_gen, states[:, [1, 0, 3, 2]])
+    return setter(bit_gen, states[:, [1, 0, 3, 2]])
 
 
 def _no_address(bit_gen, states):
@@ -305,15 +303,15 @@ class TestReplicaNormals:
 
     @pytest.mark.parametrize("direct", [_swapped_limbs, _no_address],
                              ids=["swapped_limbs", "no_address"])
-    def test_dict_setter_when_probe_fails(self, monkeypatch, direct):
+    def test_generator_fallback_when_probe_fails(self, monkeypatch, direct):
         calls = []
 
         def counted(bit_gen, states):
             calls.append(len(states))
             return direct(bit_gen, states)
         monkeypatch.setattr(grids, "_STATE_WRITE", None)
-        monkeypatch.setitem(grids._SETTERS, "direct", counted)
-        assert rng_state_write() == "dict"
+        monkeypatch.setattr(grids, "_direct_setter", counted)
+        assert rng_state_write() == "generator"
         assert calls == [4]     # the probe only
         reps = np.random.default_rng(8).integers(0, 2 ** 32, 2000)
         oracle = np.stack([RandomnessSpec(1101, r).generator().standard_normal(3)
@@ -408,17 +406,12 @@ class TestRowBuffers:
 
 class TestIntegratePath:
     def test_zero_in_zero_out(self):
-        grid = SampleGrid.anchored(1.0, 2, 2)
-        path = GridPath(grid, np.zeros(5), "fbm", hurst=0.5)
-        out = integrate_path(path)
-        assert out.kind == "integrated"
-        assert np.array_equal(out.values, np.zeros(5))
+        out = fbm.integrate_values(np.zeros(5), 1.0, 2)
+        assert np.array_equal(out, np.zeros(5))
 
     def test_linear_exact(self):
-        grid = SampleGrid.one_sided(1.0, 2)
-        path = GridPath(grid, np.array([0.0, 1.0, 2.0]), "fbm", hurst=0.5)
-        np.testing.assert_allclose(integrate_path(path).values,
-                                   [0.0, 0.5, 2.0], rtol=0, atol=0)
+        out = fbm.integrate_values(np.array([0.0, 1.0, 2.0]), 1.0, 0)
+        np.testing.assert_allclose(out, [0.0, 0.5, 2.0], rtol=0, atol=0)
 
     def test_signed_two_sided(self):
         # I(x) = -integral from x to 0 for x < 0; for w = 1, I(x) = x
@@ -435,12 +428,6 @@ class TestIntegratePath:
         se = np.sqrt(2.0 / reps) * (1.0 / 3.0)
         # trapezoid bias is O(spacing) here, far below the MC band
         assert abs(v - 1.0 / 3.0) <= 4 * se + 2.0 / 256
-
-    def test_kind_enforced(self):
-        grid = SampleGrid.one_sided(1.0, 2)
-        path = GridPath(grid, np.array([0.0, 1.0, 2.0]), "potential")
-        with pytest.raises(ValueError, match="fbm"):
-            integrate_path(path)
 
 
 class TestCsvRoundTrip:
