@@ -34,6 +34,7 @@ from .experiments import (
     _FINITE,
     _KNOWN_EXPONENTS,
     _NON_NEGATIVE,
+    _rkhs_trend,
     _within,
 )
 from .fbm import EXACT_SAMPLER_MAX_POINTS, FastRows, fbm_covariance, \
@@ -53,10 +54,7 @@ from .persistence import (
 from .rkhs import (
     build_space,
     combined_trend,
-    covariance_column_trend,
-    psi_trend,
     rkhs_norm,
-    TrendFunction,
     verify_shift_inequalities,
 )
 
@@ -322,21 +320,17 @@ def check_rkhs(ov: dict) -> dict:
     ok = ok and worst_repr <= 1e-8 and worst_comp <= 1e-5
 
     configs = [
-        ("combined0_h0.5_lvl2", grid33, 0.5, lambda sp: combined_trend(sp, 0), 2.0),
-        ("combined1_h0.5_lvl3", grid33, 0.5, lambda sp: combined_trend(sp, 1), 3.0),
-        ("covcol0.1_h0.3_lvl1", grid17, 0.3,
-         lambda sp: covariance_column_trend(sp, 1.0, 0.1), 1.0),
-        ("covcol0.3_h0.7_lvl0.5", grid33, 0.7,
-         lambda sp: covariance_column_trend(sp, -1.0, 0.3), 0.5),
-        ("psi0.2_h0.5_lvl1", grid17, 0.5,
-         lambda sp: TrendFunction(0.2 * psi_trend(grid17).values, "psi*0.2"),
-         1.0),
+        ("combined0_h0.5_lvl2", grid33, 0.5, "combined0", 2.0),
+        ("combined1_h0.5_lvl3", grid33, 0.5, "combined1", 3.0),
+        ("covcol0.1_h0.3_lvl1", grid17, 0.3, "covcol@1*0.1", 1.0),
+        ("covcol0.3_h0.7_lvl0.5", grid33, 0.7, "covcol@-1*0.3", 0.5),
+        ("psi0.2_h0.5_lvl1", grid17, 0.5, "psi*0.2", 1.0),
     ]
     # every config on one pass of draws: grid17's rows take the first 17
     # of the 33 normals that grid33's draw
     reports = verify_shift_inequalities(
-        [(space[grid, h], mk(space[grid, h]), level)
-         for _, grid, h, mk, level in configs], replicas, 1101)
+        [(space[grid, h], _rkhs_trend(space[grid, h], trend), level)
+         for _, grid, h, trend, level in configs], replicas, 1101)
     shift = {}
     for (name, *_), rep in zip(configs, reports):
         shift[name] = {"pass": rep.passed, "inconclusive": rep.inconclusive,

@@ -22,15 +22,6 @@ from .envelopes import ConvexEnvelope, lower_envelope
 from .fbm import integrate_values
 from .grids import GridPath, write_csv
 
-__all__ = [
-    "LagrangianSolution",
-    "ParticleSystem",
-    "build_potential",
-    "solve",
-    "sticky_simulate",
-    "merged_intervals",
-    "clusters_match",
-]
 
 # collision times closer than this (relative) count as simultaneous
 COLLISION_TIE_TOL = 1e-12

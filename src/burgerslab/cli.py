@@ -8,6 +8,7 @@ estimates), 3 failed acceptance/--check assertions.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .experiments import (
@@ -101,6 +102,14 @@ def _run_check(args) -> int:
         return 0
     names = args.only.split(",") if args.only else None
     overrides = _parse_kv(args.set, "--set")
+    if args.out:
+        # an unusable report path fails here, before any check runs; a file
+        # this probe makes is removed again
+        made = not os.path.exists(args.out)
+        with path_errors("out", args.out):
+            open(args.out, "a").close()
+        if made:
+            os.remove(args.out)
     try:
         results = run_checks(names, overrides)
     except ValueError as exc:

@@ -182,7 +182,6 @@ OPTIONS = {
         "grid-log2": Option(16, *_within(1, DIM_GRID_LOG2_MAX)),
         "time": Option(1.0, *_POSITIVE),
         "slope-tol": Option(0.1, *_NON_NEGATIVE),
-        # and one target-h<H> per Hurst index (RunConfig.option_rows)
     },
     "persist": {
         "events": Option("fbm_max", "a comma-separated list of "
@@ -242,7 +241,7 @@ class RunConfig:
             value = getattr(self, name)
             if not ok(value):
                 raise ConfigError(f"{name} must be {allowed}, got {value!r}")
-        parse_options(self.option_rows(), self.options, "option",
+        parse_options(OPTIONS[self.experiment], self.options, "option",
                       self.experiment)
         # the checks that span several fields or options
         if (self.experiment == "sample" and self.opt("method") == "exact"
@@ -287,27 +286,12 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(f"option events: {exc}") from None
 
-    def option_rows(self) -> dict:
-        """The experiment's option table; dim has one more row per Hurst
-        index, target-h<H>, whose default is H."""
-        rows = dict(OPTIONS[self.experiment])
-        if self.experiment == "dim":
-            rows.update({f"target-h{h:g}": Option(h, *_FINITE)
-                         for h in self.hurst})
-        return rows
-
     def opt(self, key: str):
         """Typed option lookup: the option's string parsed as the type of
         its row's default, or that default when the option is not given."""
         return parse_value(self.options.get(key),
-                           self.option_rows()[key].default, f"option {key}")
-
-
-def config_to_dict(cfg: RunConfig) -> dict:
-    doc = asdict(cfg)
-    doc["hurst"] = list(cfg.hurst)
-    doc["horizons"] = list(cfg.horizons)
-    return doc
+                           OPTIONS[self.experiment][key].default,
+                           f"option {key}")
 
 
 def config_from_dict(doc: dict) -> RunConfig:
@@ -449,12 +433,11 @@ def run_dim(cfg: RunConfig, outdir: Path) -> dict:
     tol = cfg.opt("slope-tol")
     checks = []
     for s in summaries:
-        target = cfg.opt(f"target-h{s['h']:g}")
         got = s["slope"]
         checks.append({"name": f"dim slope h={s['h']:g}",
                        "pass": bool(got is not None
-                                    and abs(got - target) <= tol),
-                       "got": got, "target": target, "tol": tol})
+                                    and abs(got - s["h"]) <= tol),
+                       "got": got, "target": s["h"], "tol": tol})
     flagged = any(s["valid_replicas"] < s["replicas"] for s in summaries)
     return {"summaries": summaries, "checks": checks, "flagged": flagged}
 
@@ -635,7 +618,7 @@ def write_manifest(cfg: RunConfig, outdir: Path, wall_time_s: float,
                   "hull": envelope_backend(), "workers": workers}
     partial_path = outdir / "manifest.json.tmp"
     write_json(partial_path,
-               {"config": config_to_dict(cfg), "tool_version": __version__,
+               {"config": asdict(cfg), "tool_version": __version__,
                 "provenance": provenance, "wall_time_s": wall_time_s})
     partial_path.replace(outdir / "manifest.json")
 

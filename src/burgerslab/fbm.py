@@ -25,20 +25,6 @@ import numpy as np
 from .grids import (GridPath, RandomnessSpec, SampleGrid, check_hurst,
                     replica_normals)
 
-__all__ = [
-    "fbm_covariance",
-    "fgn_autocovariance",
-    "ifbm_covariance",
-    "sample_fbm_exact",
-    "sample_fbm_exact_batch",
-    "sample_fbm_fast",
-    "sample_fbm_fast_batch",
-    "FastRows",
-    "RowBuffers",
-    "integrate_values",
-    "FactorizationError",
-    "EmbeddingError",
-]
 
 EXACT_SAMPLER_MAX_POINTS = 4096
 

@@ -6,8 +6,6 @@ import numpy as np
 
 from .fitting import ScalingFit, fit_scaling
 
-__all__ = ["box_count", "default_scale_ladder", "dimension_estimate"]
-
 
 def box_count(points, scale: float, window: tuple[float, float]) -> int:
     """Number of cells of the ``scale``-partition of ``window`` that contain

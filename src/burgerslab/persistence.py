@@ -26,24 +26,6 @@ from .fitting import ScalingFit, fit_scaling
 from .fbm import FastRows, RowBuffers, integrate_values
 from .grids import SampleGrid, check_hurst, replica_normals, rng_state_write
 
-__all__ = [
-    "BarrierEvent",
-    "McEstimate",
-    "ChainReport",
-    "replica_stats",
-    "pool_map",
-    "worker_count",
-    "mean_se",
-    "exact_sums",
-    "estimate_persistence",
-    "estimate_persistences",
-    "exponent_fit",
-    "refinement_study",
-    "estimate_fbm_max_mean",
-    "verify_chain",
-    "verify_chains",
-    "BROWNIAN_MAX_MEAN",
-]
 
 PROCESSES = ("fbm_max", "ifbm_two_sided", "ifbm_punctured", "ifbm_trended",
              "ifbm_one_sided")

@@ -25,24 +25,10 @@ from functools import partial
 
 import numpy as np
 
-from .fbm import fbm_covariance, ifbm_covariance
+from .fbm import fbm_covariance, ifbm_covariance, integrate_values
 from .grids import SampleGrid, check_hurst, replica_normals
 from .persistence import McEstimate, RELIABILITY_FLOOR, replica_stats
 
-__all__ = [
-    "KernelSpace",
-    "TrendFunction",
-    "ShiftReport",
-    "build_space",
-    "rkhs_norm",
-    "localizer_trends",
-    "psi_trend",
-    "combined_trend",
-    "covariance_column_trend",
-    "verify_shift_inequality",
-    "verify_shift_inequalities",
-    "TrendRangeError",
-]
 
 DENSE_SPACE_MAX_POINTS = 512
 SHIFT_MC_MAX_POINTS = 64
@@ -157,24 +143,6 @@ def rkhs_norm(space: KernelSpace, trend: TrendFunction | np.ndarray) -> float:
 # trends
 # ---------------------------------------------------------------------------
 
-def _trapezoid_matrix(grid: SampleGrid) -> np.ndarray:
-    """T with I(x_i) = sum_j T[i, j] w(x_j) (signed trapezoid from 0)."""
-    n = grid.count
-    a = grid.anchor_index
-    t = np.zeros((n, n))
-    d = grid.spacing
-    for i in range(n):
-        if i > a:
-            t[i, a] = 0.5 * d
-            t[i, i] = 0.5 * d
-            t[i, a + 1:i] = d
-        elif i < a:
-            t[i, a] = -0.5 * d
-            t[i, i] = -0.5 * d
-            t[i, i + 1:a] = -d
-    return t
-
-
 def _pseudo_solve(eigvals, eigvecs, cutoff, rhs) -> np.ndarray:
     """The solution of the eigen-decomposed system with the eigenvalues at
     or below ``cutoff`` cut rather than inverted."""
@@ -204,7 +172,10 @@ def localizer_trends(space: KernelSpace) -> tuple[TrendFunction, TrendFunction]:
                          "localizer lives on it")
 
     cw = fbm_covariance(space.hurst, x[:, None], x[None, :])
-    tmat = _trapezoid_matrix(grid)
+    # T with I(x_i) = sum_j T[i, j] w(x_j); C order, since a transposed
+    # view changes the summation order of ``tmat @ eta_w``
+    tmat = integrate_values(np.eye(grid.count), grid.spacing,
+                            grid.anchor_index).T.copy()
     outside = np.flatnonzero((x <= eps) | (x >= 1.0 - eps))
     b_full = tmat[idx1] @ cw                       # E I(1) w(x_j)
     a_mat = cw[np.ix_(outside, outside)]

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import textwrap
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,6 @@ from burgerslab.experiments import (
     OPTIONS,
     ConfigError,
     RunConfig,
-    config_to_dict,
     load_config_file,
     parse_value,
     run_experiment,
@@ -147,7 +147,11 @@ class TestBadValues:
         (["sample", "--opt", "method=exact", "--opt", "points=5000"],
          "option points"),
         (["solve", "--opt", "half-points=0"], "option half-points"),
-        (["sample", "--opt", "method=bogus"], "option method")])
+        (["sample", "--opt", "method=bogus"], "option method"),
+        # dim's target is H itself, with no option to move it; criterion
+        # 07's dim.target-h<H> keys are the negative control
+        (["dim", "--hurst", "0.5", "--opt", "target-h0.5=0.9"],
+         "target-h0.5")])
     def test_bad_experiment_option(self, tmp_path, capsys, argv, field):
         out = tmp_path / "p"
         status = main(argv + ["--replicas", "100", "--out", str(out)])
@@ -205,16 +209,21 @@ class TestBadValues:
 
     # fails at 177040a: a misspelt --set key was ignored and the check ran
     @pytest.mark.parametrize("key", ["telescoping.lenght", "dim.replicas"])
-    def test_undeclared_check_setting(self, capsys, monkeypatch, key):
+    def test_undeclared_check_setting(self, tmp_path, capsys, monkeypatch,
+                                      key):
         calls = []
         spy = Check(lambda ov: calls.append(ov) or {"pass": True},
                     CHECKS["telescoping"].settings)
         monkeypatch.setitem(CHECKS, "telescoping", spy)
-        status = main(["check", "--only", "telescoping", "--set", f"{key}=4"])
+        report = tmp_path / "report.json"
+        status = main(["check", "--only", "telescoping", "--set", f"{key}=4",
+                       "--out", str(report)])
         assert status == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err
         assert calls == []
+        # the report path was probed, and the file the probe made is gone
+        assert not report.exists()
         # a declared key reaches the check typed, beside the defaults
         assert main(["check", "--only", "telescoping",
                      "--set", "telescoping.length=4"]) == 0
@@ -275,13 +284,19 @@ class TestBadValues:
         assert os.listdir(paths["dir"]) == []
         assert paths["file"].read_text() == "kept\n"
 
-    def test_check_report_into_directory(self, tmp_path, capsys):
+    def test_check_report_into_directory(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        spy = Check(lambda ov: calls.append(ov) or {"pass": True},
+                    CHECKS["telescoping"].settings)
+        monkeypatch.setitem(CHECKS, "telescoping", spy)
         status = main(["check", "--only", "telescoping",
                        "--set", "telescoping.sequences=50",
                        "--out", str(tmp_path)])
         assert status == 1
         assert capsys.readouterr().err.startswith("config error: out ")
         assert os.listdir(tmp_path) == []
+        # the path fails before any check runs
+        assert calls == []
 
     def test_bool_spellings(self):
         for raw in ("true", "TRUE", "1", "yes", "Yes", True):
@@ -302,9 +317,9 @@ class TestBadValues:
     def test_flag_strings_give_typed_manifest(self, tmp_path):
         out, again = tmp_path / "p", tmp_path / "again"
         assert main(self.ARGS + ["--spacing", "1", "--out", str(out)]) == 0
-        want = config_to_dict(RunConfig("persist", hurst=(0.5,),
-                                        horizons=(4.0, 8.0), spacing=1.0,
-                                        replicas=100, seed=1, out=str(out)))
+        want = asdict(RunConfig("persist", hurst=(0.5,), horizons=(4.0, 8.0),
+                                spacing=1.0, replicas=100, seed=1,
+                                out=str(out)))
         config = json.loads(read_bytes(out / "manifest.json"))["config"]
         # compared as JSON text, where 1 and 1.0 differ
         assert json.dumps(config, sort_keys=True) == \
@@ -400,7 +415,6 @@ def _readme_tables() -> dict:
 def test_readme_lists_every_option_and_default():
     want = {exp: {key: str(row.default) for key, row in OPTIONS[exp].items()}
             for exp in EXPERIMENTS}
-    want["dim"]["target-h<H>"] = "H"
     want["check"] = {key: str(row.default) for check in CHECKS.values()
                      for key, row in check.settings.items()}
     assert _readme_tables() == want
@@ -408,7 +422,8 @@ def test_readme_lists_every_option_and_default():
 
 def test_every_export_is_used_or_documented():
     """Each name ``burgerslab`` exports is used in the package outside its
-    own definition and the export lists, or named in README."""
+    own definition and ``__init__.py``, or named in README; and the imports
+    of ``__init__.py`` are the one export list."""
     package = Path(burgerslab.__file__).parent
     exported = [alias.asname or alias.name
                 for node in ast.parse((package / "__init__.py").read_text()).body
@@ -427,6 +442,8 @@ def test_every_export_is_used_or_documented():
     readme = (ROOT / "README.md").read_text()
     named = set(re.findall(r"`[\w.]*?(\w+)`", readme))
     assert len(exported) > 30
+    assert [p.name for p in package.glob("*.py")
+            if "__all__" in p.read_text()] == []
     assert sorted(set(exported) - used - named) == []
 
 
