@@ -351,8 +351,8 @@ _TINY_CONFIGS = [
               options={"half-points": "64"}),
     RunConfig("dim", hurst=(0.5,), replicas=2, seed=3,
               options={"grid-log2": "12"}),
-    RunConfig("persist", hurst=(0.5,), horizons=(8.0, 16.0, 32.0, 64.0),
-              replicas=200, seed=4),
+    RunConfig("persist", hurst=(0.5,), replicas=200, seed=4,
+              options={"horizons": "8,16,32,64"}),
     RunConfig("chain", hurst=(0.5,), replicas=200, seed=5,
               options={"n": "8"}),
     RunConfig("rkhs-verify", hurst=(0.5,), replicas=2000, seed=6,

@@ -26,10 +26,11 @@ from .grids import write_json
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--hurst", help="comma-separated Hurst indices")
-    parser.add_argument("--horizon", dest="horizons",
-                        help="comma-separated horizon ladder")
     # values stay strings: config_from_dict types them and names a bad one
-    parser.add_argument("--spacing")
+    parser.add_argument("--horizon", dest="horizons",
+                        help="persist's comma-separated horizon ladder")
+    parser.add_argument("--spacing",
+                        help="grid spacing of persist, sample or solve")
     parser.add_argument("--replicas")
     parser.add_argument("--seed")
     parser.add_argument("--out", help="output directory")
@@ -79,9 +80,7 @@ def _parse_kv(pairs, what: str) -> dict:
 
 
 def _config_from_args(args) -> RunConfig:
-    doc = {"options": {}}
-    if args.config:
-        doc.update(load_config_file(args.config))
+    doc = load_config_file(args.config) if args.config else {}
     doc["experiment"] = args.command
     for key in ("hurst", "horizons", "spacing", "replicas", "seed", "out"):
         value = getattr(args, key)
@@ -89,8 +88,7 @@ def _config_from_args(args) -> RunConfig:
             doc[key] = value
     if args.check is not None:
         doc["check"] = args.check
-    doc["options"] = {**doc.get("options", {}),
-                      **_parse_kv(args.opt, "--opt")}
+    doc["options"] = _parse_kv(args.opt, "--opt")
     return config_from_dict(doc)
 
 

@@ -1,6 +1,7 @@
 """Reproducible batch experiments behind the command-line front door.
 
-Every experiment consumes a RunConfig, writes machine-readable artifacts
+Every experiment consumes a RunConfig (the fields all six read, and the
+options its ``OPTIONS`` rows declare), writes machine-readable artifacts
 (JSON-lines records, CSV tables, JSON summaries) plus a manifest, and is
 bit-reproducible from that manifest: outputs depend only on the config.
 sample and solve run their cells (Hurst indices, replicas) one after
@@ -20,7 +21,7 @@ import math
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -173,10 +174,12 @@ OPTIONS = {
         "points": Option(256, *_within(1, SAMPLE_POINTS_MAX)),
         "method": Option("fast", "fast or exact",
                          ("fast", "exact").__contains__),
+        "spacing": Option(1.0, *_POSITIVE),
     },
     "solve": {
         "half-points": Option(512, *_within(1, SOLVE_HALF_POINTS_MAX)),
         "time": Option(1.0, *_POSITIVE),
+        "spacing": Option(1.0, *_POSITIVE),
     },
     "dim": {
         "grid-log2": Option(16, *_within(1, DIM_GRID_LOG2_MAX)),
@@ -184,6 +187,10 @@ OPTIONS = {
         "slope-tol": Option(0.1, *_NON_NEGATIVE),
     },
     "persist": {
+        "horizons": Option((), "a non-empty list of finite values >= 1",
+                           lambda ts: bool(ts)
+                           and all(1 <= t < math.inf for t in ts)),
+        "spacing": Option(1.0, "in (0, 1]", lambda v: 0 < v <= 1),
         "events": Option("fbm_max", "a comma-separated list of "
                          + ", ".join(PROCESSES),
                          lambda v: set(v.split(",")) <= set(PROCESSES)),
@@ -211,9 +218,6 @@ EXPERIMENTS = tuple(OPTIONS)
 _FIELD_RULES = {
     "hurst": ("a non-empty list of values in (0, 1)",
               lambda hs: bool(hs) and all(0.0 < h < 1.0 for h in hs)),
-    "horizons": ("a list of finite values > 0",
-                 lambda ts: all(math.isfinite(t) and t > 0 for t in ts)),
-    "spacing": _POSITIVE,
     "replicas": _within(1, REPLICAS_MAX),
     "seed": _within(0, SEED_MAX),
 }
@@ -223,8 +227,6 @@ _FIELD_RULES = {
 class RunConfig:
     experiment: str
     hurst: tuple[float, ...] = (0.5,)
-    horizons: tuple[float, ...] = ()
-    spacing: float = 1.0
     replicas: int = 100
     seed: int = 0
     out: str = "run-out"
@@ -234,51 +236,44 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         """Checks every field and every option before any output is made;
         raises ConfigError naming the first bad one."""
-        if self.experiment not in OPTIONS:
+        if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment must be one of {EXPERIMENTS}, "
                               f"got {self.experiment!r}")
         for name, (allowed, ok) in _FIELD_RULES.items():
             value = getattr(self, name)
             if not ok(value):
                 raise ConfigError(f"{name} must be {allowed}, got {value!r}")
-        parse_options(OPTIONS[self.experiment], self.options, "option",
-                      self.experiment)
+        opts = self.typed_options
         # the checks that span several fields or options
-        if (self.experiment == "sample" and self.opt("method") == "exact"
-                and self.opt("points") >= EXACT_SAMPLER_MAX_POINTS):
+        if (self.experiment == "sample" and opts["method"] == "exact"
+                and opts["points"] >= EXACT_SAMPLER_MAX_POINTS):
             raise ConfigError(f"option points must be at most "
                               f"{EXACT_SAMPLER_MAX_POINTS - 1} for "
-                              f"method=exact, got {self.opt('points')}")
+                              f"method=exact, got {opts['points']}")
         if self.experiment == "persist":
             self._validate_persist()
         if self.experiment == "rkhs-verify":
-            kind, numbers = _parse_trend(self.opt("trend"))
+            kind, numbers = _parse_trend(opts["trend"])
             if kind == "covcol@":
                 try:
-                    _rkhs_grid(self.opt("half-points")).index_of(numbers[0])
+                    _rkhs_grid(opts["half-points"]).index_of(numbers[0])
                 except ValueError as exc:
                     raise ConfigError(f"option trend: {exc}") from None
         return self
 
     def _validate_persist(self) -> None:
-        """The preconditions of ``estimate_persistence`` and its events."""
-        if len(self.horizons) < 1:
-            raise ConfigError("persist needs at least one horizon")
+        """The preconditions of ``estimate_persistence`` and its events that
+        span several inputs."""
         if self.replicas < MIN_REPLICAS:
             raise ConfigError(f"replicas must be >= {MIN_REPLICAS} for "
                               f"persist, got {self.replicas}")
-        if self.spacing > 1.0:
-            raise ConfigError(f"spacing must be <= 1 for persist, "
-                              f"got {self.spacing}")
-        for t in self.horizons:
-            if t < 1.0:
-                raise ConfigError(f"horizons must be >= 1, got {t}")
-            if t / self.spacing > PERSIST_STEPS_MAX:
+        spacing = self.opt("spacing")
+        for t in self.opt("horizons"):
+            if t / spacing > PERSIST_STEPS_MAX:
                 raise ConfigError(f"horizons / spacing must be at most "
-                                  f"{PERSIST_STEPS_MAX}, got "
-                                  f"{t / self.spacing}")
+                                  f"{PERSIST_STEPS_MAX}, got {t / spacing}")
             try:
-                _exact_steps(t, self.spacing, "horizon")
+                _exact_steps(t, spacing, "horizon")
             except ValueError as exc:
                 raise ConfigError(f"horizons: {exc}") from None
         try:
@@ -286,30 +281,35 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(f"option events: {exc}") from None
 
+    @cached_property
+    def typed_options(self) -> dict:
+        """Every option of the experiment, parsed once: its string parsed as
+        the type of its row's default, or that default when not given."""
+        return parse_options(OPTIONS[self.experiment], self.options, "option",
+                             self.experiment)
+
     def opt(self, key: str):
-        """Typed option lookup: the option's string parsed as the type of
-        its row's default, or that default when the option is not given."""
-        return parse_value(self.options.get(key),
-                           OPTIONS[self.experiment][key].default,
-                           f"option {key}")
+        return self.typed_options[key]
 
 
 def config_from_dict(doc: dict) -> RunConfig:
     """Typed, validated config from raw values (the strings of flags and
     config files, or a manifest's typed values); each field parses as the
-    type of its default."""
+    type of its default, and every other key is an option, below those of
+    ``doc["options"]``."""
+    names = [f.name for f in fields(RunConfig)]
     typed = {f.name: parse_value(doc.get(f.name), f.default, f.name)
              for f in fields(RunConfig) if f.name not in ("experiment", "options")}
+    options = {k: v for k, v in doc.items() if k not in names}
     return RunConfig(experiment=doc.get("experiment"),
-                     options=dict(doc.get("options", {})), **typed).validate()
+                     options={**options, **doc.get("options", {})},
+                     **typed).validate()
 
 
 def load_config_file(path) -> dict:
     """Plain key = value text; '#' comments.  Values stay strings, typed by
-    ``config_from_dict``; unknown keys become experiment options.
-    """
-    known = {f.name for f in fields(RunConfig)} - {"options"}
-    doc: dict = {"options": {}}
+    ``config_from_dict``."""
+    doc = {}
     with path_errors("config", path), open(path, "r", encoding="utf-8") as fh:
         for ln, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -318,11 +318,7 @@ def load_config_file(path) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{ln}: expected 'key = value'")
             key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key in known:
-                doc[key] = value
-            else:
-                doc["options"][key] = value
+            doc[key.strip()] = value.strip()
     return doc
 
 
@@ -333,7 +329,7 @@ def load_config_file(path) -> dict:
 def run_sample(cfg: RunConfig, outdir: Path) -> dict:
     sampler = (sample_fbm_fast if cfg.opt("method") == "fast"
                else sample_fbm_exact)
-    grid = SampleGrid.one_sided(cfg.spacing, cfg.opt("points"))
+    grid = SampleGrid.one_sided(cfg.opt("spacing"), cfg.opt("points"))
     index = []
     for h in cfg.hurst:
         for rep in range(cfg.replicas):
@@ -352,7 +348,7 @@ def run_solve(cfg: RunConfig, outdir: Path) -> dict:
     t = cfg.opt("time")
     rows = []
     for h in cfg.hurst:
-        grid = SampleGrid.anchored(cfg.spacing, half, half)
+        grid = SampleGrid.anchored(cfg.opt("spacing"), half, half)
         for rep in range(cfg.replicas):
             u0 = sample_fbm_fast(h, grid, RandomnessSpec(cfg.seed, rep))
             sol = solve(u0, t)
@@ -453,12 +449,12 @@ def _persist_events(cfg: RunConfig) -> list[tuple[str, list]]:
     """(name, one BarrierEvent per sorted horizon) for each event of a
     persist run; raises ValueError for an unknown event or a horizon or
     puncture radius that is no whole number of steps."""
-    level = cfg.opt("level")
+    level, horizons = cfg.opt("level"), sorted(cfg.opt("horizons"))
     events = []
     for name in cfg.opt("events").split(","):
-        ladder = [BarrierEvent(name, level, t) for t in sorted(cfg.horizons)]
+        ladder = [BarrierEvent(name, level, t) for t in horizons]
         for event in ladder:
-            event.grid(cfg.spacing)
+            event.grid(cfg.opt("spacing"))
         events.append((name, ladder))
     return events
 
@@ -467,7 +463,8 @@ def run_persist(cfg: RunConfig, outdir: Path) -> dict:
     events = _persist_events(cfg)
     cells = [(event, h) for _, ladder in events for h in cfg.hurst
              for event in ladder]
-    results = estimate_persistences(cells, cfg.spacing, cfg.replicas, cfg.seed)
+    results = estimate_persistences(cells, cfg.opt("spacing"), cfg.replicas,
+                                    cfg.seed)
     records = []
     for (event, h), est in zip(cells, results):
         rec = est.record()
@@ -489,7 +486,7 @@ def run_persist(cfg: RunConfig, outdir: Path) -> dict:
             flagged = flagged or fit.degenerate or bool(fit.excluded)
             exponent, tol = _KNOWN_EXPONENTS.get(ev, (lambda _h: None, None))
             known = exponent(h)
-            if cfg.check and known is not None:
+            if known is not None:
                 tol = cfg.opt("slope-tol") if "slope-tol" in cfg.options else tol
                 checks.append({"name": f"exponent {key}",
                                "pass": bool(abs(fit.slope - known) <= tol),
@@ -632,7 +629,10 @@ def rerun_from_manifest(manifest_path, out: str | None = None) -> tuple[int, dic
             raise ConfigError(f"{manifest_path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("config"), dict):
         raise ConfigError(f"{manifest_path}: no config object")
-    cfg = config_from_dict(doc["config"])
+    # older manifests hold horizons and spacing for every experiment
+    read = OPTIONS.get(str(doc["config"].get("experiment")), {})
+    cfg = config_from_dict({k: v for k, v in doc["config"].items()
+                            if k in read or k not in ("horizons", "spacing")})
     if out is not None:
         cfg = replace(cfg, out=out)
     return run_experiment(cfg)

@@ -13,10 +13,7 @@ from dataclasses import dataclass
 from functools import partial
 import numpy as np
 
-PATH_KINDS = ("fbm", "integrated", "potential", "velocity")
-
-# Kinds whose value at the anchor must be exactly zero.
-_ANCHORED_KINDS = ("fbm", "integrated")
+PATH_KINDS = ("fbm", "potential")
 
 
 def check_hurst(h: float) -> float:
@@ -87,8 +84,8 @@ class SampleGrid:
 class GridPath:
     """A process sample on a uniform grid.
 
-    ``kind`` is one of 'fbm', 'integrated', 'potential', 'velocity'.  For the
-    first two the value at the anchor index is exactly 0.
+    ``kind`` is 'fbm' or 'potential'.  An fbm path is exactly 0 at the
+    anchor index.
     """
 
     grid: SampleGrid
@@ -106,8 +103,8 @@ class GridPath:
                              f"count {self.grid.count}")
         if not np.all(np.isfinite(values)):
             raise ValueError("path contains non-finite values")
-        if self.kind in _ANCHORED_KINDS and values[self.grid.anchor_index] != 0.0:
-            raise ValueError(f"{self.kind} path must be exactly 0 at the anchor")
+        if self.kind == "fbm" and values[self.grid.anchor_index] != 0.0:
+            raise ValueError("fbm path must be exactly 0 at the anchor")
 
     @property
     def coordinates(self) -> np.ndarray:

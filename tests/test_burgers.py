@@ -179,9 +179,10 @@ class TestSolve:
         # contacts and clusters read single entries of the grid's
         # coordinates, bit for bit those of the whole array
         cfg = RunConfig("solve", hurst=(h,), replicas=2, seed=5,
-                        spacing=2.0 ** -9, out=str(tmp_path / "run"))
+                        out=str(tmp_path / "run"),
+                        options={"spacing": 2.0 ** -9})
         assert run_experiment(cfg)[0] == 0
-        grid = SampleGrid.anchored(cfg.spacing, 512, 512)
+        grid = SampleGrid.anchored(cfg.opt("spacing"), 512, 512)
         for rep in range(cfg.replicas):
             u0 = sample_fbm_fast(h, grid, RandomnessSpec(cfg.seed, rep))
             sol = solve(u0)

@@ -151,7 +151,14 @@ class TestBadValues:
         # dim's target is H itself, with no option to move it; criterion
         # 07's dim.target-h<H> keys are the negative control
         (["dim", "--hurst", "0.5", "--opt", "target-h0.5=0.9"],
-         "target-h0.5")])
+         "target-h0.5"),
+        # each case below ran and exited 0 while horizons and spacing were
+        # fields of every experiment; only persist, sample and solve read them
+        (["dim", "--spacing", "0.5"], "unknown option spacing for dim"),
+        (["chain", "--horizon", "8"], "unknown option horizons for chain"),
+        (["rkhs-verify", "--spacing", "0.5"],
+         "unknown option spacing for rkhs-verify"),
+        (["sample", "--horizon", "4"], "unknown option horizons for sample")])
     def test_bad_experiment_option(self, tmp_path, capsys, argv, field):
         out = tmp_path / "p"
         status = main(argv + ["--replicas", "100", "--out", str(out)])
@@ -173,8 +180,10 @@ class TestBadValues:
 
     def test_largest_accepted_run(self):
         # 2^19 steps per side and 2^32 replicas, through validate only
-        RunConfig("persist", horizons=(2.0 ** 19,), replicas=2 ** 32).validate()
-        RunConfig("persist", horizons=(1.0,), spacing=2.0 ** -19).validate()
+        RunConfig("persist", replicas=2 ** 32,
+                  options={"horizons": (2.0 ** 19,)}).validate()
+        RunConfig("persist", options={"horizons": (1.0,),
+                                      "spacing": 2.0 ** -19}).validate()
 
     def test_dim_grid_cap(self):
         RunConfig("dim", options={"grid-log2": "20"}).validate()
@@ -314,12 +323,24 @@ class TestBadValues:
         status = main(["rerun", str(manifest), "--out", str(again)])
         self.assert_config_error(status, capsys, again, "replicas")
 
+    def test_unhashable_manifest_experiment(self, tmp_path, capsys):
+        # printed a TypeError traceback while the name was looked up in the
+        # option tables before it was checked
+        assert main(self.ARGS + ["--out", str(tmp_path / "p")]) == 0
+        manifest = tmp_path / "p" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["config"]["experiment"] = ["persist"]
+        manifest.write_text(json.dumps(doc))
+        again = tmp_path / "again"
+        status = main(["rerun", str(manifest), "--out", str(again)])
+        self.assert_config_error(status, capsys, again, "experiment")
+
     def test_flag_strings_give_typed_manifest(self, tmp_path):
         out, again = tmp_path / "p", tmp_path / "again"
         assert main(self.ARGS + ["--spacing", "1", "--out", str(out)]) == 0
-        want = asdict(RunConfig("persist", hurst=(0.5,), horizons=(4.0, 8.0),
-                                spacing=1.0, replicas=100, seed=1,
-                                out=str(out)))
+        want = asdict(RunConfig("persist", hurst=(0.5,), replicas=100, seed=1,
+                                out=str(out),
+                                options={"horizons": "4,8", "spacing": "1"}))
         config = json.loads(read_bytes(out / "manifest.json"))["config"]
         # compared as JSON text, where 1 and 1.0 differ
         assert json.dumps(config, sort_keys=True) == \
@@ -387,9 +408,10 @@ class TestOptionDefaults:
     def test_persist_check_tolerance_per_event(self, tmp_path):
         def tolerances(out, **options):
             _, summary = run_experiment(RunConfig(
-                "persist", hurst=(0.5,), horizons=(4.0, 8.0, 16.0, 32.0),
-                replicas=100, seed=1, check=True, out=str(tmp_path / out),
-                options={"events": "fbm_max,ifbm_one_sided,ifbm_two_sided",
+                "persist", hurst=(0.5,), replicas=100, seed=1, check=True,
+                out=str(tmp_path / out),
+                options={"horizons": (4.0, 8.0, 16.0, 32.0),
+                         "events": "fbm_max,ifbm_one_sided,ifbm_two_sided",
                          **options}))
             return {c["name"]: c["tol"] for c in summary["checks"]}
         # ifbm_two_sided has no known exponent, so no check
@@ -467,6 +489,32 @@ class TestDeterminism:
                      "--out", str(again)]) == 0
         assert read_bytes(out / "chain.json") == read_bytes(again / "chain.json")
 
+    # the layout manifests had while horizons and spacing were fields of
+    # every experiment: both at the top of the config, typed
+    @pytest.mark.parametrize("argv, old", [
+        (["persist", "--hurst", "0.5", "--horizon", "4,8", "--replicas",
+          "100"], {"horizons": [4.0, 8.0], "spacing": 1.0}),
+        (["sample", "--replicas", "2", "--spacing", "0.5", "--opt",
+          "points=16"], {"horizons": [], "spacing": 0.5}),
+        (["dim", "--replicas", "2", "--opt", "grid-log2=10"],
+         {"horizons": [], "spacing": 1.0})])
+    def test_old_layout_manifest_reruns_byte_identical(self, tmp_path, argv,
+                                                       old):
+        out, again = tmp_path / "run", tmp_path / "again"
+        assert main(argv + ["--seed", "3", "--out", str(out)]) == 0
+        manifest = out / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        for key in ("horizons", "spacing"):
+            doc["config"]["options"].pop(key, None)
+        doc["config"].update(old)
+        manifest.write_text(json.dumps(doc))
+        assert main(["rerun", str(manifest), "--out", str(again)]) == 0
+        names = sorted(p.name for p in out.iterdir())
+        assert names == sorted(p.name for p in again.iterdir())
+        for name in names:
+            if name != "manifest.json":
+                assert read_bytes(out / name) == read_bytes(again / name)
+
     def test_worker_cap_does_not_change_outputs(self, tmp_path, monkeypatch):
         cfg = RunConfig("dim", hurst=(0.4, 0.6), replicas=2, seed=3,
                         options={"grid-log2": "11"})
@@ -490,7 +538,7 @@ class TestConfigFile:
             "seed = 11\n"
             "grid-log2 = 11\n")
         doc = load_config_file(cfg_file)
-        assert doc["options"]["grid-log2"] == "11"
+        assert doc["grid-log2"] == "11"
         out = tmp_path / "out"
         status = main(["dim", "--config", str(cfg_file), "--replicas", "3",
                        "--out", str(out)])
