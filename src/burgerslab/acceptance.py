@@ -14,7 +14,7 @@ import filecmp
 import math
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,14 +26,17 @@ from .experiments import (
     Option,
     REPLICAS_MAX,
     RunConfig,
+    bound_check,
     parse_options,
     rerun_from_manifest,
     run_experiment,
     _at_least,
     _dim_cells,
+    _exponent_checks,
     _FINITE,
     _KNOWN_EXPONENTS,
     _NON_NEGATIVE,
+    _persist_fits,
     _rkhs_trend,
     _within,
 )
@@ -44,9 +47,6 @@ from .grids import RandomnessSpec, SampleGrid
 from .persistence import (
     BROWNIAN_MAX_MEAN,
     MIN_REPLICAS,
-    BarrierEvent,
-    estimate_persistences,
-    exponent_fit,
     mean_se,
     replica_stats,
     verify_chains,
@@ -146,8 +146,8 @@ def check_expectation_identity(ov: dict) -> dict:
                                  _slope_functional_checks)], 401,
                                ov["identity.replicas"])
     mean, se = mean_se(gap)
-    return {"pass": abs(mean) <= 4 * se, "mean_gap": mean, "se": se,
-            "gap_sigma": abs(mean) / se if se > 0 else 0.0}
+    row = bound_check("identity gap h=0.5", mean, se, 0.0, 4 * se)
+    return {"pass": row["pass"], "gaps": {"h=0.5": row}}
 
 
 # --- criterion 5 -----------------------------------------------------------
@@ -193,63 +193,38 @@ def check_burgers_oracle(ov: dict) -> dict:
 
 # --- criteria 7 to 10 ------------------------------------------------------
 
-def _margin_sigma(margin, se):
-    """A check's distance to its bound in standard errors, positive when
-    it passes; None when the distance or the SE is unknown or zero."""
-    return margin / se if margin is not None and se else None
-
-
 def check_dimension(ov: dict) -> dict:
     tol = ov["dim.slope-tol"]
     cfg = RunConfig(experiment="dim", hurst=H_TRIPLE,
                     replicas=ov["dim.replicas"], seed=701,
                     options={"grid-log2": str(ov["dim.grid-log2"])})
-    slopes = {}
-    for h, (_, summary, _) in zip(H_TRIPLE, _dim_cells(cfg)):
-        target = ov[f"dim.target-h{h:g}"]
-        slope, se = summary["slope"], summary["slope_se"]
-        # None when every replica's window collapsed
-        margin = None if slope is None else tol - abs(slope - target)
-        slopes[f"h={h:g}"] = {"slope": slope, "se": se, "target": target,
-                              "pass": margin is not None and margin >= 0,
-                              "margin_sigma": _margin_sigma(margin, se)}
+    slopes = {f"h={h:g}": bound_check(f"dim slope h={h:g}", s["slope"],
+                                      s["slope_se"], ov[f"dim.target-h{h:g}"],
+                                      tol)
+              for h, (_, s, _) in zip(H_TRIPLE, _dim_cells(cfg))}
     return {"pass": all(s["pass"] for s in slopes.values()),
             "slopes": slopes, "tol": tol}
 
 
 def check_max_exponent(ov: dict) -> dict:
-    replicas = ov["max-exp.replicas"]
-    level = ov["max-exp.level"]
-    tol = ov["max-exp.tol"]
-    exponent, _ = _KNOWN_EXPONENTS["fbm_max"]
-    ladder = (64.0, 128.0, 256.0, 512.0, 1024.0)
-    out = {}
-    ests = estimate_persistences([(BarrierEvent("fbm_max", level, t), h)
-                                  for h in H_TRIPLE for t in ladder],
-                                 1.0, replicas, 801)
-    for i, h in enumerate(H_TRIPLE):
-        fit = exponent_fit(ests[i * len(ladder):(i + 1) * len(ladder)])
-        margin = tol - abs(fit.slope - exponent(h))
-        out[f"h={h:g}"] = {"slope": fit.slope, "se": fit.slope_se,
-                           "target": exponent(h), "pass": bool(margin >= 0),
-                           "margin_sigma": _margin_sigma(margin, fit.slope_se),
-                           "excluded": list(fit.excluded)}
+    level, tol = ov["max-exp.level"], ov["max-exp.tol"]
+    cfg = RunConfig("persist", hurst=H_TRIPLE, replicas=ov["max-exp.replicas"],
+                    seed=801, options={"horizons": "64,128,256,512,1024",
+                                       "level": level, "slope-tol": tol})
+    _, _, fits = _persist_fits(cfg)
+    out = {f"h={h:g}": {**row, "excluded": list(fits[ev, h].excluded)}
+           for (ev, h), row in _exponent_checks(cfg, fits).items()}
     return {"pass": all(f["pass"] for f in out.values()), "fits": out,
             "level": level, "tol": tol}
 
 
 def check_integral_exponent(ov: dict) -> dict:
-    replicas = ov["int-exp.replicas"]
-    tol = ov["int-exp.tol"]
-    ests = estimate_persistences([(BarrierEvent("ifbm_one_sided", 1.0, t), 0.5)
-                                  for t in (64.0, 128.0, 256.0, 512.0)],
-                                 1.0, replicas, 901)
-    fit = exponent_fit(ests)
-    target = _KNOWN_EXPONENTS["ifbm_one_sided"][0](0.5)
-    margin = tol - abs(fit.slope - target)
-    return {"pass": margin >= 0, "slope": fit.slope, "se": fit.slope_se,
-            "margin_sigma": _margin_sigma(margin, fit.slope_se),
-            "target": target, "tol": tol}
+    cfg = RunConfig("persist", hurst=(0.5,), replicas=ov["int-exp.replicas"],
+                    seed=901, options={"horizons": "64,128,256,512",
+                                       "events": "ifbm_one_sided",
+                                       "slope-tol": ov["int-exp.tol"]})
+    row = _exponent_checks(cfg, _persist_fits(cfg)[2])["ifbm_one_sided", 0.5]
+    return {"pass": row["pass"], "fits": {"h=0.5": row}}
 
 
 def _puncture_ordering(replicas: int, pair=("ifbm_two_sided",
@@ -257,30 +232,31 @@ def _puncture_ordering(replicas: int, pair=("ifbm_two_sided",
     """(p1, p2, p1 <= p2) per H of the pair's events on the same paths at
     level 0 and spacing 0.25, where the two differ (at level 1 and spacing
     1 they are equal pathwise)."""
-    ests = estimate_persistences([(BarrierEvent(process, 0.0, 128.0), h)
-                                  for h in H_TRIPLE for process in pair],
-                                 0.25, replicas, 1002)
+    cfg = RunConfig("persist", hurst=H_TRIPLE, replicas=replicas, seed=1002,
+                    options={"horizons": "128", "spacing": "0.25",
+                             "level": "0", "events": ",".join(pair)})
+    _, ests, _ = _persist_fits(cfg)
     return [(a.value, b.value, a.value <= b.value)
-            for a, b in zip(ests[0::2], ests[1::2])]
+            for a, b in zip(ests[:len(H_TRIPLE)], ests[len(H_TRIPLE):])]
 
 
 def check_two_sided_bound(ov: dict) -> dict:
     replicas = ov["two-sided.replicas"]
     slack = ov["two-sided.slack"]
-    ladder = (32.0, 64.0, 128.0, 256.0, 512.0)
+    cfg = RunConfig("persist", hurst=H_TRIPLE, replicas=replicas, seed=1001,
+                    options={"horizons": "32,64,128,256,512",
+                             "events": "ifbm_two_sided"})
+    _, _, fits = _persist_fits(cfg)
     out = {}
-    ests = estimate_persistences([(BarrierEvent("ifbm_two_sided", 1.0, t), h)
-                                  for h in H_TRIPLE for t in ladder],
-                                 1.0, replicas, 1001)
-    pairs = _puncture_ordering(replicas)
-    for i, h in enumerate(H_TRIPLE):
-        fit = exponent_fit(ests[i * len(ladder):(i + 1) * len(ladder)])
+    for h, (p_two, p_punc, ordered) in zip(H_TRIPLE,
+                                           _puncture_ordering(replicas)):
+        fit = fits["ifbm_two_sided", h]
         floor = (1.0 - h) - slack
         # full-domain event is included in the punctured one pathwise
-        p_two, p_punc, ordered = pairs[i]
-        out[f"h={h:g}"] = {"slope": fit.slope, "se": fit.slope_se,
-                           "floor": floor, "margin_sigma": _margin_sigma(
-                               fit.slope - floor, fit.slope_se),
+        out[f"h={h:g}"] = {"got": fit.slope, "se": fit.slope_se,
+                           "floor": floor, "margin_sigma": (
+                               (fit.slope - floor) / fit.slope_se
+                               if fit.slope_se else None),
                            "pass": bool(fit.slope >= floor), "p_full": p_two,
                            "p_punctured": p_punc, "ordering": ordered}
     return {"pass": all(f["pass"] and f["ordering"] for f in out.values()),
@@ -362,13 +338,12 @@ _TINY_CONFIGS = [
 
 
 def check_determinism(ov: dict) -> dict:
-    import dataclasses
     mismatches = []
     with tempfile.TemporaryDirectory() as tmp:
         for cfg in _TINY_CONFIGS:
             dir_a = Path(tmp) / f"{cfg.experiment}-a"
             dir_b = Path(tmp) / f"{cfg.experiment}-b"
-            status, _ = run_experiment(dataclasses.replace(cfg, out=str(dir_a)))
+            status, _ = run_experiment(replace(cfg, out=str(dir_a)))
             if status not in (0, 2):
                 mismatches.append({"experiment": cfg.experiment,
                                    "error": f"first run exited {status}"})

@@ -201,7 +201,6 @@ def _merge_pairs(pos, vel, mass, members, pair_indices):
         else:
             groups.append([i, i + 1])
     keep_pos, keep_vel, keep_mass, keep_members = [], [], [], []
-    grouped = {i for g in groups for i in g}
     gi = 0
     i = 0
     n = pos.size

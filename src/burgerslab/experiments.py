@@ -52,6 +52,7 @@ from .rkhs import (
     combined_trend,
     covariance_column_trend,
     psi_trend,
+    rkhs_norm,
     TrendFunction,
     verify_shift_inequalities,
 )
@@ -109,7 +110,8 @@ _BOOLS = {"true": True, "1": True, "yes": True,
 def parse_value(raw, default, name: str):
     """``raw`` parsed as the type of ``default``; None gives ``default``.
     A tuple default means floats, comma-separated when ``raw`` is a string;
-    a bool is true/false, 1/0 or yes/no in any case, or a real bool."""
+    a bool is true/false, 1/0 or yes/no in any case, or a real bool; an int
+    is no bool and no fraction."""
     if raw is None:
         return default
     try:
@@ -119,6 +121,9 @@ def parse_value(raw, default, name: str):
         if isinstance(default, bool):
             return raw if isinstance(raw, bool) else _BOOLS[str(raw).lower()]
         if isinstance(default, int):
+            if isinstance(raw, bool) or (isinstance(raw, float)
+                                         and not raw.is_integer()):
+                raise ValueError
             return int(raw)
         if isinstance(default, float):
             return float(raw)
@@ -187,13 +192,14 @@ OPTIONS = {
         "slope-tol": Option(0.1, *_NON_NEGATIVE),
     },
     "persist": {
-        "horizons": Option((), "a non-empty list of finite values >= 1",
-                           lambda ts: bool(ts)
+        "horizons": Option((), "a non-empty list of distinct finite values "
+                           ">= 1", lambda ts: len(set(ts)) == len(ts) > 0
                            and all(1 <= t < math.inf for t in ts)),
         "spacing": Option(1.0, "in (0, 1]", lambda v: 0 < v <= 1),
-        "events": Option("fbm_max", "a comma-separated list of "
-                         + ", ".join(PROCESSES),
-                         lambda v: set(v.split(",")) <= set(PROCESSES)),
+        "events": Option("fbm_max", "a comma-separated list of distinct "
+                         "events among " + ", ".join(PROCESSES),
+                         lambda v: set(v.split(",")) <= set(PROCESSES)
+                         and len(set(v.split(","))) == v.count(",") + 1),
         "level": Option(1.0, *_FINITE),
         # unset, fbm_max and ifbm_one_sided check at _KNOWN_EXPONENTS' tol
         "slope-tol": Option(0.1, *_NON_NEGATIVE),
@@ -214,10 +220,17 @@ OPTIONS = {
 
 EXPERIMENTS = tuple(OPTIONS)
 
+# the widths of sample's, solve's and dim's grids, from their options
+_WIDTHS = {"sample": lambda opts: opts["spacing"] * opts["points"],
+           "solve": lambda opts: opts["spacing"] * 2 * opts["half-points"],
+           "dim": lambda opts: 2.0}
+
 # Rules on the run-config fields other than experiment, out and options.
 _FIELD_RULES = {
-    "hurst": ("a non-empty list of values in (0, 1)",
-              lambda hs: bool(hs) and all(0.0 < h < 1.0 for h in hs)),
+    # "h={h:g}" keys every output, so two values it prints alike repeat
+    "hurst": ("a non-empty list of values in (0, 1) distinct to 6 digits",
+              lambda hs: len({f"{h:g}" for h in hs}) == len(hs) > 0
+              and all(0.0 < h < 1.0 for h in hs)),
     "replicas": _within(1, REPLICAS_MAX),
     "seed": _within(0, SEED_MAX),
 }
@@ -250,15 +263,24 @@ class RunConfig:
             raise ConfigError(f"option points must be at most "
                               f"{EXACT_SAMPLER_MAX_POINTS - 1} for "
                               f"method=exact, got {opts['points']}")
+        # a grid of finite width w, and for solve and dim a finite potential
+        # term w^2 / (2 time); sample has no time, so its term reads 0
+        w = _WIDTHS[self.experiment](opts) if self.experiment in _WIDTHS else 0
+        if not math.isfinite(w * (w / (2.0 * opts.get("time", math.inf)))):
+            names = " and ".join(k for k in ("spacing", "time") if k in opts)
+            raise ConfigError(f"option {names} must keep the grid width w, "
+                              f"and w^2 / (2 time) for solve and dim, finite, "
+                              f"got w = {w:g}")
         if self.experiment == "persist":
             self._validate_persist()
         if self.experiment == "rkhs-verify":
-            kind, numbers = _parse_trend(opts["trend"])
-            if kind == "covcol@":
+            for h in self.hurst:
                 try:
-                    _rkhs_grid(opts["half-points"]).index_of(numbers[0])
+                    space = build_space(_rkhs_grid(opts["half-points"]), h)
+                    rkhs_norm(space, _rkhs_trend(space, opts["trend"]))
                 except ValueError as exc:
-                    raise ConfigError(f"option trend: {exc}") from None
+                    raise ConfigError(f"option trend {opts['trend']} at "
+                                      f"hurst {h:g}: {exc}") from None
         return self
 
     def _validate_persist(self) -> None:
@@ -277,7 +299,7 @@ class RunConfig:
             except ValueError as exc:
                 raise ConfigError(f"horizons: {exc}") from None
         try:
-            _persist_events(self)
+            _persist_cells(self)
         except ValueError as exc:
             raise ConfigError(f"option events: {exc}") from None
 
@@ -301,6 +323,9 @@ def config_from_dict(doc: dict) -> RunConfig:
     typed = {f.name: parse_value(doc.get(f.name), f.default, f.name)
              for f in fields(RunConfig) if f.name not in ("experiment", "options")}
     options = {k: v for k, v in doc.items() if k not in names}
+    if not isinstance(doc.get("options", {}), dict):
+        raise ConfigError(f"options must be an object of key: value pairs, "
+                          f"got {doc['options']!r}")
     return RunConfig(experiment=doc.get("experiment"),
                      options={**options, **doc.get("options", {})},
                      **typed).validate()
@@ -326,6 +351,17 @@ def load_config_file(path) -> dict:
 # experiments
 # ---------------------------------------------------------------------------
 
+def bound_check(name: str, got, se, target: float, tol: float) -> dict:
+    """A check row that passes when |got - target| <= tol; margin_sigma,
+    (tol - |got - target|) / se, is its distance to that bound in SEs, and
+    None when ``got`` is None or the SE is unknown or zero."""
+    off = None if got is None else abs(got - target)
+    return {"name": name, "got": got, "se": se, "target": target, "tol": tol,
+            "pass": off is not None and bool(off <= tol),
+            "margin_sigma": (tol - off) / se if off is not None and se
+            else None}
+
+
 def run_sample(cfg: RunConfig, outdir: Path) -> dict:
     sampler = (sample_fbm_fast if cfg.opt("method") == "fast"
                else sample_fbm_exact)
@@ -340,7 +376,7 @@ def run_sample(cfg: RunConfig, outdir: Path) -> dict:
                           "max": float(path.values.max()),
                           "min": float(path.values.min())})
     _write_jsonl(outdir / "index.jsonl", index)
-    return {"paths": len(index), "checks": []}
+    return {"checks": [], "flagged": False}
 
 
 def run_solve(cfg: RunConfig, outdir: Path) -> dict:
@@ -359,7 +395,7 @@ def run_solve(cfg: RunConfig, outdir: Path) -> dict:
                          "contacts": int(len(sol.contact_indices)),
                          "clusters": len(sol.shock_clusters)})
     _write_jsonl(outdir / "summary.jsonl", rows)
-    return {"solves": len(rows), "checks": []}
+    return {"checks": [], "flagged": False}
 
 
 def _dim_counts(grid: SampleGrid, t: float, rows):
@@ -426,16 +462,11 @@ def run_dim(cfg: RunConfig, outdir: Path) -> dict:
         if fit is not None:
             fit.to_csv(outdir / f"fit_h{h:g}_scale_count.csv")
             write_json(outdir / f"fit_h{h:g}.json", fit.summary())
-    tol = cfg.opt("slope-tol")
-    checks = []
-    for s in summaries:
-        got = s["slope"]
-        checks.append({"name": f"dim slope h={s['h']:g}",
-                       "pass": bool(got is not None
-                                    and abs(got - s["h"]) <= tol),
-                       "got": got, "target": s["h"], "tol": tol})
-    flagged = any(s["valid_replicas"] < s["replicas"] for s in summaries)
-    return {"summaries": summaries, "checks": checks, "flagged": flagged}
+    return {"checks": [bound_check(f"dim slope h={s['h']:g}", s["slope"],
+                                   s["slope_se"], s["h"], cfg.opt("slope-tol"))
+                       for s in summaries],
+            "flagged": any(s["valid_replicas"] < s["replicas"]
+                           for s in summaries)}
 
 
 # per event, its persistence exponent at H (None where unknown) and the
@@ -445,65 +476,64 @@ _KNOWN_EXPONENTS = {"fbm_max": (lambda h: 1.0 - h, 0.07),
                                        0.08)}
 
 
-def _persist_events(cfg: RunConfig) -> list[tuple[str, list]]:
-    """(name, one BarrierEvent per sorted horizon) for each event of a
-    persist run; raises ValueError for an unknown event or a horizon or
-    puncture radius that is no whole number of steps."""
-    level, horizons = cfg.opt("level"), sorted(cfg.opt("horizons"))
-    events = []
-    for name in cfg.opt("events").split(","):
-        ladder = [BarrierEvent(name, level, t) for t in horizons]
-        for event in ladder:
-            event.grid(cfg.opt("spacing"))
-        events.append((name, ladder))
-    return events
+def _persist_cells(cfg: RunConfig) -> list[tuple]:
+    """persist's (BarrierEvent, H) cells by event, H and sorted horizon;
+    raises ValueError for an unknown event or an off-grid horizon or radius."""
+    cells = [(BarrierEvent(name, cfg.opt("level"), t), h)
+             for name in cfg.opt("events").split(",") for h in cfg.hurst
+             for t in sorted(cfg.opt("horizons"))]
+    for event, _ in cells:
+        event.grid(cfg.opt("spacing"))
+    return cells
+
+
+def _persist_fits(cfg: RunConfig) -> tuple[list, list, dict]:
+    """persist's cells, their estimates on one pass of draws, and one
+    ``exponent_fit`` per (event name, H) of a ladder of 4 or more horizons."""
+    cells = _persist_cells(cfg)
+    ests = estimate_persistences(cells, cfg.opt("spacing"), cfg.replicas,
+                                 cfg.seed)
+    size = len(cfg.opt("horizons"))
+    starts = range(0, len(cells), size) if size >= 4 else ()
+    fits = {(cells[i][0].process, cells[i][1]): exponent_fit(ests[i:i + size])
+            for i in starts}
+    return cells, ests, fits
+
+
+def _exponent_checks(cfg: RunConfig, fits: dict) -> dict:
+    """The check row of each (event name, H) fit whose exponent is known, at
+    option slope-tol when given, else at the event's own tolerance."""
+    rows = {}
+    for (name, h), fit in fits.items():
+        exponent, tol = _KNOWN_EXPONENTS.get(name, (lambda _h: None, None))
+        if exponent(h) is not None:
+            tol = cfg.opt("slope-tol") if "slope-tol" in cfg.options else tol
+            rows[name, h] = bound_check(f"exponent {name} h={h:g}", fit.slope,
+                                        fit.slope_se, exponent(h), tol)
+    return rows
 
 
 def run_persist(cfg: RunConfig, outdir: Path) -> dict:
-    events = _persist_events(cfg)
-    cells = [(event, h) for _, ladder in events for h in cfg.hurst
-             for event in ladder]
-    results = estimate_persistences(cells, cfg.opt("spacing"), cfg.replicas,
-                                    cfg.seed)
-    records = []
-    for (event, h), est in zip(cells, results):
-        rec = est.record()
-        rec.update({"event": event.process, "level": event.level, "h": h})
-        records.append(rec)
-    _write_jsonl(outdir / "records.jsonl", records)
-    fits = {}
-    checks = []
-    flagged = False
-    for ev, _ in events:
-        for h in cfg.hurst:
-            ests = [est for ((event, eh), est) in zip(cells, results)
-                    if event.process == ev and eh == h]
-            if len(ests) < 4:
-                continue
-            fit = exponent_fit(ests)
-            key = f"{ev} h={h:g}"
-            fits[key] = fit.summary()
-            flagged = flagged or fit.degenerate or bool(fit.excluded)
-            exponent, tol = _KNOWN_EXPONENTS.get(ev, (lambda _h: None, None))
-            known = exponent(h)
-            if known is not None:
-                tol = cfg.opt("slope-tol") if "slope-tol" in cfg.options else tol
-                checks.append({"name": f"exponent {key}",
-                               "pass": bool(abs(fit.slope - known) <= tol),
-                               "got": fit.slope, "target": known, "tol": tol})
+    cells, ests, fits = _persist_fits(cfg)
+    _write_jsonl(outdir / "records.jsonl",
+                 [{**est.record(), "event": event.process,
+                   "level": event.level, "h": h}
+                  for (event, h), est in zip(cells, ests)])
     if fits:
-        write_json(outdir / "fits.json", fits)
-    return {"cells": len(cells), "checks": checks, "flagged": flagged}
+        write_json(outdir / "fits.json", {f"{name} h={h:g}": fit.summary()
+                                          for (name, h), fit in fits.items()})
+    return {"checks": list(_exponent_checks(cfg, fits).values()),
+            "flagged": any(fit.degenerate or fit.excluded
+                           for fit in fits.values())}
 
 
 def run_chain(cfg: RunConfig, outdir: Path) -> dict:
     docs = [report.to_json() for report in
             verify_chains(cfg.hurst, cfg.opt("n"), cfg.replicas, cfg.seed)]
-    merged = {f"h={h:g}": doc for h, doc in zip(cfg.hurst, docs)}
-    write_json(outdir / "chain.json", merged)
-    checks = [{"name": f"chain h={h:g}", "pass": doc["pass"]}
-              for h, doc in zip(cfg.hurst, docs)]
-    return {"chain": merged, "checks": checks}
+    write_json(outdir / "chain.json",
+               {f"h={h:g}": doc for h, doc in zip(cfg.hurst, docs)})
+    return {"checks": [{"name": f"chain h={h:g}", "pass": doc["pass"]}
+                       for h, doc in zip(cfg.hurst, docs)], "flagged": False}
 
 
 def _parse_trend(name: str) -> tuple[str, tuple[float, ...]] | None:
@@ -550,19 +580,15 @@ def run_rkhs_verify(cfg: RunConfig, outdir: Path) -> dict:
     trend_name = cfg.opt("trend")
     spaces = [build_space(_rkhs_grid(cfg.opt("half-points")), h)
               for h in cfg.hurst]
-    reports = {}
-    checks = []
-    flagged = False
-    for h, rep in zip(cfg.hurst, verify_shift_inequalities(
-            [(space, _rkhs_trend(space, trend_name), cfg.opt("level"))
-             for space in spaces], cfg.replicas, cfg.seed)):
-        key = f"h={h:g}"
-        reports[key] = rep.to_json()
-        flagged = flagged or rep.inconclusive
-        checks.append({"name": f"shift bound {trend_name} {key}",
-                       "pass": bool(rep.passed)})
-    write_json(outdir / "shift.json", reports)
-    return {"reports": reports, "checks": checks, "flagged": flagged}
+    reports = verify_shift_inequalities(
+        [(space, _rkhs_trend(space, trend_name), cfg.opt("level"))
+         for space in spaces], cfg.replicas, cfg.seed)
+    write_json(outdir / "shift.json", {f"h={h:g}": rep.to_json()
+                                       for h, rep in zip(cfg.hurst, reports)})
+    return {"checks": [{"name": f"shift bound {trend_name} h={h:g}",
+                        "pass": bool(rep.passed)}
+                       for h, rep in zip(cfg.hurst, reports)],
+            "flagged": any(rep.inconclusive for rep in reports)}
 
 
 _RUNNERS = {"sample": run_sample, "solve": run_solve, "dim": run_dim,

@@ -116,20 +116,18 @@ class TestKsStatistic:
                    "dim.slope-tol": "0.3"}),
     ("max-exponent", {"max-exp.replicas": "1000"}),
     ("integral-exponent", {"int-exp.replicas": "1000"}),
-    ("two-sided-bound", {"two-sided.replicas": "1000"})])
+    ("two-sided-bound", {"two-sided.replicas": "1000"}),
+    ("expectation-identity", {})])
 def test_margins_in_se(name, overrides):
-    """Criteria 07-10 report each fit's SE and its distance to the bound
-    in SEs, positive exactly when the fit passes."""
-    result = run_checks([name], overrides)[0]
-    details = result.details
-    fits = details.get("slopes", details.get("fits",
-                                             {"": {**details,
-                                                   "pass": result.passed}}))
-    for fit in fits.values():
-        if "floor" in fit:
-            margin = fit["slope"] - fit["floor"]
+    """Criteria 04 and 07-10 report each row's SE and its distance to the
+    bound in SEs, positive exactly when the row passes."""
+    details = run_checks([name], overrides)[0].details
+    rows = details.get("slopes") or details.get("fits") or details["gaps"]
+    for row in rows.values():
+        if "floor" in row:
+            margin = row["got"] - row["floor"]
         else:
-            margin = details["tol"] - abs(fit["slope"] - fit["target"])
-        assert fit["se"] > 0
-        assert fit["margin_sigma"] == pytest.approx(margin / fit["se"])
-        assert (fit["margin_sigma"] >= 0) == fit["pass"]
+            margin = row["tol"] - abs(row["got"] - row["target"])
+        assert row["se"] > 0
+        assert row["margin_sigma"] == pytest.approx(margin / row["se"])
+        assert (row["margin_sigma"] >= 0) == row["pass"]

@@ -158,7 +158,30 @@ class TestBadValues:
         (["chain", "--horizon", "8"], "unknown option horizons for chain"),
         (["rkhs-verify", "--spacing", "0.5"],
          "unknown option spacing for rkhs-verify"),
-        (["sample", "--horizon", "4"], "unknown option horizons for sample")])
+        (["sample", "--horizon", "4"], "unknown option horizons for sample"),
+        # each case below fails at b5c9f51: a repeated input ran the whole
+        # Monte Carlo into a traceback, or wrote one h= key for two cells
+        (["persist", "--hurst", "0.5,0.5", "--horizon", "4,8,16,32"],
+         "hurst"),
+        (["persist", "--horizon", "4,4,8,16"], "option horizons"),
+        (["persist", "--horizon", "4,8,16,32", "--opt",
+          "events=fbm_max,fbm_max"], "option events"),
+        (["dim", "--hurst", "0.5,0.5", "--opt", "grid-log2=8"], "hurst"),
+        (["chain", "--hurst", "0.5,0.5", "--opt", "n=4"], "hurst"),
+        # each case below fails at b5c9f51: a traceback from a non-finite
+        # grid or potential or a trend with no norm, or inf coordinates
+        (["solve", "--spacing", "1e300", "--opt", "half-points=4"],
+         "option spacing and time"),
+        (["solve", "--opt", "time=1e-320", "--opt", "half-points=4"],
+         "time"),
+        (["solve", "--spacing", "1e308", "--opt", "half-points=4"],
+         "option spacing"),
+        (["dim", "--opt", "time=1e-320", "--opt", "grid-log2=6"],
+         "option time"),
+        (["rkhs-verify", "--hurst", "0.999999"], "hurst 0.999999"),
+        (["rkhs-verify", "--hurst", "1e-9"], "hurst 1e-09"),
+        (["sample", "--spacing", "1e308", "--opt", "points=4"],
+         "option spacing")])
     def test_bad_experiment_option(self, tmp_path, capsys, argv, field):
         out = tmp_path / "p"
         status = main(argv + ["--replicas", "100", "--out", str(out)])
@@ -323,6 +346,23 @@ class TestBadValues:
         status = main(["rerun", str(manifest), "--out", str(again)])
         self.assert_config_error(status, capsys, again, "replicas")
 
+    # each fails at b5c9f51: a string of options printed a traceback, and
+    # each number ran truncated (2 replicas, 1, seed 1, n = 4)
+    @pytest.mark.parametrize("change, field", [
+        ({"options": "x"}, "options"), ({"replicas": 2.5}, "replicas"),
+        ({"replicas": True}, "replicas"), ({"seed": 1.9}, "seed"),
+        ({"options": {"n": 4.7}}, "option n")])
+    def test_typed_manifest_value(self, tmp_path, capsys, change, field):
+        assert main(["chain", "--hurst", "0.5", "--replicas", "10",
+                     "--opt", "n=8", "--out", str(tmp_path / "p")]) == 0
+        manifest = tmp_path / "p" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["config"].update(change)
+        manifest.write_text(json.dumps(doc))
+        again = tmp_path / "again"
+        status = main(["rerun", str(manifest), "--out", str(again)])
+        self.assert_config_error(status, capsys, again, field)
+
     def test_unhashable_manifest_experiment(self, tmp_path, capsys):
         # printed a TypeError traceback while the name was looked up in the
         # option tables before it was checked
@@ -398,12 +438,27 @@ class TestOptionDefaults:
     """Defaults that reach no result file, read from the returned
     summary."""
 
+    @staticmethod
+    def assert_margins(checks):
+        """Each row carries its SE and its margin in SEs, None when the SE
+        is zero and otherwise non-negative exactly when the row passes."""
+        for c in checks:
+            if c["se"]:
+                assert c["margin_sigma"] == pytest.approx(
+                    (c["tol"] - abs(c["got"] - c["target"])) / c["se"])
+                assert (c["margin_sigma"] >= 0) == c["pass"]
+            else:
+                assert c["margin_sigma"] is None
+
     def test_dim_checks_carry_default_tol_and_target(self, tmp_path):
         _, summary = run_experiment(RunConfig(
             "dim", hurst=(0.3, 0.6), replicas=1, seed=1,
             out=str(tmp_path / "d"), options={"grid-log2": "10"}))
         assert [(c["tol"], c["target"]) for c in summary["checks"]] == \
             [(0.1, 0.3), (0.1, 0.6)]
+        # one replica has no SE
+        assert [c["se"] for c in summary["checks"]] == [0.0, 0.0]
+        self.assert_margins(summary["checks"])
 
     def test_persist_check_tolerance_per_event(self, tmp_path):
         def tolerances(out, **options):
@@ -413,6 +468,8 @@ class TestOptionDefaults:
                 options={"horizons": (4.0, 8.0, 16.0, 32.0),
                          "events": "fbm_max,ifbm_one_sided,ifbm_two_sided",
                          **options}))
+            self.assert_margins(summary["checks"])
+            assert all(c["se"] > 0 for c in summary["checks"])
             return {c["name"]: c["tol"] for c in summary["checks"]}
         # ifbm_two_sided has no known exponent, so no check
         assert tolerances("p") == {"exponent fbm_max h=0.5": 0.07,
