@@ -13,14 +13,13 @@ merge clusters must coincide with the minorant's shock clusters.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .envelopes import ConvexEnvelope, lower_envelope
 from .fbm import integrate_values
-from .grids import GridPath, write_csv
+from .grids import GridPath, write_csv, write_jsonl
 
 
 # collision times closer than this (relative) count as simultaneous
@@ -61,17 +60,12 @@ class LagrangianSolution:
     def clusters_to_jsonl(self, path, u0: GridPath) -> None:
         grid = self.potential.grid
         coords = grid.coordinates
-        with open(path, "w", encoding="utf-8") as fh:
-            for left, right in self.shock_clusters:
-                count = right - left + 1
-                mass = count * grid.spacing
-                momentum = float(np.sum(u0.values[left:right + 1]) * grid.spacing)
-                fh.write(json.dumps({
-                    "left": coords[left],
-                    "right": coords[right],
-                    "mass": mass,
-                    "momentum": momentum,
-                }) + "\n")
+        write_jsonl(path, ({
+            "left": coords[left], "right": coords[right],
+            "mass": (right - left + 1) * grid.spacing,
+            "momentum": float(np.sum(u0.values[left:right + 1])
+                              * grid.spacing),
+        } for left, right in self.shock_clusters))
 
 
 def build_potential(u0: GridPath, t: float = 1.0) -> GridPath:

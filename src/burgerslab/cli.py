@@ -81,13 +81,11 @@ def _parse_kv(pairs, what: str) -> dict:
 
 def _config_from_args(args) -> RunConfig:
     doc = load_config_file(args.config) if args.config else {}
+    # every flag given but these three is a field or an option
+    doc.update({key: value for key, value in vars(args).items()
+                if value is not None
+                and key not in ("command", "config", "opt")})
     doc["experiment"] = args.command
-    for key in ("hurst", "horizons", "spacing", "replicas", "seed", "out"):
-        value = getattr(args, key)
-        if value is not None:
-            doc[key] = value
-    if args.check is not None:
-        doc["check"] = args.check
     doc["options"] = _parse_kv(args.opt, "--opt")
     return config_from_dict(doc)
 

@@ -1,7 +1,7 @@
 """Reproducible batch experiments behind the command-line front door.
 
-Every experiment consumes a RunConfig (the fields all six read, and the
-options its ``OPTIONS`` rows declare), writes machine-readable artifacts
+Every experiment consumes a RunConfig (the ``FIELDS`` all six read, and
+the options its ``OPTIONS`` rows declare), writes machine-readable artifacts
 (JSON-lines records, CSV tables, JSON summaries) plus a manifest, and is
 bit-reproducible from that manifest: outputs depend only on the config.
 sample and solve run their cells (Hurst indices, replicas) one after
@@ -20,7 +20,7 @@ import json
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property, partial
 from pathlib import Path
 
@@ -34,7 +34,7 @@ from .fbm import (EXACT_SAMPLER_MAX_POINTS, FastRows, sample_fbm_exact,
 from .fitting import fit_scaling
 from .fractal import box_count
 from .grids import (RNG_SCHEME, GridPath, RandomnessSpec, SampleGrid,
-                    rng_state_write, write_json)
+                    rng_state_write, write_json, write_jsonl)
 from .persistence import (
     MIN_REPLICAS,
     PROCESSES,
@@ -107,26 +107,30 @@ _BOOLS = {"true": True, "1": True, "yes": True,
           "false": False, "0": False, "no": False}
 
 
+def _number(raw, kind):
+    """``kind(raw)``, refusing a bool, which Python counts as a number, and
+    a fraction when ``kind`` is int."""
+    if isinstance(raw, bool) or (kind is int and isinstance(raw, float)
+                                 and not raw.is_integer()):
+        raise ValueError
+    return kind(raw)
+
+
 def parse_value(raw, default, name: str):
     """``raw`` parsed as the type of ``default``; None gives ``default``.
     A tuple default means floats, comma-separated when ``raw`` is a string;
-    a bool is true/false, 1/0 or yes/no in any case, or a real bool; an int
-    is no bool and no fraction."""
+    a bool is true/false, 1/0 or yes/no in any case, or a real bool; a
+    number is no bool, and an int no fraction."""
     if raw is None:
         return default
     try:
-        if isinstance(default, tuple):
-            return tuple(float(v) for v in
-                         (raw.split(",") if isinstance(raw, str) else raw))
         if isinstance(default, bool):
             return raw if isinstance(raw, bool) else _BOOLS[str(raw).lower()]
-        if isinstance(default, int):
-            if isinstance(raw, bool) or (isinstance(raw, float)
-                                         and not raw.is_integer()):
-                raise ValueError
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
+        if isinstance(default, tuple):
+            return tuple(_number(v, float) for v in
+                         (raw.split(",") if isinstance(raw, str) else raw))
+        if isinstance(default, (int, float)):
+            return _number(raw, type(default))
     except (TypeError, ValueError, KeyError):
         kind = ("a comma-separated list of numbers"
                 if isinstance(default, tuple) else type(default).__name__)
@@ -149,8 +153,8 @@ def _at_least(lo) -> tuple:
 
 
 class Option:
-    """One row of an option table (an experiment's options, a check's
-    ``--set`` keys): the default, whose type a string parses as, and a rule."""
+    """An input's row (a run-config field, an experiment's option, a
+    check's ``--set`` key): its default, whose type parses it, and a rule."""
 
     def __init__(self, default, allowed: str, ok):
         self.default, self.allowed, self.ok = default, allowed, ok
@@ -225,38 +229,40 @@ _WIDTHS = {"sample": lambda opts: opts["spacing"] * opts["points"],
            "solve": lambda opts: opts["spacing"] * 2 * opts["half-points"],
            "dim": lambda opts: 2.0}
 
-# Rules on the run-config fields other than experiment, out and options.
-_FIELD_RULES = {
+# The run-config fields besides experiment and options; all six read them
+FIELDS = {
     # "h={h:g}" keys every output, so two values it prints alike repeat
-    "hurst": ("a non-empty list of values in (0, 1) distinct to 6 digits",
-              lambda hs: len({f"{h:g}" for h in hs}) == len(hs) > 0
-              and all(0.0 < h < 1.0 for h in hs)),
-    "replicas": _within(1, REPLICAS_MAX),
-    "seed": _within(0, SEED_MAX),
+    "hurst": Option((0.5,), "a non-empty list of values in (0, 1) distinct "
+                    "to 6 digits", lambda hs: len({f"{h:g}" for h in hs})
+                    == len(hs) > 0 and all(0.0 < h < 1.0 for h in hs)),
+    "replicas": Option(100, *_within(1, REPLICAS_MAX)),
+    "seed": Option(0, *_within(0, SEED_MAX)),
+    "out": Option("run-out", "a non-empty path", bool),
+    "check": Option(False, "true or false", lambda _v: True),
 }
 
 
 @dataclass(frozen=True)
 class RunConfig:
     experiment: str
-    hurst: tuple[float, ...] = (0.5,)
-    replicas: int = 100
-    seed: int = 0
-    out: str = "run-out"
-    check: bool = False
+    hurst: tuple[float, ...] = FIELDS["hurst"].default
+    replicas: int = FIELDS["replicas"].default
+    seed: int = FIELDS["seed"].default
+    out: str = FIELDS["out"].default
+    check: bool = FIELDS["check"].default
     options: dict = field(default_factory=dict)
 
     def validate(self) -> "RunConfig":
-        """Checks every field and every option before any output is made;
+        """The config with its fields typed as their rows' defaults, once
+        every field and every option is checked, before any output is made;
         raises ConfigError naming the first bad one."""
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment must be one of {EXPERIMENTS}, "
                               f"got {self.experiment!r}")
-        for name, (allowed, ok) in _FIELD_RULES.items():
-            value = getattr(self, name)
-            if not ok(value):
-                raise ConfigError(f"{name} must be {allowed}, got {value!r}")
-        opts = self.typed_options
+        cfg = replace(self, **parse_options(
+            FIELDS, {key: getattr(self, key) for key in FIELDS}, "field",
+            "run configs"))
+        opts = cfg.typed_options
         # the checks that span several fields or options
         if (self.experiment == "sample" and opts["method"] == "exact"
                 and opts["points"] >= EXACT_SAMPLER_MAX_POINTS):
@@ -272,16 +278,16 @@ class RunConfig:
                               f"and w^2 / (2 time) for solve and dim, finite, "
                               f"got w = {w:g}")
         if self.experiment == "persist":
-            self._validate_persist()
+            cfg._validate_persist()
         if self.experiment == "rkhs-verify":
-            for h in self.hurst:
+            for h in cfg.hurst:
                 try:
                     space = build_space(_rkhs_grid(opts["half-points"]), h)
                     rkhs_norm(space, _rkhs_trend(space, opts["trend"]))
                 except ValueError as exc:
                     raise ConfigError(f"option trend {opts['trend']} at "
                                       f"hurst {h:g}: {exc}") from None
-        return self
+        return cfg
 
     def _validate_persist(self) -> None:
         """The preconditions of ``estimate_persistence`` and its events that
@@ -316,19 +322,17 @@ class RunConfig:
 
 def config_from_dict(doc: dict) -> RunConfig:
     """Typed, validated config from raw values (the strings of flags and
-    config files, or a manifest's typed values); each field parses as the
-    type of its default, and every other key is an option, below those of
+    config files, or a manifest's typed values); each ``FIELDS`` key is a
+    field, and every other key is an option, below those of
     ``doc["options"]``."""
-    names = [f.name for f in fields(RunConfig)]
-    typed = {f.name: parse_value(doc.get(f.name), f.default, f.name)
-             for f in fields(RunConfig) if f.name not in ("experiment", "options")}
-    options = {k: v for k, v in doc.items() if k not in names}
+    options = {k: v for k, v in doc.items()
+               if k not in (*FIELDS, "experiment", "options")}
     if not isinstance(doc.get("options", {}), dict):
         raise ConfigError(f"options must be an object of key: value pairs, "
                           f"got {doc['options']!r}")
     return RunConfig(experiment=doc.get("experiment"),
                      options={**options, **doc.get("options", {})},
-                     **typed).validate()
+                     **{k: doc[k] for k in FIELDS if k in doc}).validate()
 
 
 def load_config_file(path) -> dict:
@@ -375,7 +379,7 @@ def run_sample(cfg: RunConfig, outdir: Path) -> dict:
             index.append({"h": h, "replica": rep, "file": name,
                           "max": float(path.values.max()),
                           "min": float(path.values.min())})
-    _write_jsonl(outdir / "index.jsonl", index)
+    write_jsonl(outdir / "index.jsonl", index)
     return {"checks": [], "flagged": False}
 
 
@@ -394,7 +398,7 @@ def run_solve(cfg: RunConfig, outdir: Path) -> dict:
             rows.append({"h": h, "replica": rep,
                          "contacts": int(len(sol.contact_indices)),
                          "clusters": len(sol.shock_clusters)})
-    _write_jsonl(outdir / "summary.jsonl", rows)
+    write_jsonl(outdir / "summary.jsonl", rows)
     return {"checks": [], "flagged": False}
 
 
@@ -455,7 +459,7 @@ def run_dim(cfg: RunConfig, outdir: Path) -> dict:
     results = _dim_cells(cfg)
     records = [r for cell, _, _ in results for r in cell]
     summaries = [s for _, s, _ in results]
-    _write_jsonl(outdir / "records.jsonl", records)
+    write_jsonl(outdir / "records.jsonl", records)
     write_json(outdir / "summary.json",
                {f"h={s['h']:g}": s for s in summaries})
     for h, (_, _, fit) in zip(cfg.hurst, results):
@@ -515,10 +519,10 @@ def _exponent_checks(cfg: RunConfig, fits: dict) -> dict:
 
 def run_persist(cfg: RunConfig, outdir: Path) -> dict:
     cells, ests, fits = _persist_fits(cfg)
-    _write_jsonl(outdir / "records.jsonl",
-                 [{**est.record(), "event": event.process,
-                   "level": event.level, "h": h}
-                  for (event, h), est in zip(cells, ests)])
+    write_jsonl(outdir / "records.jsonl",
+                [{**est.record(), "event": event.process,
+                  "level": event.level, "h": h}
+                 for (event, h), est in zip(cells, ests)])
     if fits:
         write_json(outdir / "fits.json", {f"{name} h={h:g}": fit.summary()
                                           for (name, h), fit in fits.items()})
@@ -662,9 +666,3 @@ def rerun_from_manifest(manifest_path, out: str | None = None) -> tuple[int, dic
     if out is not None:
         cfg = replace(cfg, out=out)
     return run_experiment(cfg)
-
-
-def _write_jsonl(path, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")

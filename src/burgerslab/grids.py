@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ctypes
 import json
+import math
 from dataclasses import dataclass
 from functools import partial
 import numpy as np
@@ -313,11 +314,30 @@ def write_csv(path, header, rows) -> None:
             fh.write(",".join(_format_cell(c) for c in row) + "\n")
 
 
+def _finite(doc):
+    """``doc`` with each non-finite float, which JSON cannot hold, as None."""
+    if isinstance(doc, float):
+        return doc if math.isfinite(doc) else None
+    if isinstance(doc, dict):
+        return {key: _finite(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_finite(value) for value in doc]
+    return doc
+
+
 def write_json(path, doc) -> None:
-    """Indented, key-sorted JSON with a trailing newline."""
+    """Indented, key-sorted JSON with a trailing newline; a non-finite
+    float is written as null."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(_finite(doc), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_jsonl(path, rows) -> None:
+    """One key-sorted JSON object per line, non-finite floats as null."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(_finite(row), sort_keys=True) + "\n"
+                      for row in rows)
 
 
 def _format_cell(c) -> str:

@@ -375,7 +375,8 @@ def exponent_fit(estimates) -> ScalingFit:
     """Slope of log(1/p) against log(T) over a horizon ladder.
 
     Estimates with p below 10/replicas are excluded (flagged in the fit);
-    per-horizon MC errors propagate into ``slope_se``.
+    per-horizon MC errors propagate into ``slope_se``.  With fewer than 2
+    left, the fit is degenerate and excludes every horizon.
     """
     ests = sorted(estimates, key=lambda e: e.horizon)
     if len(ests) < 4:
@@ -387,8 +388,9 @@ def exponent_fit(estimates) -> ScalingFit:
         else:
             kept.append(e)
     if len(kept) < 2:
-        raise ValueError(f"fewer than 2 reliable horizons (excluded "
-                         f"{excluded})")
+        return ScalingFit((), (), slope=math.nan, intercept=math.nan,
+                          max_residual=math.nan, degenerate=True,
+                          excluded=tuple(e.horizon for e in ests))
     scales = [1.0 / e.horizon for e in kept]
     values = [1.0 / e.value for e in kept]
     # se of log(1/p) is se_p / p, i.e. (se of value) / value with

@@ -217,7 +217,7 @@ def solve_clusters_jsonl(sol, u0) -> str:
         "left": coords[left], "right": coords[right],
         "mass": (right - left + 1) * grid.spacing,
         "momentum": float(np.sum(u0.values[left:right + 1]) * grid.spacing),
-    }) + "\n" for left, right in sol.shock_clusters)
+    }, sort_keys=True) + "\n" for left, right in sol.shock_clusters)
 
 
 def dim_outputs(cfg, outdir):

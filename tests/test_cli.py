@@ -2,12 +2,13 @@
 
 import ast
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import textwrap
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +16,9 @@ import pytest
 
 import burgerslab
 from burgerslab.cli import main
-from burgerslab.grids import rng_state_write
+from burgerslab.grids import rng_state_write, write_json, write_jsonl
 from burgerslab import experiments
-from burgerslab.acceptance import CHECKS, Check, run_checks
+from burgerslab.acceptance import _TINY_CONFIGS, CHECKS, Check, run_checks
 from burgerslab.experiments import (
     EXPERIMENTS,
     OPTIONS,
@@ -58,6 +59,30 @@ class TestExitCodes:
                        "--seed", "4", "--out", str(tmp_path / "p"),
                        "--opt", "slope-tol=0", "--check"])
         assert status == 3  # no fitted slope equals the exponent exactly
+
+    # both fail at ccdf48f: after its Monte Carlo, the run printed a
+    # ValueError traceback and removed its directory
+    @pytest.mark.parametrize("flags, status", [([], 2), (["--check"], 3)])
+    def test_unfittable_ladder_is_a_degenerate_fit(self, tmp_path, capsys,
+                                                   flags, status):
+        out = tmp_path / "p"
+        assert main(["persist", "--hurst", "0.5", "--horizon", "4,8,16,32",
+                     "--replicas", "100", "--opt", "level=-3",
+                     "--out", str(out), *flags]) == status
+        fit = json.loads((out / "fits.json").read_text())["fbm_max h=0.5"]
+        assert fit["degenerate"] is True and fit["slope"] is None
+        assert fit["excluded"] == [4.0, 8.0, 16.0, 32.0]
+        assert len((out / "records.jsonl").read_text().splitlines()) == 4
+        assert "FAIL exponent fbm_max h=0.5" in capsys.readouterr().out
+
+    # fails at ccdf48f: the criterion exited 1 with a config error
+    def test_unfittable_criterion_fails(self, capsys):
+        assert main(["check", "--only", "max-exponent",
+                     "--set", "max-exp.replicas=100",
+                     "--set", "max-exp.level=-3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith("FAIL max-exponent")
 
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 32)])
     def test_out_of_range_seed_leaves_no_directory(self, tmp_path, capsys,
@@ -292,15 +317,18 @@ class TestBadValues:
 
     # each printed a traceback before the paths were checked where they are
     # opened: IsADirectoryError, UnicodeDecodeError, FileExistsError and
-    # NotADirectoryError
+    # NotADirectoryError; and at ccdf48f an empty --out wrote the run into
+    # the working directory
     @pytest.mark.parametrize("argv, field", [
         (["rerun", "{dir}"], "manifest"),
         (["rerun", "{latin1}"], "manifest"),
         (["persist", "--config", "{dir}"], "config"),
         (["persist", "--config", "{latin1}"], "config"),
         (ARGS + ["--out", "{file}"], "out"),
-        (ARGS + ["--out", "{file}/p"], "out")])
-    def test_unusable_path(self, tmp_path, capsys, argv, field):
+        (ARGS + ["--out", "{file}/p"], "out"),
+        (ARGS + ["--out", ""], "field out")])
+    def test_unusable_path(self, tmp_path, capsys, monkeypatch, argv, field):
+        monkeypatch.chdir(tmp_path)
         paths = {"dir": tmp_path / "dir", "latin1": tmp_path / "latin1",
                  "file": tmp_path / "file"}
         paths["dir"].mkdir()
@@ -335,6 +363,30 @@ class TestBadValues:
             assert parse_value(raw, False, "check") is True
         for raw in ("false", "False", "0", "no", "NO", False):
             assert parse_value(raw, True, "check") is False
+
+    def test_bool_is_no_number(self):
+        for raw, default in ((True, 1), (False, 1.0), ([1.0, True], ())):
+            with pytest.raises(ConfigError, match="option x must parse"):
+                parse_value(raw, default, "option x")
+
+    # both fail at ccdf48f: the bool ran as 1.0, and the rerun exited 0
+    @pytest.mark.parametrize("argv, options, field", [
+        (["dim", "--replicas", "2", "--opt", "grid-log2=6"],
+         {"time": True, "grid-log2": 6}, "option time"),
+        (["persist", "--horizon", "4,8,16,32", "--replicas", "100"],
+         {"horizons": [True, 8, 16, 32]}, "option horizons")])
+    def test_bool_manifest_option(self, tmp_path, capsys, argv, options,
+                                  field):
+        assert main(argv + ["--hurst", "0.5",
+                            "--out", str(tmp_path / "p")]) in (0, 2)
+        manifest = tmp_path / "p" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["config"]["options"] = options
+        manifest.write_text(json.dumps(doc))
+        again = tmp_path / "again"
+        capsys.readouterr()
+        status = main(["rerun", str(manifest), "--out", str(again)])
+        self.assert_config_error(status, capsys, again, field)
 
     def test_bad_manifest_value(self, tmp_path, capsys):
         assert main(self.ARGS + ["--out", str(tmp_path / "p")]) == 0
@@ -611,7 +663,52 @@ class TestConfigFile:
             load_config_file(bad)
 
 
+def _standard_json(outdir) -> int:
+    """The number of JSON documents in the .json and .jsonl files of
+    ``outdir``, each parsed as standard JSON, which has no NaN or
+    Infinity."""
+    def refuse(token):
+        raise ValueError(f"{token} is not standard JSON")
+    docs = 0
+    for path in sorted(outdir.iterdir()):
+        if path.suffix in (".json", ".jsonl"):
+            text = path.read_text()
+            for doc in [text] if path.suffix == ".json" else text.splitlines():
+                json.loads(doc, parse_constant=refuse)
+                docs += 1
+    return docs
+
+
 class TestArtifacts:
+    def test_non_finite_floats_written_as_null(self, tmp_path):
+        write_json(tmp_path / "a.json",
+                   {"x": [math.nan, (math.inf, 1.5)], "y": {"z": -math.inf}})
+        write_jsonl(tmp_path / "b.jsonl", [{"x": math.nan}, {"x": 2.0}])
+        assert _standard_json(tmp_path) == 3
+        assert json.loads((tmp_path / "a.json").read_text()) == \
+            {"x": [None, [None, 1.5]], "y": {"z": None}}
+        assert (tmp_path / "b.jsonl").read_text() == \
+            '{"x": null}\n{"x": 2.0}\n'
+
+    # both fail at ccdf48f: dim's degenerate fits wrote "max_residual": NaN
+    # on every line, and rkhs-verify's level wrote "lhs": NaN
+    @pytest.mark.parametrize("argv, file, key", [
+        (["dim", "--replicas", "6", "--opt", "grid-log2=5"],
+         "records.jsonl", "max_residual"),
+        (["rkhs-verify", "--replicas", "200", "--opt", "trend=combined1",
+          "--opt", "level=-1"], "shift.json", "lhs")])
+    def test_result_files_are_standard_json(self, tmp_path, argv, file, key):
+        out = tmp_path / "r"
+        assert main(argv + ["--hurst", "0.5", "--out", str(out)]) == 2
+        assert _standard_json(out) >= 2
+        assert f'"{key}": null' in (out / file).read_text()
+
+    def test_tiny_configs_write_standard_json(self, tmp_path):
+        for cfg in _TINY_CONFIGS:
+            out = tmp_path / cfg.experiment
+            assert run_experiment(replace(cfg, out=str(out)))[0] in (0, 2)
+            assert _standard_json(out) >= 2
+
     def test_persist_record_fields(self, tmp_path):
         out = tmp_path / "p"
         assert main(["persist", "--hurst", "0.5", "--horizon", "4,8",

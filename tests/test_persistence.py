@@ -158,6 +158,15 @@ class TestExponentFit:
         fit = exponent_fit(good + [bad])
         assert 512.0 in fit.excluded
 
+    # fails at ccdf48f, which raised ValueError after the Monte Carlo
+    def test_too_few_reliable_horizons_is_degenerate(self):
+        ests = [McEstimate(value=0.2 if t == 2 else 0.001, std_error=0.001,
+                           replicas=1000, seed=0, spacing=1.0,
+                           horizon=float(t)) for t in (2, 4, 8, 16)]
+        fit = exponent_fit(ests)
+        assert fit.degenerate and np.isnan(fit.slope)
+        assert fit.excluded == (2.0, 4.0, 8.0, 16.0)
+
     def test_needs_four_horizons(self):
         ests = [McEstimate(value=0.5, std_error=0.01, replicas=1000, seed=0,
                            spacing=1.0, horizon=float(t)) for t in (2, 4, 8)]
