@@ -14,9 +14,11 @@ import sys
 from .experiments import (
     ConfigError,
     EXPERIMENTS,
+    FIELDS,
     RunConfig,
     config_from_dict,
     load_config_file,
+    parse_options,
     path_errors,
     rerun_from_manifest,
     run_experiment,
@@ -98,9 +100,11 @@ def _run_check(args) -> int:
         return 0
     names = args.only.split(",") if args.only else None
     overrides = _parse_kv(args.set, "--set")
-    if args.out:
+    if args.out is not None:
         # an unusable report path fails here, before any check runs; a file
         # this probe makes is removed again
+        parse_options({"out": FIELDS["out"]}, {"out": args.out}, "field",
+                      "check")
         made = not os.path.exists(args.out)
         with path_errors("out", args.out):
             open(args.out, "a").close()
@@ -114,7 +118,7 @@ def _run_check(args) -> int:
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(f"{status} {res.name} ({res.runtime_s:.1f}s)")
-    if args.out:
+    if args.out is not None:
         report = {res.name: {"pass": res.passed, "runtime_s": res.runtime_s,
                              "details": res.details} for res in results}
         with path_errors("out", args.out):

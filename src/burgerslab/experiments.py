@@ -40,6 +40,7 @@ from .persistence import (
     PROCESSES,
     BarrierEvent,
     _exact_steps,
+    bound_check,
     estimate_persistences,
     exponent_fit,
     replica_stats,
@@ -355,17 +356,6 @@ def load_config_file(path) -> dict:
 # experiments
 # ---------------------------------------------------------------------------
 
-def bound_check(name: str, got, se, target: float, tol: float) -> dict:
-    """A check row that passes when |got - target| <= tol; margin_sigma,
-    (tol - |got - target|) / se, is its distance to that bound in SEs, and
-    None when ``got`` is None or the SE is unknown or zero."""
-    off = None if got is None else abs(got - target)
-    return {"name": name, "got": got, "se": se, "target": target, "tol": tol,
-            "pass": off is not None and bool(off <= tol),
-            "margin_sigma": (tol - off) / se if off is not None and se
-            else None}
-
-
 def run_sample(cfg: RunConfig, outdir: Path) -> dict:
     sampler = (sample_fbm_fast if cfg.opt("method") == "fast"
                else sample_fbm_exact)
@@ -437,13 +427,16 @@ def _dim_cell(h: float, cfg: RunConfig, points, counts):
     for rep, (size, row) in enumerate(zip(points, counts)):
         record = {"h": h, "replica": rep, "slope": None, "points": int(size)}
         # total collapse happens at small grids; no dimension to fit
-        if size >= 4:
-            fit = fit_scaling(DIM_SCALES, row)
-            record.update(slope=None if fit.degenerate else fit.slope,
-                          max_residual=fit.max_residual,
+        fit = fit_scaling(DIM_SCALES, row) if size >= 4 else None
+        if fit is not None:
+            record.update(max_residual=fit.max_residual,
                           split_discrepancy=fit.split_discrepancy)
-            if rep == 0 and not fit.degenerate:
-                first_fit = fit
+        if fit is None or fit.degenerate:
+            record["reason"] = ("window_collapsed" if fit is None
+                                else "degenerate_fit")
+        else:
+            record["slope"] = fit.slope
+            first_fit = fit if rep == 0 else first_fit
         records.append(record)
     slopes = np.array([r["slope"] for r in records if r["slope"] is not None])
     summary = {"h": h,
@@ -466,8 +459,9 @@ def run_dim(cfg: RunConfig, outdir: Path) -> dict:
         if fit is not None:
             fit.to_csv(outdir / f"fit_h{h:g}_scale_count.csv")
             write_json(outdir / f"fit_h{h:g}.json", fit.summary())
+    tol = cfg.opt("slope-tol")
     return {"checks": [bound_check(f"dim slope h={s['h']:g}", s["slope"],
-                                   s["slope_se"], s["h"], cfg.opt("slope-tol"))
+                                   s["slope_se"], s["h"] - tol, s["h"] + tol)
                        for s in summaries],
             "flagged": any(s["valid_replicas"] < s["replicas"]
                            for s in summaries)}
@@ -513,7 +507,8 @@ def _exponent_checks(cfg: RunConfig, fits: dict) -> dict:
         if exponent(h) is not None:
             tol = cfg.opt("slope-tol") if "slope-tol" in cfg.options else tol
             rows[name, h] = bound_check(f"exponent {name} h={h:g}", fit.slope,
-                                        fit.slope_se, exponent(h), tol)
+                                        fit.slope_se, exponent(h) - tol,
+                                        exponent(h) + tol)
     return rows
 
 
@@ -589,8 +584,8 @@ def run_rkhs_verify(cfg: RunConfig, outdir: Path) -> dict:
          for space in spaces], cfg.replicas, cfg.seed)
     write_json(outdir / "shift.json", {f"h={h:g}": rep.to_json()
                                        for h, rep in zip(cfg.hurst, reports)})
-    return {"checks": [{"name": f"shift bound {trend_name} h={h:g}",
-                        "pass": bool(rep.passed)}
+    return {"checks": [{**rep.check,
+                        "name": f"shift bound {trend_name} h={h:g}"}
                        for h, rep in zip(cfg.hurst, reports)],
             "flagged": any(rep.inconclusive for rep in reports)}
 

@@ -162,6 +162,19 @@ class McEstimate:
         return out
 
 
+def bound_check(name: str, got, se, lo: float = -math.inf,
+                hi: float = math.inf) -> dict:
+    """A check row that passes when lo <= got <= hi; margin_sigma,
+    min(got - lo, hi - got) / se, is its distance to the nearer bound in
+    SEs, and None when ``got`` is None or NaN or the SE is unknown or
+    zero."""
+    known = got is not None and not math.isnan(got)
+    return {"name": name, "got": got, "se": se, "lo": lo, "hi": hi,
+            "pass": known and bool(lo <= got <= hi),
+            "margin_sigma": min(got - lo, hi - got) / se if known and se
+            else None}
+
+
 def worker_count() -> int:
     """Worker processes for Monte-Carlo work: the CPU count, capped by
     BURGERSLAB_WORKERS; raises ValueError when the cap is no integer."""
@@ -625,35 +638,29 @@ def _chain_report(h, n, replicas, seed, m1, stats) -> ChainReport:
         "max_rel_err": worst_telescope, "tol": 1e-9,
         "pass": bool(worst_telescope <= 1e-9),
     }
-    sigma10 = 4.0 * se_d10
     relations["eq10"] = {
-        "lhs": mean_f, "rhs": 2.0 * mean_max, "se": se_d10,
-        "margin_sigma": abs(mean_d10) / se_d10 if se_d10 > 0 else 0.0,
-        "pass": bool(abs(mean_d10) <= sigma10),
-    }
+        **bound_check("eq10", mean_d10, se_d10, -4.0 * se_d10, 4.0 * se_d10),
+        "lhs": mean_f, "rhs": 2.0 * mean_max}
     se11 = math.hypot(se_f, se_bound11)
     relations["eq11"] = {
-        "lhs": mean_f, "rhs": bound11, "se": se11,
-        "margin_sigma": (bound11 - mean_f) / se11 if se11 > 0 else math.inf,
-        "pass": bool(mean_f <= bound11 + 4.0 * se11),
-    }
+        **bound_check("eq11", mean_f, se11, hi=bound11 + 4.0 * se11),
+        "lhs": mean_f, "rhs": bound11}
     term_mean = _means(gap_sum, r)
     diff_mean, diff_se = _moments(diff_sum, diff_square_sum, r)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        margins = np.where(diff_se > 0, diff_mean / diff_se, np.inf)
-    worst_k = int(np.argmin(margins)) + 1
-    relations["eq14"] = {
-        "lhs": float(term_mean.min()), "rhs": mean_xi, "se_xi": se_xi,
-        "worst_k": worst_k, "worst_margin_sigma": float(margins.min()),
-        "pass": bool(np.all(diff_mean >= -4.0 * diff_se)),
-    }
+    # each k's difference in its SEs; a k without an SE ranks by its sign
+    ratios = np.divide(diff_mean, diff_se, where=diff_se > 0,
+                       out=np.where(diff_mean < 0, -np.inf, np.inf))
+    k = int(np.argmin(ratios))
+    d, s = float(diff_mean[k]), float(diff_se[k])
+    relations["eq14"] = {**bound_check("eq14", d, s, lo=-4.0 * s),
+                         "lhs": float(term_mean.min()), "rhs": mean_xi,
+                         "se_xi": se_xi, "worst_k": k + 1}
     xi4 = McEstimate.proportion(count_xi_ge4, r, seed=seed, spacing=1.0)
     rhs15 = (n - 2.0) * 4.0 * xi4.value
     se15 = math.hypot(se_bound11, (n - 2.0) * 4.0 * xi4.std_error)
     relations["eq15"] = {
-        "lhs": bound11, "rhs": rhs15, "se": se15,
-        "pass": bool(bound11 >= rhs15 - 4.0 * se15),
-    }
+        **bound_check("eq15", bound11, se15, lo=rhs15 - 4.0 * se15),
+        "lhs": bound11, "rhs": rhs15}
     relations["eq16"] = {
         "count_xi_ge4": count_xi_ge4, "count_corner": count_corner,
         "count_trended": count_trended,
@@ -666,9 +673,9 @@ def _chain_report(h, n, replicas, seed, m1, stats) -> ChainReport:
     bound17 = m1.value * float(n) ** (h - 1.0)
     se_bound17 = m1.std_error * float(n) ** (h - 1.0)
     relations["eq17"] = {
+        **bound_check("eq17", p_trend_up, se_bound17,
+                      hi=bound17 + 4.0 * se_bound17),
         "lhs": p_trend, "lhs_upper_4sigma": p_trend_up, "rhs": bound17,
-        "se_rhs": se_bound17,
-        "pass": bool(p_trend_up <= bound17 + 4.0 * se_bound17),
-    }
+        "se_rhs": se_bound17}
     return ChainReport(h=h, n=n, replicas=replicas, seed=seed, m1=m1,
                        relations=relations)

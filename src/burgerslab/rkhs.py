@@ -27,7 +27,8 @@ import numpy as np
 
 from .fbm import fbm_covariance, ifbm_covariance, integrate_values
 from .grids import SampleGrid, check_hurst, replica_normals
-from .persistence import McEstimate, RELIABILITY_FLOOR, replica_stats
+from .persistence import (McEstimate, RELIABILITY_FLOOR, bound_check,
+                          replica_stats)
 
 
 DENSE_SPACE_MAX_POINTS = 512
@@ -213,7 +214,7 @@ def combined_trend(space: KernelSpace, a: int) -> TrendFunction:
     psi = psi_trend(space.grid)
     values = psi.values + (1.0 + a) * (phi1.values / phi1.values[idx1]
                                        + phi2.values / phi2.values[idxm1])
-    return TrendFunction(values=values, label="combined")
+    return TrendFunction(values=values, label=f"combined{a}")
 
 
 def covariance_column_trend(space: KernelSpace, coordinate: float,
@@ -233,23 +234,29 @@ def covariance_column_trend(space: KernelSpace, coordinate: float,
 @dataclass(frozen=True)
 class ShiftReport:
     """Monte-Carlo check that shifting the path by the trend moves
-    sqrt(-log p) by at most norm/sqrt(2)."""
+    sqrt(-log p) by at most norm/sqrt(2): its ``bound_check`` row, whose
+    ``got`` is None when a probability is below the reliability floor."""
 
     p_trended: McEstimate
     p_plain: McEstimate
     norm: float
-    lhs: float
-    rhs: float
-    slack_sigma: float
-    passed: bool
-    inconclusive: bool
+    check: dict
+
+    @property
+    def passed(self) -> bool:
+        return self.check["pass"]
+
+    @property
+    def inconclusive(self) -> bool:
+        return self.check["got"] is None
 
     def to_json(self) -> dict:
-        return {"p_trended": self.p_trended.value, "p_plain": self.p_plain.value,
+        return {**self.check, "p_trended": self.p_trended.value,
+                "p_plain": self.p_plain.value,
                 "se_trended": self.p_trended.std_error,
-                "se_plain": self.p_plain.std_error,
-                "norm": self.norm, "lhs": self.lhs, "rhs": self.rhs,
-                "pass": self.passed, "inconclusive": self.inconclusive}
+                "se_plain": self.p_plain.std_error, "norm": self.norm,
+                "lhs": self.check["got"], "rhs": self.norm / math.sqrt(2.0),
+                "inconclusive": self.inconclusive}
 
 
 def _stays_below(phi, level, draws):
@@ -292,20 +299,16 @@ def _shift_report(space, trend, norm, plain, trended, replicas, seed):
         spacing=space.grid.spacing, label=what)
     est0, est1 = mk(plain, "plain"), mk(trended, f"trend:{trend.label}")
     p0, p1 = est0.value, est1.value
+    name = f"shift bound {trend.label} h={space.hurst:g}"
+    rhs = norm / math.sqrt(2.0)
     floor = RELIABILITY_FLOOR / replicas
     if p0 < floor or p1 < floor:
-        return ShiftReport(p_trended=est1, p_plain=est0, norm=norm,
-                           lhs=math.nan, rhs=norm / math.sqrt(2.0),
-                           slack_sigma=math.nan, passed=False,
-                           inconclusive=True)
+        return ShiftReport(est1, est0, norm, bound_check(name, None, None,
+                                                         hi=rhs))
     root0 = math.sqrt(-math.log(p0))
     root1 = math.sqrt(-math.log(p1))
-    lhs = abs(root1 - root0)
-    rhs = norm / math.sqrt(2.0)
     se0 = est0.std_error / (2.0 * p0 * root0)
     se1 = est1.std_error / (2.0 * p1 * root1)
     se = math.hypot(se0, se1)
-    slack_sigma = (rhs - lhs) / se if se > 0 else math.inf
-    return ShiftReport(p_trended=est1, p_plain=est0, norm=norm, lhs=lhs,
-                       rhs=rhs, slack_sigma=slack_sigma,
-                       passed=bool(lhs <= rhs + 4.0 * se), inconclusive=False)
+    return ShiftReport(est1, est0, norm, bound_check(
+        name, abs(root1 - root0), se, hi=rhs + 4.0 * se))

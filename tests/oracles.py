@@ -5,7 +5,7 @@ telescoped slope functional, the plain monotone-chain hull, the
 reflection principle for the maximum of Brownian motion, means and
 standard errors from ``math.fsum``, solve's clusters file and the dim
 experiment one replica and one Hurst index at a time, both on the whole
-grid's coordinates."""
+grid's coordinates, and the rule of every check row."""
 
 import json
 import math
@@ -198,13 +198,15 @@ def dim_replica(h, cfg, rep):
     pts = coords[(coords >= window[0]) & (coords <= window[1])]
     if pts.size < 4:
         return {"h": h, "replica": rep, "slope": None,
-                "points": int(pts.size)}, None
+                "points": int(pts.size), "reason": "window_collapsed"}, None
     fit = dimension_estimate(pts, scales, window=window)
     record = {"h": h, "replica": rep,
               "slope": None if fit.degenerate else fit.slope,
               "points": int(pts.size),
               "max_residual": fit.max_residual,
               "split_discrepancy": fit.split_discrepancy}
+    if fit.degenerate:
+        record["reason"] = "degenerate_fit"
     return record, fit if rep == 0 and not fit.degenerate else None
 
 
@@ -244,3 +246,37 @@ def dim_outputs(cfg, outdir):
         for record in records:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
     write_json(outdir / "summary.json", summaries)
+
+
+def check_rows(doc) -> list:
+    """Every check row in ``doc``, a nest of dicts and lists: each dict
+    that has a ``margin_sigma``."""
+    if isinstance(doc, dict):
+        if "margin_sigma" in doc:
+            return [doc]
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        return [row for value in doc for row in check_rows(value)]
+    return []
+
+
+def assert_check_rows(rows) -> None:
+    """Each row passes exactly when lo <= got <= hi, a bound written as
+    null being infinite; with an SE its margin_sigma is
+    min(got - lo, hi - got) / se, non-negative exactly when it passes, and
+    without an SE or a value it is None."""
+    assert rows
+    for row in rows:
+        got, se = row["got"], row["se"]
+        lo = -math.inf if row["lo"] is None else row["lo"]
+        hi = math.inf if row["hi"] is None else row["hi"]
+        if got is None or math.isnan(got):
+            assert row["pass"] is False and row["margin_sigma"] is None, row
+            continue
+        assert row["pass"] == (lo <= got <= hi), row
+        if se:
+            assert se > 0, row
+            assert row["margin_sigma"] == min(got - lo, hi - got) / se, row
+            assert (row["margin_sigma"] >= 0) == row["pass"], row
+        else:
+            assert row["margin_sigma"] is None, row

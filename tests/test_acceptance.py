@@ -14,6 +14,7 @@ from burgerslab import acceptance
 from burgerslab.acceptance import CHECKS, H_TRIPLE, _ks_statistic, \
     _puncture_ordering, run_checks
 from burgerslab.persistence import BarrierEvent, _event_cell, replica_stats
+from oracles import assert_check_rows, check_rows
 
 CRITERIA = [
     (1, "sampler-covariance",
@@ -111,23 +112,26 @@ class TestKsStatistic:
             assert _ks_statistic(b, a) == ks_2samp(b, a).statistic
 
 
+# each criterion's count of check rows
+ROWS = {"sampler-covariance": 1, "expectation-identity": 1,
+        "inequality-chain": 1, "dimension": 3, "max-exponent": 3,
+        "integral-exponent": 1, "two-sided-bound": 3, "rkhs": 5}
+
+
 @pytest.mark.parametrize("name, overrides", [
     ("dimension", {"dim.replicas": "4", "dim.grid-log2": "13",
                    "dim.slope-tol": "0.3"}),
     ("max-exponent", {"max-exp.replicas": "1000"}),
     ("integral-exponent", {"int-exp.replicas": "1000"}),
     ("two-sided-bound", {"two-sided.replicas": "1000"}),
-    ("expectation-identity", {})])
+    ("expectation-identity", {}),
+    ("sampler-covariance", {"sampler-cov.replicas": "1000"}),
+    ("inequality-chain", {"chain.replicas": "1000", "chain.n": "16"}),
+    ("rkhs", {"rkhs.replicas": "100000"})])
 def test_margins_in_se(name, overrides):
-    """Criteria 04 and 07-10 report each row's SE and its distance to the
-    bound in SEs, positive exactly when the row passes."""
-    details = run_checks([name], overrides)[0].details
-    rows = details.get("slopes") or details.get("fits") or details["gaps"]
-    for row in rows.values():
-        if "floor" in row:
-            margin = row["got"] - row["floor"]
-        else:
-            margin = row["tol"] - abs(row["got"] - row["target"])
-        assert row["se"] > 0
-        assert row["margin_sigma"] == pytest.approx(margin / row["se"])
-        assert (row["margin_sigma"] >= 0) == row["pass"]
+    """Criteria 01, 04, 05 and 07-11 build every bounded row by one rule
+    (``oracles.assert_check_rows``), each row with an SE."""
+    rows = check_rows(run_checks([name], overrides)[0].details)
+    assert len(rows) == ROWS[name]
+    assert all(row["se"] > 0 for row in rows)
+    assert_check_rows(rows)

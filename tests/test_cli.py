@@ -29,6 +29,8 @@ from burgerslab.experiments import (
     run_experiment,
 )
 
+from oracles import assert_check_rows, check_rows
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -317,8 +319,9 @@ class TestBadValues:
 
     # each printed a traceback before the paths were checked where they are
     # opened: IsADirectoryError, UnicodeDecodeError, FileExistsError and
-    # NotADirectoryError; and at ccdf48f an empty --out wrote the run into
-    # the working directory
+    # NotADirectoryError; at ccdf48f an empty --out wrote the run into the
+    # working directory, and at 17d119b check --out "" ran the check, wrote
+    # no report and exited 0
     @pytest.mark.parametrize("argv, field", [
         (["rerun", "{dir}"], "manifest"),
         (["rerun", "{latin1}"], "manifest"),
@@ -326,7 +329,9 @@ class TestBadValues:
         (["persist", "--config", "{latin1}"], "config"),
         (ARGS + ["--out", "{file}"], "out"),
         (ARGS + ["--out", "{file}/p"], "out"),
-        (ARGS + ["--out", ""], "field out")])
+        (ARGS + ["--out", ""], "field out"),
+        (["check", "--only", "telescoping", "--set", "telescoping.sequences=5",
+          "--out", ""], "field out")])
     def test_unusable_path(self, tmp_path, capsys, monkeypatch, argv, field):
         monkeypatch.chdir(tmp_path)
         paths = {"dir": tmp_path / "dir", "latin1": tmp_path / "latin1",
@@ -490,27 +495,15 @@ class TestOptionDefaults:
     """Defaults that reach no result file, read from the returned
     summary."""
 
-    @staticmethod
-    def assert_margins(checks):
-        """Each row carries its SE and its margin in SEs, None when the SE
-        is zero and otherwise non-negative exactly when the row passes."""
-        for c in checks:
-            if c["se"]:
-                assert c["margin_sigma"] == pytest.approx(
-                    (c["tol"] - abs(c["got"] - c["target"])) / c["se"])
-                assert (c["margin_sigma"] >= 0) == c["pass"]
-            else:
-                assert c["margin_sigma"] is None
-
     def test_dim_checks_carry_default_tol_and_target(self, tmp_path):
         _, summary = run_experiment(RunConfig(
             "dim", hurst=(0.3, 0.6), replicas=1, seed=1,
             out=str(tmp_path / "d"), options={"grid-log2": "10"}))
-        assert [(c["tol"], c["target"]) for c in summary["checks"]] == \
-            [(0.1, 0.3), (0.1, 0.6)]
+        assert [(c["lo"], c["hi"]) for c in summary["checks"]] == \
+            [(0.3 - 0.1, 0.3 + 0.1), (0.6 - 0.1, 0.6 + 0.1)]
         # one replica has no SE
         assert [c["se"] for c in summary["checks"]] == [0.0, 0.0]
-        self.assert_margins(summary["checks"])
+        assert_check_rows(summary["checks"])
 
     def test_persist_check_tolerance_per_event(self, tmp_path):
         def tolerances(out, **options):
@@ -520,13 +513,16 @@ class TestOptionDefaults:
                 options={"horizons": (4.0, 8.0, 16.0, 32.0),
                          "events": "fbm_max,ifbm_one_sided,ifbm_two_sided",
                          **options}))
-            self.assert_margins(summary["checks"])
+            assert_check_rows(summary["checks"])
             assert all(c["se"] > 0 for c in summary["checks"])
-            return {c["name"]: c["tol"] for c in summary["checks"]}
+            return {c["name"]: (c["lo"], c["hi"]) for c in summary["checks"]}
         # ifbm_two_sided has no known exponent, so no check
-        assert tolerances("p") == {"exponent fbm_max h=0.5": 0.07,
-                                   "exponent ifbm_one_sided h=0.5": 0.08}
-        assert set(tolerances("q", **{"slope-tol": "0.2"}).values()) == {0.2}
+        assert tolerances("p") == {
+            "exponent fbm_max h=0.5": (0.5 - 0.07, 0.5 + 0.07),
+            "exponent ifbm_one_sided h=0.5": (0.25 - 0.08, 0.25 + 0.08)}
+        assert tolerances("q", **{"slope-tol": "0.2"}) == {
+            "exponent fbm_max h=0.5": (0.5 - 0.2, 0.5 + 0.2),
+            "exponent ifbm_one_sided h=0.5": (0.25 - 0.2, 0.25 + 0.2)}
 
 
 def _readme_tables() -> dict:
@@ -737,8 +733,15 @@ class TestArtifacts:
         assert main(["chain", "--hurst", "0.6", "--replicas", "200",
                      "--seed", "3", "--opt", "n=8", "--out", str(out)]) == 0
         doc = json.loads(read_bytes(out / "chain.json"))
-        assert set(doc["h=0.6"]["relations"]) == {
+        relations = doc["h=0.6"]["relations"]
+        assert set(relations) == {
             "telescoping", "eq10", "eq11", "eq14", "eq15", "eq16", "eq17"}
+        # every relation with an SE is a check row
+        rows = check_rows(relations)
+        assert [row["name"] for row in rows] == ["eq10", "eq11", "eq14",
+                                                 "eq15", "eq17"]
+        assert all(row["se"] > 0 for row in rows)
+        assert_check_rows(rows)
 
     def test_rkhs_verify_output(self, tmp_path):
         out = tmp_path / "r"
@@ -749,6 +752,8 @@ class TestArtifacts:
         doc = json.loads(read_bytes(out / "shift.json"))
         assert {"p_trended", "p_plain", "norm", "lhs", "rhs",
                 "pass"} <= set(doc["h=0.5"])
+        assert doc["h=0.5"]["se"] > 0
+        assert_check_rows(check_rows(doc))
 
 
 class TestProvenance:

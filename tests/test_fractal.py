@@ -1,6 +1,8 @@
 """Box counting against exactly known sets, and the dim experiment against
 its one-replica-at-a-time oracle."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -197,3 +199,26 @@ class TestDimExperiment:
                                  seed=4, out=str(tmp_path / "run"),
                                  options={"grid-log2": "10"}))
         assert sum(rows) == 5
+
+    # both fail at 17d119b, whose records gave no reason for a null slope
+    @pytest.mark.parametrize("hurst, replicas, grid_log2, reasons", [
+        # replica 18's window holds no contact point
+        (0.7, 20, "10", {18: "window_collapsed"}),
+        # at 2^5 points no box holds two contacts, so every scale counts
+        # the same
+        (0.5, 6, "5", dict.fromkeys(range(6), "degenerate_fit"))])
+    def test_null_slope_reason(self, tmp_path, hurst, replicas, grid_log2,
+                               reasons):
+        out = tmp_path / "run"
+        assert run_experiment(RunConfig(
+            "dim", hurst=(hurst,), replicas=replicas, seed=1, out=str(out),
+            options={"grid-log2": grid_log2}))[0] == 2
+        records = [json.loads(line) for line in
+                   (out / "records.jsonl").read_text().splitlines()]
+        assert {r["replica"]: r["reason"] for r in records
+                if r["slope"] is None} == reasons
+        assert all("reason" not in r for r in records
+                   if r["slope"] is not None)
+        for r in records:
+            if "reason" in r:
+                assert (r["points"] < 4) == (r["reason"] == "window_collapsed")

@@ -305,6 +305,14 @@ class TestVerifyChain:
                                          "eq14", "eq15", "eq16", "eq17"}
         assert isinstance(report.passed, bool)
 
+    def test_eq14_row_without_se_is_its_worst_k(self):
+        # one replica gives no SE at any k; its row is a k whose difference
+        # is negative (k = 5), so it fails as every k's bound demands, where
+        # ranking a k without an SE last would report a passing k = 1
+        rel = verify_chain(0.5, 8, 1, 16).relations["eq14"]
+        assert (rel["worst_k"], rel["se"], rel["pass"]) == (5, 0.0, False)
+        assert rel["got"] < 0 and rel["margin_sigma"] is None
+
     def test_determinism(self):
         a = verify_chain(0.3, 8, 400, 5).to_json()
         b = verify_chain(0.3, 8, 400, 5).to_json()

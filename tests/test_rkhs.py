@@ -201,7 +201,9 @@ class TestShiftInequality:
         sp = build_space(symmetric_grid(0.25, 8), 0.5)
         rep = verify_shift_inequality(
             sp, TrendFunction(np.zeros(sp.grid.count), "zero"), 1.0, 20_000, 1)
-        assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.passed
+        # lhs 0 against a bound of 0 plus 4 SE
+        assert rep.check["got"] == 0.0 and rep.norm == 0.0
+        assert rep.check["hi"] == 4.0 * rep.check["se"] and rep.passed
 
     def test_small_covariance_column(self):
         sp = build_space(symmetric_grid(0.25, 8), 0.5)
@@ -209,8 +211,8 @@ class TestShiftInequality:
         assert rkhs_norm(sp, trend) == pytest.approx(
             math.sqrt(trend.norm_sq), rel=1e-8)
         rep = verify_shift_inequality(sp, trend, 1.0, 50_000, 2)
-        print(f"  lhs={rep.lhs:.4f} rhs={rep.rhs:.4f} "
-              f"slack={rep.slack_sigma:.1f} sigma")
+        print(f"  lhs={rep.check['got']:.4f} hi={rep.check['hi']:.4f} "
+              f"margin={rep.check['margin_sigma']:.1f} sigma")
         assert rep.passed and not rep.inconclusive
 
     def test_combined_trend_conclusive_at_raised_level(self):
