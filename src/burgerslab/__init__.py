@@ -30,7 +30,6 @@ from .fitting import ScalingFit
 from .persistence import (
     BarrierEvent,
     McEstimate,
-    ChainReport,
     estimate_persistence,
     exponent_fit,
     refinement_study,

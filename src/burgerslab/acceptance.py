@@ -36,7 +36,6 @@ from .experiments import (
     _KNOWN_EXPONENTS,
     _NON_NEGATIVE,
     _persist_fits,
-    _rkhs_trend,
     _within,
 )
 from .fbm import EXACT_SAMPLER_MAX_POINTS, FastRows, fbm_covariance, \
@@ -55,6 +54,7 @@ from .rkhs import (
     build_space,
     combined_trend,
     rkhs_norm,
+    trend,
     verify_shift_inequalities,
 )
 
@@ -154,17 +154,17 @@ def check_expectation_identity(ov: dict) -> dict:
 # --- criterion 5 -----------------------------------------------------------
 
 def check_inequality_chain(ov: dict) -> dict:
-    reports = verify_chains(H_TRIPLE, ov["chain.n"], ov["chain.replicas"], 501)
+    docs = verify_chains(H_TRIPLE, ov["chain.n"], ov["chain.replicas"], 501)
     # the Brownian max-mean constant, less a grid deficit of up to 0.03
-    m1 = reports[H_TRIPLE.index(0.5)].m1
-    m1_gap = {**bound_check("m1 h=0.5", m1.value, m1.std_error,
-                            BROWNIAN_MAX_MEAN - 0.03 - 4 * m1.std_error,
-                            BROWNIAN_MAX_MEAN + 4 * m1.std_error),
+    m1 = docs[H_TRIPLE.index(0.5)]["m1"]
+    m1_gap = {**bound_check("m1 h=0.5", m1["mean"], m1["se"],
+                            BROWNIAN_MAX_MEAN - 0.03 - 4 * m1["se"],
+                            BROWNIAN_MAX_MEAN + 4 * m1["se"]),
               "oracle": BROWNIAN_MAX_MEAN}
     per_h = {f"h={h:g}": {name: rel["pass"]
-                          for name, rel in report.relations.items()}
-             for h, report in zip(H_TRIPLE, reports)}
-    return {"pass": all(r.passed for r in reports) and m1_gap["pass"],
+                          for name, rel in doc["relations"].items()}
+             for h, doc in zip(H_TRIPLE, docs)}
+    return {"pass": all(doc["pass"] for doc in docs) and m1_gap["pass"],
             "relations": per_h, "m1_cross_check": m1_gap}
 
 
@@ -281,8 +281,8 @@ def check_rkhs(ov: dict) -> dict:
         x = grid33.coordinates
         outside = np.abs(x) >= 1.0
         for a in (0, 1):
-            trend = combined_trend(sp, a)
-            dev = np.abs(trend.values[outside]
+            comp = combined_trend(sp, a)
+            dev = np.abs(comp.values[outside]
                          - (2.0 * np.abs(x[outside]) + a)).max()
             worst_comp = max(worst_comp, float(dev))
     details["worst_reproducing_rel_err"] = worst_repr
@@ -290,20 +290,19 @@ def check_rkhs(ov: dict) -> dict:
     ok = ok and worst_repr <= 1e-8 and worst_comp <= 1e-5
 
     configs = [
-        ("combined0_h0.5_lvl2", grid33, 0.5, "combined0", 2.0),
-        ("combined1_h0.5_lvl3", grid33, 0.5, "combined1", 3.0),
-        ("covcol0.1_h0.3_lvl1", grid17, 0.3, "covcol@1*0.1", 1.0),
-        ("covcol0.3_h0.7_lvl0.5", grid33, 0.7, "covcol@-1*0.3", 0.5),
-        ("psi0.2_h0.5_lvl1", grid17, 0.5, "psi*0.2", 1.0),
+        (grid33, 0.5, "combined0", 2.0),
+        (grid33, 0.5, "combined1", 3.0),
+        (grid17, 0.3, "covcol@1*0.1", 1.0),
+        (grid33, 0.7, "covcol@-1*0.3", 0.5),
+        (grid17, 0.5, "psi*0.2", 1.0),
     ]
     # every config on one pass of draws: grid17's rows take the first 17
     # of the 33 normals that grid33's draw
-    reports = verify_shift_inequalities(
-        [(space[grid, h], _rkhs_trend(space[grid, h], trend), level)
-         for _, grid, h, trend, level in configs], replicas, 1101)
-    details["shift_configs"] = {name: rep.check
-                                for (name, *_), rep in zip(configs, reports)}
-    ok = ok and all(rep.passed for rep in reports)
+    rows = verify_shift_inequalities(
+        [(space[grid, h], trend(space[grid, h], name), level)
+         for grid, h, name, level in configs], replicas, 1101)
+    details["shift_configs"] = {row["name"]: row for row in rows}
+    ok = ok and all(row["pass"] for row in rows)
     details["pass"] = ok
     return details
 

@@ -29,8 +29,8 @@ import numpy as np
 from . import __version__
 from .burgers import solve
 from .envelopes import envelope_backend
-from .fbm import (EXACT_SAMPLER_MAX_POINTS, FastRows, sample_fbm_exact,
-                  sample_fbm_fast)
+from .fbm import (EXACT_SAMPLER_MAX_POINTS, FastRows, exact_sampler,
+                  sample_fbm_fast, sample_fbm_fast_batch)
 from .fitting import fit_scaling
 from .fractal import box_count
 from .grids import (RNG_SCHEME, GridPath, RandomnessSpec, SampleGrid,
@@ -50,11 +50,9 @@ from .persistence import (
 from .rkhs import (
     SHIFT_MC_MAX_POINTS,
     build_space,
-    combined_trend,
-    covariance_column_trend,
-    psi_trend,
+    parse_trend,
     rkhs_norm,
-    TrendFunction,
+    trend,
     verify_shift_inequalities,
 )
 
@@ -218,7 +216,7 @@ OPTIONS = {
                               and 2 <= v <= RKHS_HALF_POINTS_MAX),
         "trend": Option("combined0", "combined0, combined1, psi, psi*<f>, "
                         "covcol@<x>[*<f>] or zero, with finite numbers",
-                        lambda v: _parse_trend(v) is not None),
+                        lambda v: parse_trend(v) is not None),
         "level": Option(2.0, *_FINITE),
     },
 }
@@ -284,7 +282,7 @@ class RunConfig:
             for h in cfg.hurst:
                 try:
                     space = build_space(_rkhs_grid(opts["half-points"]), h)
-                    rkhs_norm(space, _rkhs_trend(space, opts["trend"]))
+                    rkhs_norm(space, trend(space, opts["trend"]))
                 except ValueError as exc:
                     raise ConfigError(f"option trend {opts['trend']} at "
                                       f"hurst {h:g}: {exc}") from None
@@ -357,13 +355,15 @@ def load_config_file(path) -> dict:
 # ---------------------------------------------------------------------------
 
 def run_sample(cfg: RunConfig, outdir: Path) -> dict:
-    sampler = (sample_fbm_fast if cfg.opt("method") == "fast"
-               else sample_fbm_exact)
     grid = SampleGrid.one_sided(cfg.opt("spacing"), cfg.opt("points"))
     index = []
     for h in cfg.hurst:
+        # one factorization per H for the exact sampler; a row at a time
+        draw = (partial(sample_fbm_fast_batch, h, grid)
+                if cfg.opt("method") == "fast" else exact_sampler(h, grid))
         for rep in range(cfg.replicas):
-            path = sampler(h, grid, RandomnessSpec(cfg.seed, rep))
+            path = GridPath(grid, draw(cfg.seed, range(rep, rep + 1))[0],
+                            "fbm", hurst=h)
             name = f"path_h{h:g}_r{rep}.csv"
             path.to_csv(outdir / name)
             index.append({"h": h, "replica": rep, "file": name,
@@ -514,10 +514,16 @@ def _exponent_checks(cfg: RunConfig, fits: dict) -> dict:
 
 def run_persist(cfg: RunConfig, outdir: Path) -> dict:
     cells, ests, fits = _persist_fits(cfg)
-    write_jsonl(outdir / "records.jsonl",
-                [{**est.record(), "event": event.process,
-                  "level": event.level, "h": h}
-                 for (event, h), est in zip(cells, ests)])
+    records = []
+    for (event, h), est in zip(cells, ests):
+        records.append({**est.record(), "event": event.process,
+                        "level": event.level, "h": h})
+        fit = fits.get((event.process, h))
+        # an estimate left out of its fit says why
+        if fit is not None and est.horizon in fit.excluded:
+            records[-1]["reason"] = (fit.reason if est.reliable
+                                     else "below_reliability_floor")
+    write_jsonl(outdir / "records.jsonl", records)
     if fits:
         write_json(outdir / "fits.json", {f"{name} h={h:g}": fit.summary()
                                           for (name, h), fit in fits.items()})
@@ -527,32 +533,11 @@ def run_persist(cfg: RunConfig, outdir: Path) -> dict:
 
 
 def run_chain(cfg: RunConfig, outdir: Path) -> dict:
-    docs = [report.to_json() for report in
-            verify_chains(cfg.hurst, cfg.opt("n"), cfg.replicas, cfg.seed)]
+    docs = verify_chains(cfg.hurst, cfg.opt("n"), cfg.replicas, cfg.seed)
     write_json(outdir / "chain.json",
                {f"h={h:g}": doc for h, doc in zip(cfg.hurst, docs)})
     return {"checks": [{"name": f"chain h={h:g}", "pass": doc["pass"]}
                        for h, doc in zip(cfg.hurst, docs)], "flagged": False}
-
-
-def _parse_trend(name: str) -> tuple[str, tuple[float, ...]] | None:
-    """(kind, numbers) of an rkhs trend name: combined0, combined1, psi,
-    psi*<factor>, covcol@<x>[*<factor>] or zero; kind is the name up to its
-    numbers.  None for an unknown name or a malformed or non-finite
-    number."""
-    kind, numbers = name, ()
-    if name.startswith("psi*"):
-        kind, numbers = "psi*", (name[len("psi*"):],)
-    elif name.startswith("covcol@"):
-        coord, _, factor = name[len("covcol@"):].partition("*")
-        kind, numbers = "covcol@", (coord, factor or "1")
-    if kind not in ("combined0", "combined1", "psi", "psi*", "covcol@", "zero"):
-        return None
-    try:
-        values = tuple(float(v) for v in numbers)
-    except ValueError:
-        return None
-    return (kind, values) if all(map(math.isfinite, values)) else None
 
 
 def _rkhs_grid(half: int) -> SampleGrid:
@@ -560,34 +545,15 @@ def _rkhs_grid(half: int) -> SampleGrid:
     return SampleGrid.anchored(2.0 / half, half, half)
 
 
-def _rkhs_trend(space, name: str):
-    kind, numbers = _parse_trend(name)
-    if kind in ("combined0", "combined1"):
-        return combined_trend(space, int(kind[-1]))
-    if kind == "psi":
-        return psi_trend(space.grid)
-    if kind == "psi*":
-        factor, = numbers
-        base = psi_trend(space.grid)
-        return TrendFunction(factor * base.values, label=f"psi*{factor:g}")
-    if kind == "covcol@":
-        return covariance_column_trend(space, *numbers)
-    return TrendFunction(np.zeros(space.grid.count), "zero")
-
-
 def run_rkhs_verify(cfg: RunConfig, outdir: Path) -> dict:
-    trend_name = cfg.opt("trend")
     spaces = [build_space(_rkhs_grid(cfg.opt("half-points")), h)
               for h in cfg.hurst]
-    reports = verify_shift_inequalities(
-        [(space, _rkhs_trend(space, trend_name), cfg.opt("level"))
+    rows = verify_shift_inequalities(
+        [(space, trend(space, cfg.opt("trend")), cfg.opt("level"))
          for space in spaces], cfg.replicas, cfg.seed)
-    write_json(outdir / "shift.json", {f"h={h:g}": rep.to_json()
-                                       for h, rep in zip(cfg.hurst, reports)})
-    return {"checks": [{**rep.check,
-                        "name": f"shift bound {trend_name} h={h:g}"}
-                       for h, rep in zip(cfg.hurst, reports)],
-            "flagged": any(rep.inconclusive for rep in reports)}
+    write_json(outdir / "shift.json",
+               {f"h={h:g}": row for h, row in zip(cfg.hurst, rows)})
+    return {"checks": rows, "flagged": any(row["inconclusive"] for row in rows)}
 
 
 _RUNNERS = {"sample": run_sample, "solve": run_solve, "dim": run_dim,

@@ -98,11 +98,17 @@ def sample_fbm_exact(h: float, grid: SampleGrid, rand: RandomnessSpec) -> GridPa
 
 def sample_fbm_exact_batch(h: float, grid: SampleGrid, seed: int,
                            replicas: range) -> np.ndarray:
-    """Rows of exact-sampler paths, one per replica index.
+    """Rows of exact-sampler paths, one per replica index."""
+    return exact_sampler(h, grid)(seed, replicas)
 
-    The covariance matrix of the non-anchor coordinates is factorized once
-    with a dense Cholesky decomposition and applied to each replica's noise
-    row on its own (``chol @ z``); the anchor value is exactly zero.
+
+def exact_sampler(h: float, grid: SampleGrid):
+    """``sample_fbm_exact_batch`` on (h, grid) as a function of (seed,
+    replicas), with the covariance factorized once for all its calls.
+
+    The covariance matrix of the non-anchor coordinates is factorized with
+    a dense Cholesky decomposition and applied to each replica's noise row
+    on its own (``chol @ z``); the anchor value is exactly zero.
     """
     h = check_hurst(h)
     if grid.count > EXACT_SAMPLER_MAX_POINTS:
@@ -118,8 +124,11 @@ def sample_fbm_exact_batch(h: float, grid: SampleGrid, seed: int,
         raise FactorizationError(
             f"fBm covariance matrix is not positive definite at H={h}: "
             f"smallest pivot/eigenvalue {smallest:.6e}") from None
-    noise = replica_normals(seed, replicas, grid.count - 1)
-    return np.insert([chol @ z for z in noise], anchor, 0.0, axis=1)
+
+    def draw(seed: int, replicas: range) -> np.ndarray:
+        noise = replica_normals(seed, replicas, grid.count - 1)
+        return np.insert([chol @ z for z in noise], anchor, 0.0, axis=1)
+    return draw
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,9 @@ class ScalingFit:
     the OLS estimator when they are supplied.  ``split_discrepancy`` is the
     slope difference between the upper and lower half of the scale ladder
     (finite-size diagnostic).  ``degenerate`` flags fits with fewer than two
-    distinct values; their slope is nan.
+    distinct values, whose ``reason`` is equal_values, and ladders that
+    ``persistence.exponent_fit`` cannot fit, with their own reason; their
+    slope is nan.
     """
 
     scales: tuple[float, ...]
@@ -30,6 +32,7 @@ class ScalingFit:
     split_discrepancy: float | None = None
     degenerate: bool = False
     excluded: tuple = ()
+    reason: str | None = None
 
     def to_csv(self, path, value_name: str = "count") -> None:
         write_csv(path, ("scale", value_name), zip(self.scales, self.values))
@@ -42,7 +45,7 @@ class ScalingFit:
         if self.split_discrepancy is not None:
             out["split_discrepancy"] = self.split_discrepancy
         if self.degenerate:
-            out["degenerate"] = True
+            out.update(degenerate=True, reason=self.reason)
         if self.excluded:
             out["excluded"] = list(self.excluded)
         return out
@@ -77,7 +80,8 @@ def fit_scaling(scales, values, value_ses=None, excluded=()) -> ScalingFit:
     if values.min() == values.max():
         return ScalingFit(tuple(scales), tuple(values), slope=math.nan,
                           intercept=math.nan, max_residual=math.nan,
-                          degenerate=True, excluded=tuple(excluded))
+                          degenerate=True, excluded=tuple(excluded),
+                          reason="equal_values")
 
     x = np.log(1.0 / scales)
     y = np.log(values)

@@ -151,6 +151,13 @@ class McEstimate:
         return cls(value=p, std_error=math.sqrt(p * (1.0 - p) / replicas),
                    replicas=replicas, **meta)
 
+    @property
+    def reliable(self) -> bool:
+        """At least ``RELIABILITY_FLOOR`` hits: a probability exponent fits
+        keep.  The count is rounded, since p * replicas can fall just short
+        of it (10 / 154 * 154 < 10)."""
+        return round(self.value * self.replicas) >= RELIABILITY_FLOOR
+
     def record(self) -> dict:
         out = {"p" if self.kind == "probability" else "mean": self.value,
                "se": self.std_error, "replicas": self.replicas,
@@ -387,23 +394,21 @@ def estimate_persistences(cells, spacing: float, replicas: int,
 def exponent_fit(estimates) -> ScalingFit:
     """Slope of log(1/p) against log(T) over a horizon ladder.
 
-    Estimates with p below 10/replicas are excluded (flagged in the fit);
+    Estimates with fewer than 10 hits are excluded (flagged in the fit);
     per-horizon MC errors propagate into ``slope_se``.  With fewer than 2
-    left, the fit is degenerate and excludes every horizon.
+    left, the fit is degenerate, excludes every horizon and gives its
+    reason, fewer_than_2_reliable_horizons.
     """
     ests = sorted(estimates, key=lambda e: e.horizon)
     if len(ests) < 4:
         raise ValueError("need at least 4 horizons")
-    kept, excluded = [], []
-    for e in ests:
-        if e.value * e.replicas < RELIABILITY_FLOOR:
-            excluded.append(e.horizon)
-        else:
-            kept.append(e)
+    kept = [e for e in ests if e.reliable]
+    excluded = [e.horizon for e in ests if not e.reliable]
     if len(kept) < 2:
         return ScalingFit((), (), slope=math.nan, intercept=math.nan,
                           max_residual=math.nan, degenerate=True,
-                          excluded=tuple(e.horizon for e in ests))
+                          excluded=tuple(e.horizon for e in ests),
+                          reason="fewer_than_2_reliable_horizons")
     scales = [1.0 / e.horizon for e in kept]
     values = [1.0 / e.value for e in kept]
     # se of log(1/p) is se_p / p, i.e. (se of value) / value with
@@ -494,28 +499,6 @@ def _fbm_max_means(hs, spacing: float, replicas: int,
 # relation chain
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChainReport:
-    """Left/right estimates, combined errors and pass flags for the slope-
-    functional relation chain at unit spacing (so T = N)."""
-
-    h: float
-    n: int
-    replicas: int
-    seed: int
-    m1: McEstimate
-    relations: dict
-
-    @property
-    def passed(self) -> bool:
-        return all(rel["pass"] for rel in self.relations.values())
-
-    def to_json(self) -> dict:
-        return {"h": self.h, "n": self.n, "replicas": self.replicas,
-                "seed": self.seed, "m1": self.m1.record(),
-                "relations": self.relations, "pass": self.passed}
-
-
 def _beta_cf(a: float, b: float, x: float) -> float:
     """The continued fraction of the regularized incomplete beta
     I_x(a, b), by the modified Lentz method; it converges fast for
@@ -583,9 +566,10 @@ def _slope_stats(n, w):
             diff_sums[None], exact_sums(gaps)[None])
 
 
-def verify_chain(h: float, n: int, replicas: int, seed: int) -> ChainReport:
+def verify_chain(h: float, n: int, replicas: int, seed: int) -> dict:
     """Estimate both sides of every relation in the chain and test them at
-    4 combined standard errors with common random numbers.
+    4 combined standard errors with common random numbers; returns the
+    ``chain.json`` entry {h, n, replicas, seed, m1, relations, pass}.
 
     Sampling window is [-N, 2N] at unit spacing: the slope functional and
     its telescoped form live on [0, N], the window-widened slopes at 0 on
@@ -595,10 +579,10 @@ def verify_chain(h: float, n: int, replicas: int, seed: int) -> ChainReport:
     return verify_chains([h], n, replicas, seed)[0]
 
 
-def verify_chains(hs, n: int, replicas: int, seed: int) -> list[ChainReport]:
+def verify_chains(hs, n: int, replicas: int, seed: int) -> list[dict]:
     """``verify_chain`` for each H on two passes of draws for all of them:
     the slope statistics at ``seed``, the max-mean constants at ``seed + 1``;
-    each report equals the one of a separate call."""
+    each entry equals the one of a separate call."""
     hs = [check_hurst(h) for h in hs]
     if n < 2:
         raise ValueError("need n >= 2")
@@ -607,12 +591,12 @@ def verify_chains(hs, n: int, replicas: int, seed: int) -> list[ChainReport]:
     stats = replica_stats([(FastRows(h, grid), stat) for h in hs], seed,
                           replicas)
     m1s = _fbm_max_means(hs, 2.0 ** -10, replicas, seed + 1)
-    return [_chain_report(h, n, replicas, seed, m1, stats)
+    return [_chain_entry(h, n, replicas, seed, m1, stats)
             for h, m1, stats in zip(hs, m1s, stats)]
 
 
-def _chain_report(h, n, replicas, seed, m1, stats) -> ChainReport:
-    """The report of one H from its per-replica slope statistics and its
+def _chain_entry(h, n, replicas, seed, m1, stats) -> dict:
+    """The entry of one H from its per-replica slope statistics and its
     max-mean constant."""
     f_rows, maxterm, rel, xi, corner, trended, *part_sums = stats
     # the pass parts' exact sums, combined by integer addition
@@ -677,5 +661,6 @@ def _chain_report(h, n, replicas, seed, m1, stats) -> ChainReport:
                       hi=bound17 + 4.0 * se_bound17),
         "lhs": p_trend, "lhs_upper_4sigma": p_trend_up, "rhs": bound17,
         "se_rhs": se_bound17}
-    return ChainReport(h=h, n=n, replicas=replicas, seed=seed, m1=m1,
-                       relations=relations)
+    return {"h": h, "n": n, "replicas": replicas, "seed": seed,
+            "m1": m1.record(), "relations": relations,
+            "pass": all(rel["pass"] for rel in relations.values())}

@@ -20,15 +20,14 @@ Markov case H = 1/2.)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
 from .fbm import fbm_covariance, ifbm_covariance, integrate_values
 from .grids import SampleGrid, check_hurst, replica_normals
-from .persistence import (McEstimate, RELIABILITY_FLOOR, bound_check,
-                          replica_stats)
+from .persistence import McEstimate, bound_check, replica_stats
 
 
 DENSE_SPACE_MAX_POINTS = 512
@@ -223,41 +222,50 @@ def covariance_column_trend(space: KernelSpace, coordinate: float,
     as factor * sqrt(Sigma_ii)."""
     i = space.grid.index_of(coordinate)
     col = factor * space.cov[:, i]
-    return TrendFunction(values=col, label=f"cov_col@{coordinate:g}x{factor:g}",
+    return TrendFunction(values=col, label=f"covcol@{coordinate:g}*{factor:g}",
                          norm_sq=factor ** 2 * float(space.cov[i, i]))
+
+
+def parse_trend(name: str) -> tuple[str, tuple[float, ...]] | None:
+    """(kind, numbers) of a trend name: combined0, combined1, psi,
+    psi*<factor>, covcol@<x>[*<factor>] or zero; kind is the name up to its
+    numbers.  None for an unknown name or a malformed or non-finite
+    number."""
+    kind, numbers = name, ()
+    if name.startswith("psi*"):
+        kind, numbers = "psi*", (name[len("psi*"):],)
+    elif name.startswith("covcol@"):
+        coord, _, factor = name[len("covcol@"):].partition("*")
+        kind, numbers = "covcol@", (coord, factor or "1")
+    if kind not in ("combined0", "combined1", "psi", "psi*", "covcol@", "zero"):
+        return None
+    try:
+        values = tuple(float(v) for v in numbers)
+    except ValueError:
+        return None
+    return (kind, values) if all(map(math.isfinite, values)) else None
+
+
+def trend(space: KernelSpace, name: str) -> TrendFunction:
+    """The trend ``name`` (``parse_trend``) on the grid of ``space``,
+    labelled ``name``."""
+    kind, numbers = parse_trend(name)
+    if kind in ("combined0", "combined1"):
+        made = combined_trend(space, int(kind[-1]))
+    elif kind == "psi":
+        made = psi_trend(space.grid)
+    elif kind == "psi*":
+        made = TrendFunction(numbers[0] * psi_trend(space.grid).values, name)
+    elif kind == "covcol@":
+        made = covariance_column_trend(space, *numbers)
+    else:
+        made = TrendFunction(np.zeros(space.grid.count), name)
+    return replace(made, label=name)
 
 
 # ---------------------------------------------------------------------------
 # trend-shift inequality
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ShiftReport:
-    """Monte-Carlo check that shifting the path by the trend moves
-    sqrt(-log p) by at most norm/sqrt(2): its ``bound_check`` row, whose
-    ``got`` is None when a probability is below the reliability floor."""
-
-    p_trended: McEstimate
-    p_plain: McEstimate
-    norm: float
-    check: dict
-
-    @property
-    def passed(self) -> bool:
-        return self.check["pass"]
-
-    @property
-    def inconclusive(self) -> bool:
-        return self.check["got"] is None
-
-    def to_json(self) -> dict:
-        return {**self.check, "p_trended": self.p_trended.value,
-                "p_plain": self.p_plain.value,
-                "se_trended": self.p_trended.std_error,
-                "se_plain": self.p_plain.std_error, "norm": self.norm,
-                "lhs": self.check["got"], "rhs": self.norm / math.sqrt(2.0),
-                "inconclusive": self.inconclusive}
-
 
 def _stays_below(phi, level, draws):
     """Per-replica stay-below flags of the draws without and with the trend
@@ -267,19 +275,17 @@ def _stays_below(phi, level, draws):
 
 
 def verify_shift_inequality(space: KernelSpace, trend: TrendFunction,
-                            level: float, replicas: int,
-                            seed: int) -> ShiftReport:
+                            level: float, replicas: int, seed: int) -> dict:
     """Estimate stay-below probabilities with and without the trend on
     common draws and test the norm-controlled shift bound at 4 sigma."""
     return verify_shift_inequalities([(space, trend, level)], replicas,
                                      seed)[0]
 
 
-def verify_shift_inequalities(cases, replicas: int,
-                              seed: int) -> list[ShiftReport]:
+def verify_shift_inequalities(cases, replicas: int, seed: int) -> list[dict]:
     """``verify_shift_inequality`` for each (space, trend, level) case, all
-    on one pass of draws, whatever their spaces; each report equals the one
-    of a separate call."""
+    on one pass of draws, whatever their spaces; each row equals the one of
+    a separate call."""
     if any(space.grid.count > SHIFT_MC_MAX_POINTS for space, _, _ in cases):
         raise ValueError(f"shift verification restricted to grids of at most "
                          f"{SHIFT_MC_MAX_POINTS} points (probabilities must "
@@ -287,28 +293,31 @@ def verify_shift_inequalities(cases, replicas: int,
     norms = [rkhs_norm(space, trend) for space, trend, _ in cases]
     flags = replica_stats([(space, partial(_stays_below, trend.values, level))
                            for space, trend, level in cases], seed, replicas)
-    return [_shift_report(space, trend, norm, plain, trended, replicas, seed)
+    return [_shift_row(space, trend, norm, plain, trended, replicas, seed)
             for (space, trend, _), norm, (plain, trended)
             in zip(cases, norms, flags)]
 
 
-def _shift_report(space, trend, norm, plain, trended, replicas, seed):
-    """The report of one case from its per-replica stay-below flags."""
-    mk = lambda below, what: McEstimate.proportion(
-        np.count_nonzero(below), replicas, seed=seed,
-        spacing=space.grid.spacing, label=what)
-    est0, est1 = mk(plain, "plain"), mk(trended, f"trend:{trend.label}")
+def _shift_row(space, trend, norm, plain, trended, replicas, seed) -> dict:
+    """One case's ``shift.json`` row from its per-replica stay-below flags:
+    the ``bound_check`` row |sqrt(-log p1) - sqrt(-log p0)| <= norm/sqrt(2)
+    at 4 sigma, with the two probabilities and their SEs beside it.  Its
+    ``got`` is None (inconclusive) when a probability is below the
+    reliability floor or exactly 1, where the delta-method SE is 0/0."""
+    est0, est1 = (McEstimate.proportion(np.count_nonzero(below), replicas,
+                                        seed=seed, spacing=space.grid.spacing)
+                  for below in (plain, trended))
     p0, p1 = est0.value, est1.value
     name = f"shift bound {trend.label} h={space.hurst:g}"
     rhs = norm / math.sqrt(2.0)
-    floor = RELIABILITY_FLOOR / replicas
-    if p0 < floor or p1 < floor:
-        return ShiftReport(est1, est0, norm, bound_check(name, None, None,
-                                                         hi=rhs))
-    root0 = math.sqrt(-math.log(p0))
-    root1 = math.sqrt(-math.log(p1))
-    se0 = est0.std_error / (2.0 * p0 * root0)
-    se1 = est1.std_error / (2.0 * p1 * root1)
-    se = math.hypot(se0, se1)
-    return ShiftReport(est1, est0, norm, bound_check(
-        name, abs(root1 - root0), se, hi=rhs + 4.0 * se))
+    if not (est0.reliable and est1.reliable) or max(p0, p1) == 1.0:
+        row = bound_check(name, None, None, hi=rhs)
+    else:
+        root0, root1 = math.sqrt(-math.log(p0)), math.sqrt(-math.log(p1))
+        se = math.hypot(est0.std_error / (2.0 * p0 * root0),
+                        est1.std_error / (2.0 * p1 * root1))
+        row = bound_check(name, abs(root1 - root0), se, hi=rhs + 4.0 * se)
+    return {**row, "p_trended": p1, "p_plain": p0,
+            "se_trended": est1.std_error, "se_plain": est0.std_error,
+            "norm": norm, "lhs": row["got"], "rhs": rhs,
+            "inconclusive": row["got"] is None}

@@ -16,7 +16,8 @@ import pytest
 
 import burgerslab
 from burgerslab.cli import main
-from burgerslab.grids import rng_state_write, write_json, write_jsonl
+from burgerslab.grids import (GridPath, RandomnessSpec, SampleGrid,
+                              rng_state_write, write_json, write_jsonl)
 from burgerslab import experiments
 from burgerslab.acceptance import _TINY_CONFIGS, CHECKS, Check, run_checks
 from burgerslab.experiments import (
@@ -29,7 +30,7 @@ from burgerslab.experiments import (
     run_experiment,
 )
 
-from oracles import assert_check_rows, check_rows
+from oracles import assert_check_rows, check_rows, generator_fbm_exact
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -76,6 +77,26 @@ class TestExitCodes:
         assert fit["excluded"] == [4.0, 8.0, 16.0, 32.0]
         assert len((out / "records.jsonl").read_text().splitlines()) == 4
         assert "FAIL exponent fbm_max h=0.5" in capsys.readouterr().out
+
+    # all fail at e7c0d46, whose records and fits gave no reason
+    @pytest.mark.parametrize("horizons, level, reasons, fit_reason", [
+        ("8,64,512,4096", "0", [None] * 2 + ["below_reliability_floor"] * 2,
+         None),
+        ("256,512,1024,2048", "0", ["below_reliability_floor"] * 4,
+         "fewer_than_2_reliable_horizons"),
+        ("4,8,16,32", "100", [None] * 4, "equal_values")])
+    def test_excluded_estimates_say_why(self, tmp_path, horizons, level,
+                                        reasons, fit_reason):
+        out = tmp_path / "p"
+        assert main(["persist", "--hurst", "0.5", "--horizon", horizons,
+                     "--replicas", "200", "--opt", f"level={level}",
+                     "--seed", "1", "--out", str(out)]) == 2
+        rows = [json.loads(line) for line in
+                (out / "records.jsonl").read_text().splitlines()]
+        assert [row.get("reason") for row in rows] == reasons
+        fit = json.loads((out / "fits.json").read_text())["fbm_max h=0.5"]
+        assert fit.get("reason") == fit_reason
+        assert ("degenerate" in fit) == (fit_reason is not None)
 
     # fails at ccdf48f: the criterion exited 1 with a config error
     def test_unfittable_criterion_fails(self, capsys):
@@ -686,13 +707,17 @@ class TestArtifacts:
         assert (tmp_path / "b.jsonl").read_text() == \
             '{"x": null}\n{"x": 2.0}\n'
 
-    # both fail at ccdf48f: dim's degenerate fits wrote "max_residual": NaN
-    # on every line, and rkhs-verify's level wrote "lhs": NaN
+    # the first two fail at ccdf48f: dim's degenerate fits wrote
+    # "max_residual": NaN on every line, and rkhs-verify's level wrote
+    # "lhs": NaN; the third fails at e7c0d46 with a ZeroDivisionError, for
+    # every replica stays below the level (p = 1, whose SE is 0/0)
     @pytest.mark.parametrize("argv, file, key", [
         (["dim", "--replicas", "6", "--opt", "grid-log2=5"],
          "records.jsonl", "max_residual"),
         (["rkhs-verify", "--replicas", "200", "--opt", "trend=combined1",
-          "--opt", "level=-1"], "shift.json", "lhs")])
+          "--opt", "level=-1"], "shift.json", "lhs"),
+        (["rkhs-verify", "--replicas", "200", "--opt", "trend=zero",
+          "--opt", "level=100"], "shift.json", "lhs")])
     def test_result_files_are_standard_json(self, tmp_path, argv, file, key):
         out = tmp_path / "r"
         assert main(argv + ["--hurst", "0.5", "--out", str(out)]) == 2
@@ -742,6 +767,42 @@ class TestArtifacts:
                                                  "eq15", "eq17"]
         assert all(row["se"] > 0 for row in rows)
         assert_check_rows(rows)
+
+    # fails at e7c0d46 for covcol, whose printed row read covcol@1*0.1 and
+    # whose shift.json read cov_col@1x0.1
+    @pytest.mark.parametrize("trend", ["combined0", "combined1", "psi",
+                                       "psi*0.2", "covcol@1*0.1", "zero"])
+    def test_shift_row_has_one_name(self, tmp_path, capsys, trend):
+        out = tmp_path / "r"
+        main(["rkhs-verify", "--hurst", "0.5", "--replicas", "200",
+              "--opt", "half-points=8", "--opt", f"trend={trend}", "--check",
+              "--out", str(out)])
+        printed = [line.split(" ", 1)[1] for line in
+                   capsys.readouterr().out.splitlines()
+                   if line.startswith(("PASS ", "FAIL "))]
+        written = json.loads(read_bytes(out / "shift.json"))["h=0.5"]["name"]
+        assert printed == [written] == [f"shift bound {trend} h=0.5"]
+
+    # fails at e7c0d46, which factorized once per replica, 6 times
+    def test_exact_sample_factorizes_once_per_hurst(self, tmp_path,
+                                                    monkeypatch):
+        shapes = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda a: shapes.append(a.shape) or cholesky(a))
+        out = tmp_path / "s"
+        assert main(["sample", "--hurst", "0.3,0.7", "--replicas", "3",
+                     "--seed", "2", "--opt", "method=exact",
+                     "--opt", "points=16", "--out", str(out)]) == 0
+        assert shapes == [(16, 16)] * 2
+        # each file is the replica's own exact path, on its own factor
+        grid = SampleGrid.one_sided(1.0, 16)
+        for h in (0.3, 0.7):
+            for rep in range(3):
+                GridPath(grid, generator_fbm_exact(h, grid, RandomnessSpec(
+                    2, rep)), "fbm").to_csv(tmp_path / "want.csv")
+                assert read_bytes(out / f"path_h{h:g}_r{rep}.csv") == \
+                    read_bytes(tmp_path / "want.csv")
 
     def test_rkhs_verify_output(self, tmp_path):
         out = tmp_path / "r"

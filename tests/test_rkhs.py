@@ -22,7 +22,7 @@ from burgerslab.rkhs import (
     verify_shift_inequalities,
     verify_shift_inequality,
 )
-from burgerslab import persistence
+from burgerslab import persistence, rkhs
 from burgerslab.acceptance import check_rkhs
 
 
@@ -202,8 +202,8 @@ class TestShiftInequality:
         rep = verify_shift_inequality(
             sp, TrendFunction(np.zeros(sp.grid.count), "zero"), 1.0, 20_000, 1)
         # lhs 0 against a bound of 0 plus 4 SE
-        assert rep.check["got"] == 0.0 and rep.norm == 0.0
-        assert rep.check["hi"] == 4.0 * rep.check["se"] and rep.passed
+        assert rep["got"] == 0.0 and rep["norm"] == 0.0
+        assert rep["hi"] == 4.0 * rep["se"] and rep["pass"]
 
     def test_small_covariance_column(self):
         sp = build_space(symmetric_grid(0.25, 8), 0.5)
@@ -211,21 +211,28 @@ class TestShiftInequality:
         assert rkhs_norm(sp, trend) == pytest.approx(
             math.sqrt(trend.norm_sq), rel=1e-8)
         rep = verify_shift_inequality(sp, trend, 1.0, 50_000, 2)
-        print(f"  lhs={rep.check['got']:.4f} hi={rep.check['hi']:.4f} "
-              f"margin={rep.check['margin_sigma']:.1f} sigma")
-        assert rep.passed and not rep.inconclusive
+        print(f"  lhs={rep['got']:.4f} hi={rep['hi']:.4f} "
+              f"margin={rep['margin_sigma']:.1f} sigma")
+        assert rep["pass"] and not rep["inconclusive"]
 
     def test_combined_trend_conclusive_at_raised_level(self):
         sp = build_space(symmetric_grid(0.125, 16), 0.5)
         rep = verify_shift_inequality(sp, combined_trend(sp, 0), 2.0,
                                       100_000, 3)
-        assert rep.passed and not rep.inconclusive
+        assert rep["pass"] and not rep["inconclusive"]
 
-    def test_unresolvable_probability_flagged(self):
+    # a probability below the reliability floor, and one of exactly 1, where
+    # the delta-method SE is 0/0: the second raises ZeroDivisionError at
+    # e7c0d46
+    @pytest.mark.parametrize("name, level, replicas", [
+        ("combined0", 1.0, 20_000), ("zero", 100.0, 200)],
+        ids=["below_floor", "probability_one"])
+    def test_unresolvable_probability_flagged(self, name, level, replicas):
         sp = build_space(symmetric_grid(0.125, 16), 0.5)
-        rep = verify_shift_inequality(sp, combined_trend(sp, 0), 1.0,
-                                      20_000, 4)
-        assert rep.inconclusive and not rep.passed
+        rep = verify_shift_inequality(sp, rkhs.trend(sp, name), level, replicas,
+                                      4)
+        assert rep["inconclusive"] and not rep["pass"]
+        assert rep["got"] is None and rep["lhs"] is None
 
     def test_cases_share_one_pass_of_draws(self, monkeypatch):
         monkeypatch.setenv("BURGERSLAB_WORKERS", "1")
@@ -246,8 +253,8 @@ class TestShiftInequality:
         # one draw of 33 normals per replica serves both spaces
         assert sum(n for n, _ in rows) == 3000
         assert {length for _, length in rows} == {33}
-        assert [json.dumps(r.to_json()) for r in together] == \
-            [json.dumps(r.to_json()) for r in alone]
+        assert [json.dumps(r) for r in together] == \
+            [json.dumps(r) for r in alone]
         assert together == alone
 
     def test_criterion_11_draws_each_replica_once(self, monkeypatch):
@@ -265,6 +272,15 @@ class TestShiftInequality:
         assert part == 3971
         assert rows == [(1101, part, 33), (1101, 5000 - part, 33)]
 
+    # fails at e7c0d46, which keyed its rows by ids of their own
+    def test_criterion_11_keys_rows_by_name(self):
+        configs = check_rkhs({"rkhs.replicas": 5000})["shift_configs"]
+        assert [(key, row["name"]) for key, row in configs.items()] == [
+            (f"shift bound {name} h={h}", f"shift bound {name} h={h}")
+            for name, h in [("combined0", 0.5), ("combined1", 0.5),
+                            ("covcol@1*0.1", 0.3), ("covcol@-1*0.3", 0.7),
+                            ("psi*0.2", 0.5)]]
+
     def test_grid_cap(self):
         sp = build_space(symmetric_grid(0.05, 40), 0.5)
         with pytest.raises(ValueError, match="restricted"):
@@ -276,6 +292,6 @@ class TestShiftInequality:
         sp = build_space(symmetric_grid(0.25, 8), 0.5)
         rep = verify_shift_inequality(
             sp, covariance_column_trend(sp, 1.0, 0.1), 1.0, 20_000, 5)
-        write_json(tmp_path / "shift.json", rep.to_json())
+        write_json(tmp_path / "shift.json", rep)
         doc = json.loads((tmp_path / "shift.json").read_text())
         assert {"p_trended", "p_plain", "norm", "lhs", "rhs", "pass"} <= set(doc)
