@@ -7,7 +7,6 @@ from .fbm import (
     fbm_covariance,
     fgn_autocovariance,
     ifbm_covariance,
-    sample_fbm_exact,
     sample_fbm_fast,
 )
 from .envelopes import (

@@ -1,8 +1,10 @@
 """Programmatic acceptance suite: one named check per criterion.
 
-Each check runs at its pinned desk scale and tolerance and returns a
-CheckResult; the CLI ``check`` subcommand and the acceptance test module
-both drive this registry.  Each check declares its scales and targets as
+Each check runs at its pinned desk scale and tolerance and returns its
+details, ``{"rows": [...], ...}``, each row a ``persistence.bound_check``
+row; its CheckResult passes exactly when all its rows do.  The CLI
+``check`` subcommand and the acceptance test module both drive this
+registry.  Each check declares its scales and targets as
 settings; string overrides (e.g. {"dim.target-h0.5": "0.9"}) parse as the
 type of the default and must meet the rule, so a deliberately broken
 tolerance can be demonstrated and so tests can shrink scales.
@@ -88,8 +90,8 @@ def check_sampler_covariance(ov: dict) -> dict:
         if np.any(dev[~mask] != 0):
             worst = math.inf
     # the largest deviation in SEs; its row's SE is that unit
-    row = bound_check("max covariance deviation", worst, 1.0, hi=4.0)
-    return {"pass": row["pass"], "deviation": row, "replicas": replicas}
+    return {"rows": [bound_check("max covariance deviation", worst, 1.0,
+                                 hi=4.0)], "replicas": replicas}
 
 
 # --- criterion 2 -----------------------------------------------------------
@@ -114,14 +116,16 @@ def check_sampler_equivalence(ov: dict) -> dict:
     # the two-sample KS critical value at 1%
     crit = (math.sqrt(-math.log(0.01 / 2.0) / 2.0)
             * math.sqrt((replicas + replicas) / (replicas * replicas)))
-    stats = {}
+    rows = []
     for h in H_TRIPLE:
         mx_exact = sample_fbm_exact_batch(h, grid, 201,
                                           range(replicas)).max(axis=1)
         mx_fast = sample_fbm_fast_batch(h, grid, 202, range(replicas)).max(axis=1)
-        stats[f"h={h:g}"] = _ks_statistic(mx_exact, mx_fast)
-    return {"pass": all(s < crit for s in stats.values()),
-            "ks": stats, "critical_1pct": crit}
+        # got <= the float below crit exactly when got < crit
+        rows.append(bound_check(f"ks h={h:g}",
+                                _ks_statistic(mx_exact, mx_fast), None,
+                                hi=math.nextafter(crit, 0.0)))
+    return {"rows": rows, "critical_1pct": crit}
 
 
 # --- criteria 3 and 4 -----------------------------------------------------
@@ -138,7 +142,7 @@ def check_telescoping(ov: dict) -> dict:
     stats = replica_stats([(FastRows(h, grid), _slope_functional_checks)
                            for h in H_TRIPLE], 301, ov["telescoping.sequences"])
     worst = max(float(rel.max()) for rel, _ in stats)
-    return {"pass": worst <= 1e-9, "worst_rel_err": worst}
+    return {"rows": [bound_check("telescoping", worst, None, hi=1e-9)]}
 
 
 def check_expectation_identity(ov: dict) -> dict:
@@ -147,8 +151,8 @@ def check_expectation_identity(ov: dict) -> dict:
                                  _slope_functional_checks)], 401,
                                ov["identity.replicas"])
     mean, se = mean_se(gap)
-    row = bound_check("identity gap h=0.5", mean, se, -4 * se, 4 * se)
-    return {"pass": row["pass"], "gaps": {"h=0.5": row}}
+    return {"rows": [bound_check("identity gap h=0.5", mean, se, -4 * se,
+                                 4 * se)]}
 
 
 # --- criterion 5 -----------------------------------------------------------
@@ -161,11 +165,9 @@ def check_inequality_chain(ov: dict) -> dict:
                             BROWNIAN_MAX_MEAN - 0.03 - 4 * m1["se"],
                             BROWNIAN_MAX_MEAN + 4 * m1["se"]),
               "oracle": BROWNIAN_MAX_MEAN}
-    per_h = {f"h={h:g}": {name: rel["pass"]
-                          for name, rel in doc["relations"].items()}
-             for h, doc in zip(H_TRIPLE, docs)}
-    return {"pass": all(doc["pass"] for doc in docs) and m1_gap["pass"],
-            "relations": per_h, "m1_cross_check": m1_gap}
+    return {"rows": [{**rel, "name": f"{name} h={h:g}"}
+                     for h, doc in zip(H_TRIPLE, docs)
+                     for name, rel in doc["relations"].items()] + [m1_gap]}
 
 
 # --- criterion 6 -----------------------------------------------------------
@@ -183,8 +185,9 @@ def check_burgers_oracle(ov: dict) -> dict:
             sticky = sticky_shock_clusters(u0, t=1.0)
             if not clusters_match(sol.shock_clusters, sticky, tol_cells=1):
                 failures.append({"h": h, "replica": rep})
-    return {"pass": not failures, "paths_per_h": paths,
-            "failures": failures}
+    return {"rows": [bound_check("cluster mismatches", len(failures), None,
+                                 hi=0)],
+            "paths_per_h": paths, "failures": failures}
 
 
 # --- criteria 7 to 10 ------------------------------------------------------
@@ -194,12 +197,11 @@ def check_dimension(ov: dict) -> dict:
     cfg = RunConfig(experiment="dim", hurst=H_TRIPLE,
                     replicas=ov["dim.replicas"], seed=701,
                     options={"grid-log2": str(ov["dim.grid-log2"])})
-    slopes = {f"h={h:g}": bound_check(
+    return {"rows": [bound_check(
         f"dim slope h={h:g}", s["slope"], s["slope_se"],
         ov[f"dim.target-h{h:g}"] - tol, ov[f"dim.target-h{h:g}"] + tol)
-              for h, (_, s, _) in zip(H_TRIPLE, _dim_cells(cfg))}
-    return {"pass": all(s["pass"] for s in slopes.values()),
-            "slopes": slopes, "tol": tol}
+                     for h, (_, s, _) in zip(H_TRIPLE, _dim_cells(cfg))],
+            "tol": tol}
 
 
 def check_max_exponent(ov: dict) -> dict:
@@ -208,9 +210,8 @@ def check_max_exponent(ov: dict) -> dict:
                     seed=801, options={"horizons": "64,128,256,512,1024",
                                        "level": level, "slope-tol": tol})
     _, _, fits = _persist_fits(cfg)
-    out = {f"h={h:g}": {**row, "excluded": list(fits[ev, h].excluded)}
-           for (ev, h), row in _exponent_checks(cfg, fits).items()}
-    return {"pass": all(f["pass"] for f in out.values()), "fits": out,
+    return {"rows": [{**row, "excluded": list(fits[ev, h].excluded)}
+                     for (ev, h), row in _exponent_checks(cfg, fits).items()],
             "level": level, "tol": tol}
 
 
@@ -219,20 +220,20 @@ def check_integral_exponent(ov: dict) -> dict:
                     seed=901, options={"horizons": "64,128,256,512",
                                        "events": "ifbm_one_sided",
                                        "slope-tol": ov["int-exp.tol"]})
-    row = _exponent_checks(cfg, _persist_fits(cfg)[2])["ifbm_one_sided", 0.5]
-    return {"pass": row["pass"], "fits": {"h=0.5": row}}
+    return {"rows": list(
+        _exponent_checks(cfg, _persist_fits(cfg)[2]).values())}
 
 
 def _puncture_ordering(replicas: int, pair=("ifbm_two_sided",
                                              "ifbm_punctured")) -> list:
-    """(p1, p2, p1 <= p2) per H of the pair's events on the same paths at
+    """(p1, p2) per H of the pair's events on the same paths at
     level 0 and spacing 0.25, where the two differ (at level 1 and spacing
     1 they are equal pathwise)."""
     cfg = RunConfig("persist", hurst=H_TRIPLE, replicas=replicas, seed=1002,
                     options={"horizons": "128", "spacing": "0.25",
                              "level": "0", "events": ",".join(pair)})
     _, ests, _ = _persist_fits(cfg)
-    return [(a.value, b.value, a.value <= b.value)
+    return [(a.value, b.value)
             for a, b in zip(ests[:len(H_TRIPLE)], ests[len(H_TRIPLE):])]
 
 
@@ -243,18 +244,15 @@ def check_two_sided_bound(ov: dict) -> dict:
                     options={"horizons": "32,64,128,256,512",
                              "events": "ifbm_two_sided"})
     _, _, fits = _persist_fits(cfg)
-    out = {}
-    for h, (p_two, p_punc, ordered) in zip(H_TRIPLE,
-                                           _puncture_ordering(replicas)):
+    rows = []
+    for h, (p_two, p_punc) in zip(H_TRIPLE, _puncture_ordering(replicas)):
         fit = fits["ifbm_two_sided", h]
-        floor = (1.0 - h) - slack
+        rows.append(bound_check(f"two-sided exponent h={h:g}", fit.slope,
+                                fit.slope_se, lo=(1.0 - h) - slack))
         # full-domain event is included in the punctured one pathwise
-        out[f"h={h:g}"] = {**bound_check(f"two-sided exponent h={h:g}",
-                                         fit.slope, fit.slope_se, lo=floor),
-                           "p_full": p_two, "p_punctured": p_punc,
-                           "ordering": ordered}
-    return {"pass": all(f["pass"] and f["ordering"] for f in out.values()),
-            "fits": out}
+        rows.append(bound_check(f"puncture ordering h={h:g}", p_two, None,
+                                hi=p_punc))
+    return {"rows": rows}
 
 
 # --- criterion 11 ----------------------------------------------------------
@@ -263,9 +261,6 @@ def check_rkhs(ov: dict) -> dict:
     replicas = ov["rkhs.replicas"]
     grid33 = SampleGrid.anchored(0.125, 16, 16)
     grid17 = SampleGrid.anchored(0.25, 8, 8)
-    details: dict = {}
-    ok = True
-
     space = {(grid, h): build_space(grid, h) for grid in (grid33, grid17)
              for h in H_TRIPLE}
     worst_repr = 0.0
@@ -285,9 +280,6 @@ def check_rkhs(ov: dict) -> dict:
             dev = np.abs(comp.values[outside]
                          - (2.0 * np.abs(x[outside]) + a)).max()
             worst_comp = max(worst_comp, float(dev))
-    details["worst_reproducing_rel_err"] = worst_repr
-    details["worst_composition_abs_err"] = worst_comp
-    ok = ok and worst_repr <= 1e-8 and worst_comp <= 1e-5
 
     configs = [
         (grid33, 0.5, "combined0", 2.0),
@@ -301,10 +293,10 @@ def check_rkhs(ov: dict) -> dict:
     rows = verify_shift_inequalities(
         [(space[grid, h], trend(space[grid, h], name), level)
          for grid, h, name, level in configs], replicas, 1101)
-    details["shift_configs"] = {row["name"]: row for row in rows}
-    ok = ok and all(row["pass"] for row in rows)
-    details["pass"] = ok
-    return details
+    return {"rows": [bound_check("reproducing rel err", worst_repr, None,
+                                 hi=1e-8),
+                     bound_check("composition abs err", worst_comp, None,
+                                 hi=1e-5), *rows]}
 
 
 # --- criterion 12 ----------------------------------------------------------
@@ -344,7 +336,9 @@ def check_determinism(ov: dict) -> dict:
                 if not filecmp.cmp(dir_a / file, dir_b / file, shallow=False):
                     mismatches.append({"experiment": cfg.experiment,
                                        "file": file})
-    return {"pass": not mismatches, "mismatches": mismatches,
+    return {"rows": [bound_check("rerun mismatches", len(mismatches), None,
+                                 hi=0)],
+            "mismatches": mismatches,
             "experiments": [c.experiment for c in _TINY_CONFIGS]}
 
 
@@ -421,7 +415,7 @@ def run_checks(names=None, overrides=None) -> list[CheckResult]:
     for name in selected:
         started = time.time()
         details = CHECKS[name].run(settings)
-        results.append(CheckResult(name=name, passed=bool(details.pop("pass")),
-                                   runtime_s=time.time() - started,
-                                   details=details))
+        results.append(CheckResult(
+            name=name, passed=all(row["pass"] for row in details["rows"]),
+            runtime_s=time.time() - started, details=details))
     return results

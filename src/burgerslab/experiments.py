@@ -29,8 +29,8 @@ import numpy as np
 from . import __version__
 from .burgers import solve
 from .envelopes import envelope_backend
-from .fbm import (EXACT_SAMPLER_MAX_POINTS, FastRows, exact_sampler,
-                  sample_fbm_fast, sample_fbm_fast_batch)
+from .fbm import (EXACT_SAMPLER_MAX_POINTS, FactorizationError, FastRows,
+                  exact_sampler, sample_fbm_fast, sample_fbm_fast_batch)
 from .fitting import fit_scaling
 from .fractal import box_count
 from .grids import (RNG_SCHEME, GridPath, RandomnessSpec, SampleGrid,
@@ -358,9 +358,15 @@ def run_sample(cfg: RunConfig, outdir: Path) -> dict:
     grid = SampleGrid.one_sided(cfg.opt("spacing"), cfg.opt("points"))
     index = []
     for h in cfg.hurst:
-        # one factorization per H for the exact sampler; a row at a time
-        draw = (partial(sample_fbm_fast_batch, h, grid)
-                if cfg.opt("method") == "fast" else exact_sampler(h, grid))
+        # one factorization per H for the exact sampler, made before any of
+        # its files and not in validate, which would double its cost; a row
+        # at a time
+        try:
+            draw = (partial(sample_fbm_fast_batch, h, grid)
+                    if cfg.opt("method") == "fast" else exact_sampler(h, grid))
+        except FactorizationError as exc:
+            raise ConfigError(f"field hurst {h:g}: {exc}; use method=fast") \
+                from None
         for rep in range(cfg.replicas):
             path = GridPath(grid, draw(cfg.seed, range(rep, rep + 1))[0],
                             "fbm", hurst=h)

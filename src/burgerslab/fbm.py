@@ -2,9 +2,9 @@
 
 Two samplers are provided:
 
-* ``sample_fbm_exact`` — dense symmetric factorization of the covariance
-  matrix; O(n^3) setup, usable up to a few thousand points; serves as the
-  distributional oracle.
+* ``sample_fbm_exact_batch`` — dense symmetric factorization of the
+  covariance matrix; O(n^3) setup, usable up to a few thousand points;
+  serves as the distributional oracle.
 * ``sample_fbm_fast`` — circulant embedding of the stationary increment
   sequence (O(n log n)), cumulatively summed and re-anchored so the value at
   coordinate 0 is exactly zero.  The two half-axes are generated from one
@@ -87,18 +87,10 @@ def ifbm_covariance(h: float, s, t):
 # exact sampler
 # ---------------------------------------------------------------------------
 
-def sample_fbm_exact(h: float, grid: SampleGrid, rand: RandomnessSpec) -> GridPath:
-    """Draw w on the grid from the exact joint Gaussian law: the batch
-    sampler's row for this one replica."""
-    h = check_hurst(h)
-    values = sample_fbm_exact_batch(h, grid, rand.seed,
-                                    range(rand.replica, rand.replica + 1))[0]
-    return GridPath(grid, values, "fbm", hurst=h)
-
-
 def sample_fbm_exact_batch(h: float, grid: SampleGrid, seed: int,
                            replicas: range) -> np.ndarray:
-    """Rows of exact-sampler paths, one per replica index."""
+    """Rows of paths of w on the grid from the exact joint Gaussian law,
+    one per replica index."""
     return exact_sampler(h, grid)(seed, replicas)
 
 
@@ -208,9 +200,10 @@ def sample_fbm_fast(h: float, grid: SampleGrid, rand: RandomnessSpec) -> GridPat
     """Draw w on a (possibly large) anchored grid in O(n log n): the batch
     sampler's row for this one replica.
 
-    Same law as ``sample_fbm_exact`` — a single stationary increment sequence
-    spans the whole interval and the cumulative sum is re-anchored at
-    coordinate 0 — but the draws differ path-by-path even for equal seeds.
+    Same law as ``sample_fbm_exact_batch`` — a single stationary increment
+    sequence spans the whole interval and the cumulative sum is re-anchored
+    at coordinate 0 — but the draws differ path-by-path even for equal
+    seeds.
     """
     h = check_hurst(h)
     values = sample_fbm_fast_batch(h, grid, rand.seed,

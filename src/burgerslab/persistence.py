@@ -618,10 +618,9 @@ def _chain_entry(h, n, replicas, seed, m1, stats) -> dict:
 
     relations = {}
     relations["telescoping"] = {
-        "lhs": "sum of positive slope gaps", "rhs": "endpoint slope difference",
-        "max_rel_err": worst_telescope, "tol": 1e-9,
-        "pass": bool(worst_telescope <= 1e-9),
-    }
+        **bound_check("telescoping", worst_telescope, None, hi=1e-9),
+        "lhs": "sum of positive slope gaps",
+        "rhs": "endpoint slope difference"}
     relations["eq10"] = {
         **bound_check("eq10", mean_d10, se_d10, -4.0 * se_d10, 4.0 * se_d10),
         "lhs": mean_f, "rhs": 2.0 * mean_max}
@@ -645,13 +644,12 @@ def _chain_entry(h, n, replicas, seed, m1, stats) -> dict:
     relations["eq15"] = {
         **bound_check("eq15", bound11, se15, lo=rhs15 - 4.0 * se15),
         "lhs": bound11, "rhs": rhs15}
-    relations["eq16"] = {
-        "count_xi_ge4": count_xi_ge4, "count_corner": count_corner,
-        "count_trended": count_trended,
-        "corner_trended_mismatches": mismatch_corner_trended,
-        "pass": bool(count_xi_ge4 >= count_corner
-                     and mismatch_corner_trended == 0),
-    }
+    # the corner event implies xi >= 4, and it is the trended event pathwise
+    relations["eq16"] = {**bound_check("eq16", count_corner, None,
+                                       hi=count_xi_ge4),
+                         "count_trended": count_trended}
+    relations["eq16 pathwise"] = bound_check(
+        "eq16 pathwise", mismatch_corner_trended, None, hi=0)
     p_trend = count_trended / r
     p_trend_up = _binom_upper(count_trended, r)
     bound17 = m1.value * float(n) ** (h - 1.0)

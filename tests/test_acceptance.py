@@ -5,6 +5,7 @@ criterion.  The same checks back ``burgerslab check``.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -71,11 +72,20 @@ class TestPunctureOrdering:
         assert np.all(two <= punctured)
         assert np.any(two != punctured)
 
-    def test_swapped_pair_fails(self):
-        pair = ("ifbm_two_sided", "ifbm_punctured")
-        assert all(ordered for _, _, ordered in _puncture_ordering(1000, pair))
-        swapped = _puncture_ordering(1000, pair[::-1])
-        assert not any(ordered for _, _, ordered in swapped)
+    def test_swapped_pair_fails(self, monkeypatch):
+        def ordering_rows():
+            result = run_checks(["two-sided-bound"],
+                                {"two-sided.replicas": "1000"})[0]
+            rows = result.details["rows"]
+            return result.passed, [row["pass"] for row in rows
+                                   if row["name"].startswith("puncture")]
+
+        assert ordering_rows() == (True, [True] * 3)
+        swapped = ("ifbm_punctured", "ifbm_two_sided")
+        monkeypatch.setattr(acceptance, "_puncture_ordering",
+                            lambda replicas: _puncture_ordering(replicas,
+                                                                swapped))
+        assert ordering_rows() == (False, [False] * 3)
 
 
 class TestKsStatistic:
@@ -92,10 +102,23 @@ class TestKsStatistic:
         monkeypatch.setattr(acceptance, "_ks_statistic", with_oracle)
         result = run_checks(["sampler-equivalence"])[0]
         assert equal == [True] * 3
-        # the details of the scipy implementation
-        assert result.details == {
-            "ks": {"h=0.3": 0.0106, "h=0.5": 0.0125, "h=0.7": 0.0118},
-            "critical_1pct": 0.023018074130013652}
+        # the statistics of the scipy implementation
+        assert [(row["name"], row["got"]) for row in result.details["rows"]] \
+            == [("ks h=0.3", 0.0106), ("ks h=0.5", 0.0125),
+                ("ks h=0.7", 0.0118)]
+        assert result.details["critical_1pct"] == 0.023018074130013652
+
+    def test_statistic_at_critical_value_fails(self, monkeypatch):
+        # the 1% rule is strict: KS < crit passes, KS == crit does not
+        overrides = {"sampler-eq.replicas": "100", "sampler-eq.points": "8"}
+        crit = run_checks(["sampler-equivalence"],
+                          overrides)[0].details["critical_1pct"]
+        for got, passed in ((crit, False), (math.nextafter(crit, 0.0), True)):
+            monkeypatch.setattr(acceptance, "_ks_statistic", lambda a, b: got)
+            result = run_checks(["sampler-equivalence"], overrides)[0]
+            assert [row["pass"] for row in result.details["rows"]] \
+                == [passed] * 3
+            assert result.passed is passed
 
     @pytest.mark.parametrize("n1, n2", [(6, 6), (7, 13), (100, 250),
                                         (999, 1000), (3000, 10_000),
@@ -113,9 +136,11 @@ class TestKsStatistic:
 
 
 # each criterion's count of check rows
-ROWS = {"sampler-covariance": 1, "expectation-identity": 1,
-        "inequality-chain": 1, "dimension": 3, "max-exponent": 3,
-        "integral-exponent": 1, "two-sided-bound": 3, "rkhs": 5}
+ROWS = {"sampler-covariance": 1, "sampler-equivalence": 3, "telescoping": 1,
+        "expectation-identity": 1, "inequality-chain": 25,
+        "burgers-oracle": 1, "dimension": 3, "max-exponent": 3,
+        "integral-exponent": 1, "two-sided-bound": 6, "rkhs": 7,
+        "determinism": 1}
 
 
 @pytest.mark.parametrize("name, overrides", [
@@ -127,11 +152,18 @@ ROWS = {"sampler-covariance": 1, "expectation-identity": 1,
     ("expectation-identity", {}),
     ("sampler-covariance", {"sampler-cov.replicas": "1000"}),
     ("inequality-chain", {"chain.replicas": "1000", "chain.n": "16"}),
-    ("rkhs", {"rkhs.replicas": "100000"})])
+    ("rkhs", {"rkhs.replicas": "100000"}),
+    ("sampler-equivalence", {"sampler-eq.replicas": "100"}),
+    ("telescoping", {"telescoping.sequences": "20"}),
+    ("burgers-oracle", {"burgers.paths": "2"}),
+    ("determinism", {})])
 def test_margins_in_se(name, overrides):
-    """Criteria 01, 04, 05 and 07-11 build every bounded row by one rule
-    (``oracles.assert_check_rows``), each row with an SE."""
-    rows = check_rows(run_checks([name], overrides)[0].details)
+    """Every criterion's verdict is its rows: each is built by one rule
+    (``oracles.assert_check_rows``), and the criterion passes exactly when
+    all of them do."""
+    result = run_checks([name], overrides)[0]
+    rows = result.details["rows"]
     assert len(rows) == ROWS[name]
-    assert all(row["se"] > 0 for row in rows)
+    assert check_rows(result.details) == rows
     assert_check_rows(rows)
+    assert result.passed == all(row["pass"] for row in rows)

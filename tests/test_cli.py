@@ -18,7 +18,7 @@ import burgerslab
 from burgerslab.cli import main
 from burgerslab.grids import (GridPath, RandomnessSpec, SampleGrid,
                               rng_state_write, write_json, write_jsonl)
-from burgerslab import experiments
+from burgerslab import experiments, fbm
 from burgerslab.acceptance import _TINY_CONFIGS, CHECKS, Check, run_checks
 from burgerslab.experiments import (
     EXPERIMENTS,
@@ -235,6 +235,21 @@ class TestBadValues:
         status = main(argv + ["--replicas", "100", "--out", str(out)])
         self.assert_config_error(status, capsys, out, field)
 
+    # fails at 3185de9 with a FactorizationError traceback, as does
+    # --hurst 0.999999 at 4095 points, whose factorization takes about 1 s
+    def test_exact_sample_without_factor(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(fbm, "fbm_covariance",
+                            lambda h, x, y: np.ones(np.broadcast(x, y).shape))
+        argv = ["sample", "--hurst", "0.999999", "--replicas", "1",
+                "--opt", "method=exact", "--opt", "points=16"]
+        out = tmp_path / "p"
+        status = main(argv + ["--out", str(out)])
+        self.assert_config_error(status, capsys, out, "field hurst 0.999999")
+        # a directory that was there is kept, with no result file in it
+        out.mkdir()
+        assert main(argv + ["--out", str(out)]) == 1
+        assert os.listdir(out) == []
+
     # each once passed validation, and the run then asked for a spectrum of
     # 2^41 points or more, or refused replica 2^32 mid-run; the runners are
     # removed, so no run can start
@@ -292,7 +307,7 @@ class TestBadValues:
     def test_undeclared_check_setting(self, tmp_path, capsys, monkeypatch,
                                       key):
         calls = []
-        spy = Check(lambda ov: calls.append(ov) or {"pass": True},
+        spy = Check(lambda ov: calls.append(ov) or {"rows": [{"pass": True}]},
                     CHECKS["telescoping"].settings)
         monkeypatch.setitem(CHECKS, "telescoping", spy)
         report = tmp_path / "report.json"
@@ -372,7 +387,7 @@ class TestBadValues:
 
     def test_check_report_into_directory(self, tmp_path, capsys, monkeypatch):
         calls = []
-        spy = Check(lambda ov: calls.append(ov) or {"pass": True},
+        spy = Check(lambda ov: calls.append(ov) or {"rows": [{"pass": True}]},
                     CHECKS["telescoping"].settings)
         monkeypatch.setitem(CHECKS, "telescoping", spy)
         status = main(["check", "--only", "telescoping",
@@ -759,14 +774,17 @@ class TestArtifacts:
                      "--seed", "3", "--opt", "n=8", "--out", str(out)]) == 0
         doc = json.loads(read_bytes(out / "chain.json"))
         relations = doc["h=0.6"]["relations"]
-        assert set(relations) == {
-            "telescoping", "eq10", "eq11", "eq14", "eq15", "eq16", "eq17"}
-        # every relation with an SE is a check row
+        # every relation is a check row under its own name, keys sorted
+        names = ["eq10", "eq11", "eq14", "eq15", "eq16", "eq16 pathwise",
+                 "eq17", "telescoping"]
+        assert list(relations) == names
         rows = check_rows(relations)
-        assert [row["name"] for row in rows] == ["eq10", "eq11", "eq14",
-                                                 "eq15", "eq17"]
-        assert all(row["se"] > 0 for row in rows)
+        assert [row["name"] for row in rows] == names
+        # the counts and the exact-arithmetic relation have no SE
+        assert [row["name"] for row in rows if row["se"] is None] == [
+            "eq16", "eq16 pathwise", "telescoping"]
         assert_check_rows(rows)
+        assert doc["h=0.6"]["pass"] == all(row["pass"] for row in rows)
 
     # fails at e7c0d46 for covcol, whose printed row read covcol@1*0.1 and
     # whose shift.json read cov_col@1x0.1

@@ -309,7 +309,8 @@ class TestVerifyChain:
     def test_degenerate_two_point_chain_well_formed(self):
         report = verify_chain(0.5, 2, 400, 1)
         assert set(report["relations"]) == {
-            "telescoping", "eq10", "eq11", "eq14", "eq15", "eq16", "eq17"}
+            "telescoping", "eq10", "eq11", "eq14", "eq15", "eq16",
+            "eq16 pathwise", "eq17"}
         assert isinstance(report["pass"], bool)
 
     def test_eq14_row_without_se_is_its_worst_k(self):

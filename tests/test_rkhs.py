@@ -274,12 +274,13 @@ class TestShiftInequality:
 
     # fails at e7c0d46, which keyed its rows by ids of their own
     def test_criterion_11_keys_rows_by_name(self):
-        configs = check_rkhs({"rkhs.replicas": 5000})["shift_configs"]
-        assert [(key, row["name"]) for key, row in configs.items()] == [
-            (f"shift bound {name} h={h}", f"shift bound {name} h={h}")
-            for name, h in [("combined0", 0.5), ("combined1", 0.5),
-                            ("covcol@1*0.1", 0.3), ("covcol@-1*0.3", 0.7),
-                            ("psi*0.2", 0.5)]]
+        rows = check_rkhs({"rkhs.replicas": 5000})["rows"]
+        assert [row["name"] for row in rows] == [
+            "reproducing rel err", "composition abs err",
+            *(f"shift bound {name} h={h}"
+              for name, h in [("combined0", 0.5), ("combined1", 0.5),
+                              ("covcol@1*0.1", 0.3), ("covcol@-1*0.3", 0.7),
+                              ("psi*0.2", 0.5)])]
 
     def test_grid_cap(self):
         sp = build_space(symmetric_grid(0.05, 40), 0.5)

@@ -11,7 +11,6 @@ from burgerslab.fbm import (
     EmbeddingError,
     FactorizationError,
     ifbm_covariance,
-    sample_fbm_exact,
     sample_fbm_exact_batch,
     sample_fbm_fast,
     sample_fbm_fast_batch,
@@ -33,28 +32,23 @@ def ks_critical_value(n1, n2, alpha=0.01):
     return c * np.sqrt((n1 + n2) / (n1 * n2))
 
 
-def sample_matrix(sampler, h, grid, seed, replicas):
-    return np.stack([sampler(h, grid, RandomnessSpec(seed, r)).values
-                     for r in range(replicas)])
-
-
 class TestExactSampler:
     def test_two_point_grid_is_standard_normal(self):
         grid = SampleGrid.one_sided(1.0, 1)
-        vals = sample_matrix(sample_fbm_exact, 0.62, grid, 7, 4000)[:, 1]
+        vals = sample_fbm_exact_batch(0.62, grid, 7, range(4000))[:, 1]
         assert abs(vals.mean()) < 4.0 / np.sqrt(4000)
         se_var = np.sqrt(2.0 / (4000 - 1))
         assert abs(vals.var() - 1.0) < 4 * se_var
 
     def test_anchor_is_exact_zero(self):
         grid = SampleGrid.anchored(0.5, 3, 4)
-        path = sample_fbm_exact(0.3, grid, RandomnessSpec(1))
-        assert path.values[grid.anchor_index] == 0.0
+        [path] = sample_fbm_exact_batch(0.3, grid, 1, range(1))
+        assert path[grid.anchor_index] == 0.0
 
     def test_empirical_covariance_matches_formula(self):
         h, replicas = 0.6, 4000
         grid = SampleGrid.anchored(0.5, 3, 4)
-        vals = sample_matrix(sample_fbm_exact, h, grid, 11, replicas)
+        vals = sample_fbm_exact_batch(h, grid, 11, range(replicas))
         coords = grid.coordinates
         target = fbm.fbm_covariance(h, coords[:, None], coords[None, :])
         emp = vals.T @ vals / replicas
@@ -67,10 +61,10 @@ class TestExactSampler:
 
     def test_determinism(self):
         grid = SampleGrid.one_sided(0.25, 16)
-        a = sample_fbm_exact(0.44, grid, RandomnessSpec(5, 2)).values
-        b = sample_fbm_exact(0.44, grid, RandomnessSpec(5, 2)).values
+        a = sample_fbm_exact_batch(0.44, grid, 5, range(2, 3))
+        b = sample_fbm_exact_batch(0.44, grid, 5, range(2, 3))
         assert np.array_equal(a, b)
-        c = sample_fbm_exact(0.44, grid, RandomnessSpec(5, 3)).values
+        c = sample_fbm_exact_batch(0.44, grid, 5, range(3, 4))
         assert not np.array_equal(a, c)
 
     @pytest.mark.parametrize("grid", [SampleGrid.anchored(0.5, 3, 4),
@@ -86,22 +80,20 @@ class TestExactSampler:
         batch = sample_fbm_exact_batch(h, grid, 101, replicas)
         for r, row, path in zip(replicas, batch, want):
             assert np.array_equal(row, path), f"replica {r} differs"
-            single = sample_fbm_exact(h, grid, RandomnessSpec(101, r)).values
-            assert np.array_equal(single, path), f"replica {r} differs"
         whole = sample_fbm_exact_batch(h, grid, 101, range(10_000))
         assert np.array_equal(whole[replicas], batch)
 
     def test_size_cap(self):
         grid = SampleGrid.one_sided(1.0, fbm.EXACT_SAMPLER_MAX_POINTS + 10)
         with pytest.raises(ValueError, match="fast"):
-            sample_fbm_exact(0.5, grid, RandomnessSpec(0))
+            sample_fbm_exact_batch(0.5, grid, 0, range(1))
 
     def test_factorization_error_names_pivot(self, monkeypatch):
         monkeypatch.setattr(fbm, "fbm_covariance",
                             lambda h, x, y: np.ones(np.broadcast(x, y).shape))
         grid = SampleGrid.one_sided(1.0, 4)
         with pytest.raises(FactorizationError, match="pivot"):
-            sample_fbm_exact(0.5, grid, RandomnessSpec(0))
+            sample_fbm_exact_batch(0.5, grid, 0, range(1))
 
 
 class TestFastSampler:
@@ -129,7 +121,7 @@ class TestFastSampler:
     def test_max_functional_matches_exact_sampler(self, h):
         n, reps = 32, 3000
         grid = SampleGrid.one_sided(1.0, n)
-        mx_exact = sample_matrix(sample_fbm_exact, h, grid, 21, reps).max(axis=1)
+        mx_exact = sample_fbm_exact_batch(h, grid, 21, range(reps)).max(axis=1)
         mx_fast = sample_fbm_fast_batch(h, grid, 22, range(reps)).max(axis=1)
         stat = ks_2samp(mx_exact, mx_fast).statistic
         crit = ks_critical_value(reps, reps)

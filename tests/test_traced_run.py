@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from burgerslab.cli import main
+
 ROOT = Path(__file__).resolve().parents[1]
 TRACED = ROOT / "perfbench" / "traced.py"
 
@@ -51,3 +53,29 @@ def test_traced_run_summarises_every_layer(tmp_path, argv, hulls):
     hull = doc["layers"]["envelopes.lower_envelope"]
     assert hull["calls"] == hulls
     assert (hull["nodes"] > 0) == (hulls > 0)
+
+
+# each benchmark experiment's replicas, cut to a fraction of a second's work
+GATE_REPLICAS = {"dim": 2, "persist": 100, "shift": 2000, "chain": 200}
+
+
+@pytest.mark.parametrize("name", GATE_REPLICAS)
+def test_benchmark_counts_every_check_line(tmp_path, capsys, monkeypatch,
+                                           name):
+    """``perfbench/run.py`` fails an experiment whose count of PASS and FAIL
+    lines is not its ``checks``; a change to what a run prints fails here
+    first, at the benchmark's own argv with fewer replicas."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", ROOT / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    experiments = {exp.name: exp for session in bench.WORKLOADS.values()
+                   for exp in session}
+    assert set(experiments) == set(GATE_REPLICAS)
+    argv = list(experiments[name].argv)
+    argv[argv.index("--replicas") + 1] = str(GATE_REPLICAS[name])
+    main(argv + ["--seed", "1", "--out", str(tmp_path / "out")])
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith(("PASS ", "FAIL ")) for line in lines) \
+        == experiments[name].checks
