@@ -360,11 +360,13 @@ def run_sample(cfg: RunConfig, outdir: Path) -> dict:
     for h in cfg.hurst:
         # one factorization per H for the exact sampler, made before any of
         # its files and not in validate, which would double its cost; a row
-        # at a time
+        # at a time.  A failed one removes the files of the H before it.
         try:
             draw = (partial(sample_fbm_fast_batch, h, grid)
                     if cfg.opt("method") == "fast" else exact_sampler(h, grid))
         except FactorizationError as exc:
+            for row in index:
+                (outdir / row["file"]).unlink()
             raise ConfigError(f"field hurst {h:g}: {exc}; use method=fast") \
                 from None
         for rep in range(cfg.replicas):

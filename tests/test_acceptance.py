@@ -73,19 +73,18 @@ class TestPunctureOrdering:
         assert np.any(two != punctured)
 
     def test_swapped_pair_fails(self, monkeypatch):
-        def ordering_rows():
-            result = run_checks(["two-sided-bound"],
-                                {"two-sided.replicas": "1000"})[0]
-            rows = result.details["rows"]
-            return result.passed, [row["pass"] for row in rows
-                                   if row["name"].startswith("puncture")]
-
-        assert ordering_rows() == (True, [True] * 3)
+        # the pair is ordered as criterion 10 runs it ...
+        assert all(p1 <= p2 for p1, p2 in _puncture_ordering(1000))
+        # ... and swapped, its ordering rows fail, and with them the criterion
         swapped = ("ifbm_punctured", "ifbm_two_sided")
         monkeypatch.setattr(acceptance, "_puncture_ordering",
                             lambda replicas: _puncture_ordering(replicas,
                                                                 swapped))
-        assert ordering_rows() == (False, [False] * 3)
+        result = run_checks(["two-sided-bound"],
+                            {"two-sided.replicas": "1000"})[0]
+        assert [row["pass"] for row in result.details["rows"]
+                if row["name"].startswith("puncture ordering")] == [False] * 3
+        assert result.passed is False
 
 
 class TestKsStatistic:
@@ -141,6 +140,17 @@ ROWS = {"sampler-covariance": 1, "sampler-equivalence": 3, "telescoping": 1,
         "burgers-oracle": 1, "dimension": 3, "max-exponent": 3,
         "integral-exponent": 1, "two-sided-bound": 6, "rkhs": 7,
         "determinism": 1}
+# the rows with no SE, by name: exact arithmetic, counts and the KS rule;
+# every other row has a positive SE
+NO_SE = {"sampler-equivalence": [f"ks h={h:g}" for h in H_TRIPLE],
+         "telescoping": ["telescoping"],
+         "inequality-chain": [f"{rel} h={h:g}" for h in H_TRIPLE
+                              for rel in ("telescoping", "eq16",
+                                          "eq16 pathwise")],
+         "burgers-oracle": ["cluster mismatches"],
+         "two-sided-bound": [f"puncture ordering h={h:g}" for h in H_TRIPLE],
+         "rkhs": ["reproducing rel err", "composition abs err"],
+         "determinism": ["rerun mismatches"]}
 
 
 @pytest.mark.parametrize("name, overrides", [
@@ -165,5 +175,8 @@ def test_margins_in_se(name, overrides):
     rows = result.details["rows"]
     assert len(rows) == ROWS[name]
     assert check_rows(result.details) == rows
+    no_se = NO_SE.get(name, [])
+    assert [row["name"] for row in rows if row["se"] is None] == no_se
+    assert all(row["se"] > 0 for row in rows if row["name"] not in no_se)
     assert_check_rows(rows)
     assert result.passed == all(row["pass"] for row in rows)

@@ -236,11 +236,16 @@ class TestBadValues:
         self.assert_config_error(status, capsys, out, field)
 
     # fails at 3185de9 with a FactorizationError traceback, as does
-    # --hurst 0.999999 at 4095 points, whose factorization takes about 1 s
-    def test_exact_sample_without_factor(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(fbm, "fbm_covariance",
-                            lambda h, x, y: np.ones(np.broadcast(x, y).shape))
-        argv = ["sample", "--hurst", "0.999999", "--replicas", "1",
+    # --hurst 0.999999 at 4095 points, whose factorization takes about 1 s;
+    # with an H before it, that H's files are written first
+    @pytest.mark.parametrize("hurst", ["0.999999", "0.5,0.999999"])
+    def test_exact_sample_without_factor(self, tmp_path, capsys, monkeypatch,
+                                         hurst):
+        covariance = fbm.fbm_covariance
+        monkeypatch.setattr(fbm, "fbm_covariance", lambda h, x, y: (
+            np.ones(np.broadcast(x, y).shape) if h > 0.9
+            else covariance(h, x, y)))
+        argv = ["sample", "--hurst", hurst, "--replicas", "2",
                 "--opt", "method=exact", "--opt", "points=16"]
         out = tmp_path / "p"
         status = main(argv + ["--out", str(out)])
@@ -780,9 +785,11 @@ class TestArtifacts:
         assert list(relations) == names
         rows = check_rows(relations)
         assert [row["name"] for row in rows] == names
-        # the counts and the exact-arithmetic relation have no SE
-        assert [row["name"] for row in rows if row["se"] is None] == [
-            "eq16", "eq16 pathwise", "telescoping"]
+        # the counts and the exact-arithmetic relation have no SE, and
+        # every other relation a positive one
+        no_se = ["eq16", "eq16 pathwise", "telescoping"]
+        assert [row["name"] for row in rows if row["se"] is None] == no_se
+        assert all(row["se"] > 0 for row in rows if row["name"] not in no_se)
         assert_check_rows(rows)
         assert doc["h=0.6"]["pass"] == all(row["pass"] for row in rows)
 
