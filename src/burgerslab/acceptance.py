@@ -413,9 +413,9 @@ def run_checks(names=None, overrides=None) -> list[CheckResult]:
         overrides or {}, "--set key", f"checks {', '.join(selected)}")
     results = []
     for name in selected:
-        started = time.time()
+        started = time.perf_counter()
         details = CHECKS[name].run(settings)
         results.append(CheckResult(
             name=name, passed=all(row["pass"] for row in details["rows"]),
-            runtime_s=time.time() - started, details=details))
+            runtime_s=time.perf_counter() - started, details=details))
     return results

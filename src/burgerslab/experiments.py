@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import json
 import math
+import shutil
+import tempfile
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
@@ -358,15 +360,11 @@ def run_sample(cfg: RunConfig, outdir: Path) -> dict:
     grid = SampleGrid.one_sided(cfg.opt("spacing"), cfg.opt("points"))
     index = []
     for h in cfg.hurst:
-        # one factorization per H for the exact sampler, made before any of
-        # its files and not in validate, which would double its cost; a row
-        # at a time.  A failed one removes the files of the H before it.
+        # one exact factorization per H, here: validate would double it
         try:
             draw = (partial(sample_fbm_fast_batch, h, grid)
                     if cfg.opt("method") == "fast" else exact_sampler(h, grid))
         except FactorizationError as exc:
-            for row in index:
-                (outdir / row["file"]).unlink()
             raise ConfigError(f"field hurst {h:g}: {exc}; use method=fast") \
                 from None
         for rep in range(cfg.replicas):
@@ -572,9 +570,11 @@ _RUNNERS = {"sample": run_sample, "solve": run_solve, "dim": run_dim,
 def run_experiment(cfg: RunConfig) -> tuple[int, dict]:
     """Execute an experiment; returns (exit_status, summary).
 
-    Exit statuses: 0 success, 2 numerical failure (flagged estimates),
-    3 failed --check assertions.  Config errors raise ConfigError (exit 1
-    at the CLI boundary).
+    The run writes into a stage inside --out.  On success its files replace
+    their namesakes there, its manifest last; a run that fails or is
+    interrupted leaves --out as it found it.  Exit statuses: 0 success,
+    2 numerical failure (flagged estimates), 3 failed --check assertions.
+    Config errors raise ConfigError (exit 1 at the CLI boundary).
     """
     cfg = cfg.validate()
     try:
@@ -585,16 +585,18 @@ def run_experiment(cfg: RunConfig) -> tuple[int, dict]:
     made = [p for p in (outdir, *outdir.parents) if not p.exists()]
     with path_errors("out", outdir):
         outdir.mkdir(parents=True, exist_ok=True)
-    started = time.time()
+        stage = Path(tempfile.mkdtemp(prefix=".partial-", dir=outdir))
+    started = time.perf_counter()
     try:
-        summary = _RUNNERS[cfg.experiment](cfg, outdir)
-        write_manifest(cfg, outdir, time.time() - started, workers)
+        summary = _RUNNERS[cfg.experiment](cfg, stage)
+        write_manifest(cfg, stage, time.perf_counter() - started, workers)
+        (outdir / "manifest.json").unlink(missing_ok=True)
+        for path in sorted(stage.iterdir(),
+                           key=lambda p: p.name == "manifest.json"):
+            path.replace(outdir / path.name)
+        stage.rmdir()
     except BaseException:
-        # a run that fails leaves no directory it made; one that existed
-        # before it is kept
-        if made:
-            import shutil
-            shutil.rmtree(made[-1], ignore_errors=True)
+        shutil.rmtree(made[-1] if made else stage, ignore_errors=True)
         raise
     status = 0
     if summary.get("flagged"):
@@ -606,17 +608,15 @@ def run_experiment(cfg: RunConfig) -> tuple[int, dict]:
 
 def write_manifest(cfg: RunConfig, outdir: Path, wall_time_s: float,
                    workers: int) -> None:
-    """Config, provenance and wall time; the only output that may differ
-    between re-runs of one config.  Written last and replaced whole, so it
-    is never half written and never written for a run that failed."""
+    """Config, provenance and wall time, the only output that may differ
+    between re-runs of one config; ``run_experiment`` writes it into the
+    run's stage after the result files and moves it into --out after them."""
     provenance = {"rng": RNG_SCHEME, "rng_state_write": rng_state_write(),
                   "numpy": np.__version__,
                   "hull": envelope_backend(), "workers": workers}
-    partial_path = outdir / "manifest.json.tmp"
-    write_json(partial_path,
+    write_json(outdir / "manifest.json",
                {"config": asdict(cfg), "tool_version": __version__,
                 "provenance": provenance, "wall_time_s": wall_time_s})
-    partial_path.replace(outdir / "manifest.json")
 
 
 def rerun_from_manifest(manifest_path, out: str | None = None) -> tuple[int, dict]:

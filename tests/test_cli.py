@@ -1,6 +1,7 @@
 """Front-door behavior: exit statuses, manifests, reproducibility."""
 
 import ast
+import errno
 import json
 import math
 import os
@@ -490,46 +491,82 @@ class TestBadValues:
             json.dumps(want, sort_keys=True)
 
 
-def _raising_runner(cfg, outdir):
-    (outdir / "records.jsonl").write_text("half written\n")
-    raise RuntimeError("runner failed")
+def _raising_runner(exc):
+    def runner(cfg, outdir):
+        (outdir / "index.jsonl").write_text("half written\n")
+        raise exc
+    return runner
+
+
+def _earlier_run(out) -> dict:
+    """{name: bytes} of ``out`` once it holds a sample run and notes.txt."""
+    assert run_experiment(RunConfig("sample", replicas=2, seed=7, out=str(out),
+                                    options={"points": "4"}))[0] == 0
+    (out / "notes.txt").write_text("kept\n")
+    return {p.name: p.read_bytes() for p in out.iterdir()}
 
 
 class TestRunDirectory:
-    """A run that fails removes the directory it made, keeps one that
-    existed, and writes no manifest."""
+    """A run writes into a stage inside --out and moves its files in only on
+    success, its manifest last; one that fails or is interrupted leaves
+    --out as it found it."""
 
     def test_failed_run_removes_directory_it_made(self, tmp_path,
                                                   monkeypatch):
-        monkeypatch.setitem(experiments._RUNNERS, "sample", _raising_runner)
+        monkeypatch.setitem(experiments._RUNNERS, "sample",
+                            _raising_runner(RuntimeError("runner failed")))
         out = tmp_path / "new" / "p"
         with pytest.raises(RuntimeError, match="runner failed"):
             run_experiment(RunConfig("sample", out=str(out)))
         assert not (tmp_path / "new").exists()
 
-    def test_failed_run_keeps_existing_directory(self, tmp_path, monkeypatch):
-        monkeypatch.setitem(experiments._RUNNERS, "sample", _raising_runner)
+    # at 2e51deb the runner's half-written index.jsonl replaced the earlier
+    # run's, which kept its manifest
+    @pytest.mark.parametrize("exc", [
+        RuntimeError("runner failed"), KeyboardInterrupt(),
+        OSError(errno.ENOSPC, "No space left on device")],
+        ids=["error", "interrupt", "disk-full"])
+    def test_failed_run_keeps_existing_directory(self, tmp_path, monkeypatch,
+                                                 exc):
         out = tmp_path / "p"
-        out.mkdir()
-        (out / "notes.txt").write_text("kept\n")
-        with pytest.raises(RuntimeError, match="runner failed"):
+        before = _earlier_run(out)
+        monkeypatch.setitem(experiments._RUNNERS, "sample",
+                            _raising_runner(exc))
+        with pytest.raises(type(exc)):
             run_experiment(RunConfig("sample", out=str(out)))
-        assert (out / "notes.txt").read_text() == "kept\n"
-        assert sorted(p.name for p in out.iterdir()) == ["notes.txt",
-                                                         "records.jsonl"]
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_manifest_written_last_and_whole(self, tmp_path, monkeypatch):
-        names = []
+        out = tmp_path / "p"
+        before = _earlier_run(out)
+        stages, moved = [], []
 
         def runner(cfg, outdir):
-            names.extend(p.name for p in outdir.iterdir())
+            stages.append((outdir, list(outdir.iterdir())))
+            (outdir / "index.jsonl").write_text("new\n")
+            (outdir / "new.csv").write_text("new\n")
             return {"checks": []}
+        path_replace = Path.replace
+
+        def replace_spy(path, target):
+            moved.append(Path(target).name)
+            return path_replace(path, target)
         monkeypatch.setitem(experiments._RUNNERS, "sample", runner)
-        out = tmp_path / "p"
-        assert run_experiment(RunConfig("sample", out=str(out)))[0] == 0
-        assert names == []
-        assert [p.name for p in out.iterdir()] == ["manifest.json"]
-        json.loads((out / "manifest.json").read_text())
+        monkeypatch.setattr(Path, "replace", replace_spy)
+        cfg = RunConfig("sample", seed=8, out=str(out))
+        assert run_experiment(cfg)[0] == 0
+        # no runner writes into --out itself
+        [(stage, names)] = stages
+        assert stage.parent == out and names == []
+        assert moved == ["index.jsonl", "new.csv", "manifest.json"]
+        after = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(after) == sorted([*before, "new.csv"])
+        assert after["index.jsonl"] == after["new.csv"] == b"new\n"
+        kept = set(before) - {"index.jsonl", "manifest.json"}
+        assert {name: after[name] for name in kept} == \
+            {name: before[name] for name in kept}
+        assert json.loads(after["manifest.json"])["config"] == \
+            json.loads(json.dumps(asdict(cfg.validate())))
 
 
 class TestOptionDefaults:
